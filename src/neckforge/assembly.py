@@ -527,7 +527,7 @@ def _tunnel_side(model: AmbientModel, tube_radius: float, budget: float,
     params = CurveDesignParams(model=model, tube_radius=tube_radius,
                                budget=budget, grid_density=grid_density)
     curve = design_bending_curve(params)
-    check = curve.verify_floor(refine=2)
+    check = curve.check
     pieces = _curve_pieces(curve, prefix, n_nodes)
     start, dims = _warp_tail(model, curve)
     end = start[:-1] + (cylinder_radius,)
@@ -694,7 +694,7 @@ def perform_surgery(base_dim: int, slice_dim: int, tube_radius: float, *,
     params = CurveDesignParams(model=model, tube_radius=tube_radius,
                                budget=0.5 * budget, grid_density=grid_density)
     curve = design_bending_curve(params)
-    check = curve.verify_floor(refine=2)
+    check = curve.check
 
     # complement of the removed tube, exact ambient metric
     pole_dist = math.pi * slice_radius

@@ -60,7 +60,7 @@ from .errors import (
     RadiusExceedsModel,
 )
 from .models import AmbientModel
-from .numerics import smoothstep5, smoothstep7
+from .numerics import gauss_legendre_rule, smoothstep5, smoothstep7
 from .profiles import DoublyWarpProfile, WarpProfile
 
 __all__ = [
@@ -79,7 +79,8 @@ __all__ = [
 START_RADIUS_FACTOR = 1.98
 BEND_RADIUS_FACTOR = 0.99
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# the 12-point rule integrates cos/sin of the theta spline per interval
+_GL_POINTS = 12
 
 
 # -- pointwise hypersurface data ----------------------------------------------
@@ -117,24 +118,31 @@ def sigma_scalar_closed_form(model: AmbientModel, theta, curv, radius):
             - 2.0 * (q - 1) * curv * G * st)
 
 
-def _ambient_sectional_matrix(model: AmbientModel, theta: float) -> np.ndarray:
+def _ambient_sectional_matrix(model: AmbientModel, theta) -> np.ndarray:
     """Sectional curvatures of the ambient model between adapted frame
-    directions: index 0 the curve direction, 1..q-1 the link sphere,
-    q..n-1 the base sphere. Vanishing entries are genuine zeros of the
-    product geometry."""
+    directions, one (n, n) table per point of a 1d theta: shape (N, n, n).
+
+    Index 0 is the curve direction, 1..q-1 the link sphere, q..n-1 the
+    base sphere. Vanishing entries are genuine zeros of the product
+    geometry."""
     n = model.surface_dim
     q = model.slice_dim
     c = model.slice_curv
-    K = np.zeros((n, n))
-    ct2 = math.cos(theta) ** 2
+    K = np.zeros((theta.size, n, n))
+    # cos^2(theta) per point in libm arithmetic: pow(x, 2) and numpy's x * x
+    # can differ in the last bit, and the cross-check error between the two
+    # routes, which certificates record, would move with it
+    ct2 = np.fromiter((math.cos(t) ** 2 for t in theta.tolist()), float,
+                      theta.size)
     # curve direction mixes the flat axial line with the radial direction,
     # so against a link direction it sees c weighted by cos^2(theta)
-    K[0, 1:q] = c * ct2
-    K[1:q, 0] = c * ct2
-    K[1:q, 1:q] = c
+    K[:, 0, 1:q] = (c * ct2)[:, None]
+    K[:, 1:q, 0] = (c * ct2)[:, None]
+    K[:, 1:q, 1:q] = c
     if model.base_dim >= 1:
-        K[q:, q:] = 1.0 / model.base_radius**2
-    np.fill_diagonal(K, 0.0)
+        K[:, q:, q:] = 1.0 / model.base_radius**2
+    diag = np.arange(n)
+    K[:, diag, diag] = 0.0
     return K
 
 
@@ -143,20 +151,21 @@ def sigma_scalar_gauss(model: AmbientModel, theta, curv, radius):
 
     Sums ambient sectional curvatures over ordered frame pairs and adds
     H^2 - |A|^2 from the principal curvature spectrum. Agrees with
-    sigma_scalar_closed_form to roundoff; the two share no algebra.
+    sigma_scalar_closed_form to roundoff; the two share no algebra. All
+    points are done at once; each row sum runs over the same contiguous
+    values as a per-point sum, so the result does not depend on how many
+    points share a call. Scalars come back with shape (1,).
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     curv = np.broadcast_to(np.asarray(curv, dtype=float), theta.shape)
     radius = np.broadcast_to(np.asarray(radius, dtype=float), theta.shape)
-    lam = sigma_principal_curvatures(model, theta, curv, radius)
-    out = np.empty(theta.shape)
-    for i in range(theta.size):
-        K = _ambient_sectional_matrix(model, float(theta.flat[i]))
-        li = lam.reshape(-1, lam.shape[-1])[i]
-        H = float(np.sum(li))
-        A2 = float(np.sum(li * li))
-        out.flat[i] = float(np.sum(K)) + H * H - A2
-    return out
+    n = model.surface_dim
+    lam = sigma_principal_curvatures(model, theta, curv, radius).reshape(-1, n)
+    K = _ambient_sectional_matrix(model, theta.reshape(-1))
+    H = np.sum(lam, axis=-1)
+    A2 = np.sum(lam * lam, axis=-1)
+    out = np.sum(K.reshape(-1, n * n), axis=-1) + H * H - A2
+    return out.reshape(theta.shape)
 
 
 # -- design parameters ---------------------------------------------------------
@@ -284,10 +293,11 @@ class BendingCurve:
         a = self.s_nodes[idx]
         half = 0.5 * (s_arr - a)
         mid = 0.5 * (s_arr + a)
-        xs = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+        nodes, weights = gauss_legendre_rule(_GL_POINTS)
+        xs = mid[:, None] + half[:, None] * nodes[None, :]
         th = self._theta_spline(xs)
-        cos_i = np.sum(half[:, None] * _GL_WEIGHTS[None, :] * np.cos(th), axis=1)
-        sin_i = np.sum(half[:, None] * _GL_WEIGHTS[None, :] * np.sin(th), axis=1)
+        cos_i = np.sum(half[:, None] * weights[None, :] * np.cos(th), axis=1)
+        sin_i = np.sum(half[:, None] * weights[None, :] * np.sin(th), axis=1)
         return idx, cos_i, sin_i, s_arr.shape == np.shape(s)
 
     def radius_at(self, s):
@@ -319,11 +329,21 @@ class BendingCurve:
             pts.append(self.s_nodes[:-1] + (k / refine) * widths)
         return np.unique(np.concatenate(pts))
 
+    @cached_property
+    def _floor_samples(self):
+        """Refine-2 verification points and the closed-form scalar
+        curvature on them, shared by check and min_scalar_on."""
+        s = self.verification_points(2)
+        return s, self.scalar_curvature(s)
+
     def verify_floor(self, refine: int = 2) -> CurveCheck:
         """Evaluate both scalar curvature routes on nodes and midpoints and
         compare the minimum against the design floor."""
-        s = self.verification_points(refine)
-        closed = self.scalar_curvature(s)
+        if refine == 2:
+            s, closed = self._floor_samples
+        else:
+            s = self.verification_points(refine)
+            closed = self.scalar_curvature(s)
         gauss = self.gauss_scalar(s)
         scale = np.maximum(1.0, np.abs(closed))
         cross = float(np.max(np.abs(closed - gauss) / scale))
@@ -335,12 +355,20 @@ class BendingCurve:
                           cross_check_error=cross, n_samples=s.size,
                           passed=(margin >= 0.0 and cross <= 1e-9))
 
-    def min_scalar_on(self, s_lo: float, s_hi: float, refine: int = 2) -> float:
-        s = self.verification_points(refine)
-        s = s[(s >= s_lo - 1e-15) & (s <= s_hi + 1e-15)]
-        if s.size == 0:
-            s = np.linspace(s_lo, s_hi, 9)
-        return float(np.min(self.scalar_curvature(s)))
+    @cached_property
+    def check(self) -> CurveCheck:
+        """verify_floor(refine=2), run once per curve."""
+        return self.verify_floor(refine=2)
+
+    def min_scalar_on(self, s_lo: float, s_hi: float) -> float:
+        """Minimum of the refine-2 closed-form samples inside [s_lo, s_hi];
+        nine fresh samples when the window holds none."""
+        s, closed = self._floor_samples
+        inside = (s >= s_lo - 1e-15) & (s <= s_hi + 1e-15)
+        if not np.any(inside):
+            return float(np.min(self.scalar_curvature(
+                np.linspace(s_lo, s_hi, 9))))
+        return float(np.min(closed[inside]))
 
     # -- profile emission --------------------------------------------------
 
@@ -683,10 +711,11 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
     b = s_nodes[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
-    xs = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    nodes, weights = gauss_legendre_rule(_GL_POINTS)
+    xs = mid[:, None] + half[:, None] * nodes[None, :]
     th_q = spline(xs)
-    cos_inc = np.sum(half[:, None] * _GL_WEIGHTS[None, :] * np.cos(th_q), axis=1)
-    sin_inc = np.sum(half[:, None] * _GL_WEIGHTS[None, :] * np.sin(th_q), axis=1)
+    cos_inc = np.sum(half[:, None] * weights[None, :] * np.cos(th_q), axis=1)
+    sin_inc = np.sum(half[:, None] * weights[None, :] * np.sin(th_q), axis=1)
     radius_nodes = r_start - np.concatenate([[0.0], np.cumsum(cos_inc)])
     axial_nodes = np.concatenate([[0.0], np.cumsum(sin_inc)])
     if radius_nodes[-1] <= 0.0:
@@ -698,7 +727,7 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
                          radius_nodes=radius_nodes, axial_nodes=axial_nodes,
                          phase_breaks=tuple(breaks),
                          freeze_curvature=k_freeze)
-    check = curve.verify_floor(refine=2)
+    check = curve.check
     if not check.passed:
         raise FloorCheckFailed(
             f"designed curve failed verification: min R = {check.min_scalar:.9g} "

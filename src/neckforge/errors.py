@@ -10,10 +10,8 @@ __all__ = [
     "DegenerateGrid",
     "BoundaryProximity",
     "SingularMetric",
-    "RadiusOutOfRange",
     "RadiusExceedsModel",
     "QuadratureNonConvergence",
-    "UnsupportedPiece",
     "InfeasibleBudget",
     "CodimensionTooSmall",
     "IngredientFloorTooLow",
@@ -45,20 +43,12 @@ class SingularMetric(NeckforgeError):
     """A metric matrix failed to be positive definite at an evaluation point."""
 
 
-class RadiusOutOfRange(NeckforgeError):
-    """A radial coordinate left the interval a construction requires."""
-
-
 class RadiusExceedsModel(NeckforgeError):
     """A requested radius does not fit inside the ambient model's injectivity range."""
 
 
 class QuadratureNonConvergence(NeckforgeError):
     """Adaptive integration failed to stabilize within its refinement budget."""
-
-
-class UnsupportedPiece(NeckforgeError):
-    """An assembly references a piece kind the current operation cannot handle."""
 
 
 class InfeasibleBudget(NeckforgeError):

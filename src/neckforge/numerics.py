@@ -1,12 +1,14 @@
 """Small numerical building blocks shared across modules.
 
 Polynomial blend windows (the C^2 and C^3 flavors used by collars, fades and
-caps), panelized Gauss-Legendre quadrature, and grid utilities. Everything
-here is elementary and vectorized; nothing imports from the rest of the
-package except the error types.
+caps) and panelized Gauss-Legendre quadrature. Everything here is
+elementary and vectorized; nothing imports from the rest of the package
+except the error types.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -14,13 +16,9 @@ from .errors import DegenerateGrid
 
 __all__ = [
     "smoothstep5",
-    "smoothstep5_d1",
-    "smoothstep5_d2",
     "smoothstep7",
-    "smoothstep7_d1",
+    "gauss_legendre_rule",
     "gauss_legendre_panels",
-    "uniform_grid",
-    "check_strictly_increasing",
 ]
 
 
@@ -34,24 +32,6 @@ def smoothstep5(x):
     return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
 
 
-def smoothstep5_d1(x):
-    """First derivative of smoothstep5: 30 x^2 (1-x)^2 on [0, 1], else 0."""
-    x = np.asarray(x, dtype=float)
-    inside = (x > 0.0) & (x < 1.0)
-    xc = np.clip(x, 0.0, 1.0)
-    d = 30.0 * xc * xc * (1.0 - xc) * (1.0 - xc)
-    return np.where(inside, d, 0.0)
-
-
-def smoothstep5_d2(x):
-    """Second derivative of smoothstep5: 60 x (1-x) (1-2x) on [0, 1], else 0."""
-    x = np.asarray(x, dtype=float)
-    inside = (x > 0.0) & (x < 1.0)
-    xc = np.clip(x, 0.0, 1.0)
-    d = 60.0 * xc * (1.0 - xc) * (1.0 - 2.0 * xc)
-    return np.where(inside, d, 0.0)
-
-
 def smoothstep7(x):
     """Septic step 35x^4 - 84x^5 + 70x^6 - 20x^7 clamped to [0, 1].
 
@@ -62,13 +42,16 @@ def smoothstep7(x):
     return x * x * x * x * (35.0 + x * (-84.0 + x * (70.0 - 20.0 * x)))
 
 
-def smoothstep7_d1(x):
-    """First derivative of smoothstep7: 140 x^3 (1-x)^3 on [0, 1], else 0."""
-    x = np.asarray(x, dtype=float)
-    inside = (x > 0.0) & (x < 1.0)
-    xc = np.clip(x, 0.0, 1.0)
-    u = xc * (1.0 - xc)
-    return np.where(inside, 140.0 * u * u * u, 0.0)
+@lru_cache(maxsize=None)
+def gauss_legendre_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the npts-point Gauss-Legendre rule on [-1, 1].
+
+    Computed once per npts and shared, so the arrays are read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(npts)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def gauss_legendre_panels(f, breakpoints, npts: int = 12) -> float:
@@ -82,7 +65,7 @@ def gauss_legendre_panels(f, breakpoints, npts: int = 12) -> float:
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 2:
         raise DegenerateGrid("need at least two breakpoints to integrate")
-    nodes, weights = np.polynomial.legendre.leggauss(npts)
+    nodes, weights = gauss_legendre_rule(npts)
     lo = bp[:-1]
     hi = bp[1:]
     half = 0.5 * (hi - lo)
@@ -91,21 +74,3 @@ def gauss_legendre_panels(f, breakpoints, npts: int = 12) -> float:
     xs = mid[:, None] + half[:, None] * nodes[None, :]
     vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
     return float(np.sum(half[:, None] * weights[None, :] * vals))
-
-
-def uniform_grid(a: float, b: float, n: int) -> np.ndarray:
-    """Evenly spaced grid of n samples from a to b inclusive.
-
-    n < 8 raises DegenerateGrid: cubic spline fits on fewer samples do not
-    carry the second-derivative accuracy the curvature formulas need.
-    """
-    if n < 8:
-        raise DegenerateGrid(f"grid needs at least 8 samples, got {n}")
-    if not b > a:
-        raise DegenerateGrid(f"grid endpoints must satisfy a < b, got [{a}, {b}]")
-    return np.linspace(float(a), float(b), int(n))
-
-
-def check_strictly_increasing(x: np.ndarray, name: str = "grid") -> None:
-    if x.ndim != 1 or x.size < 2 or not np.all(np.diff(x) > 0):
-        raise DegenerateGrid(f"{name} must be 1d and strictly increasing")

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from neckforge import assembly, bending
+from neckforge.assembly import _neck_segments
 from neckforge.bending import (
+    _ambient_sectional_matrix,
     BendingCurve,
     CurveDesignParams,
     design_bending_curve,
@@ -27,6 +30,7 @@ from neckforge.models import (
     round_sphere,
     sphere_times_flat,
 )
+from neckforge.pipelines import surgery_certificate, tunnel_certificate
 
 MODELS = [
     flat_space(3),
@@ -60,6 +64,67 @@ def test_gauss_route_matches_closed_form(model, rng):
     a = sigma_scalar_closed_form(model, theta, curv, radius)
     b = sigma_scalar_gauss(model, theta, curv, radius)
     assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))) <= 1e-9
+
+
+def _sectional_per_point(model, theta: float) -> np.ndarray:
+    """Reference: the ambient sectional table at one point."""
+    n, q, c = model.surface_dim, model.slice_dim, model.slice_curv
+    K = np.zeros((n, n))
+    ct2 = math.cos(theta) ** 2
+    K[0, 1:q] = c * ct2
+    K[1:q, 0] = c * ct2
+    K[1:q, 1:q] = c
+    if model.base_dim >= 1:
+        K[q:, q:] = 1.0 / model.base_radius**2
+    np.fill_diagonal(K, 0.0)
+    return K
+
+
+def _gauss_per_point(model, theta, curv, radius):
+    """Reference: the Gauss route one point at a time, one (n, n) sectional
+    table per point summed with np.sum."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    curv = np.broadcast_to(np.asarray(curv, dtype=float), theta.shape)
+    radius = np.broadcast_to(np.asarray(radius, dtype=float), theta.shape)
+    n = model.surface_dim
+    lam = sigma_principal_curvatures(model, theta, curv, radius).reshape(-1, n)
+    out = np.empty(theta.shape)
+    for i in range(theta.size):
+        K = _sectional_per_point(model, float(theta.flat[i]))
+        H = float(np.sum(lam[i]))
+        A2 = float(np.sum(lam[i] * lam[i]))
+        out.flat[i] = float(np.sum(K)) + H * H - A2
+    return out
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("shape", [(1,), (7,), (300,), (12, 25)])
+def test_batched_gauss_route_is_bitwise_the_per_point_sum(model, shape, rng):
+    theta = rng.uniform(0.0, math.pi / 2, shape)
+    curv = rng.uniform(-50.0, 50.0, shape)
+    radius = rng.uniform(1e-4, min(1.0, 0.8 * model.max_radius), shape)
+    got = sigma_scalar_gauss(model, theta, curv, radius)
+    assert got.shape == shape
+    assert np.array_equal(got, _gauss_per_point(model, theta, curv, radius))
+
+
+def test_sectional_table_is_bitwise_the_per_point_tables(rng):
+    # cos^2 is squared in libm arithmetic: numpy's x * x differs from
+    # pow(x, 2) in the last bit for about one angle in a thousand
+    model = round_sphere(4, 0.5)
+    theta = rng.uniform(0.0, math.pi / 2, 20000)
+    ref = np.stack([_sectional_per_point(model, t) for t in theta.tolist()])
+    assert np.array_equal(_ambient_sectional_matrix(model, theta), ref)
+
+
+def test_gauss_route_shape_contract():
+    model = product_of_rounds(1, 1.0, 3, 1.0)
+    scalar = sigma_scalar_gauss(model, 0.3, 1.2, 0.1)
+    assert scalar.shape == (1,)
+    assert scalar[0] == _gauss_per_point(model, 0.3, 1.2, 0.1)[0]
+    assert sigma_scalar_gauss(model, np.full(5, 0.3), 1.2, 0.1).shape == (5,)
+    assert sigma_scalar_gauss(model, np.full((2, 3), 0.3), 1.2,
+                              0.1).shape == (2, 3)
 
 
 def test_flat_round_sphere_slice_identity():
@@ -282,3 +347,44 @@ def test_axial_and_radius_are_consistent(tunnel_curve):
     # tail intervals carry ~1e-16 absolute noise
     assert np.all(chords <= ds * (1 + 1e-12) + 1e-15)
     assert np.all(chords >= ds * (1 - 1e-4) - 1e-15)
+
+
+# -- verification runs once per curve ------------------------------------------
+
+
+def test_piece_floors_equal_fresh_minima(tunnel_curve):
+    curve = tunnel_curve
+    s_all = curve.verification_points(2)
+    for _, s0, s1 in _neck_segments(curve):
+        s = s_all[(s_all >= s0 - 1e-15) & (s_all <= s1 + 1e-15)]
+        assert s.size > 0
+        fresh = float(np.min(curve.scalar_curvature(s)))
+        assert curve.min_scalar_on(s0, s1) == fresh
+    # a window holding no verification point falls back to 9 samples
+    h = curve.s_nodes[1] - curve.s_nodes[0]
+    s0, s1 = curve.s_nodes[0] + 0.3 * h, curve.s_nodes[0] + 0.4 * h
+    assert not np.any((s_all >= s0) & (s_all <= s1))
+    assert curve.min_scalar_on(s0, s1) == float(
+        np.min(curve.scalar_curvature(np.linspace(s0, s1, 9))))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tunnel_certificate(3, sharpness=100.0),
+    lambda: surgery_certificate(1, 3, 0.05),
+], ids=["tunnel", "surgery"])
+def test_each_designed_curve_is_verified_once(build, monkeypatch):
+    calls = {"design": 0, "gauss": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bending, "sigma_scalar_gauss",
+                        counting("gauss", bending.sigma_scalar_gauss))
+    monkeypatch.setattr(assembly, "design_bending_curve",
+                        counting("design", assembly.design_bending_curve))
+    assert build().status == "PASS"
+    assert calls["design"] >= 1
+    assert calls["gauss"] == calls["design"]

@@ -1,11 +1,12 @@
 """End-to-end checks for the gluing pipelines and their certificates."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from neckforge.certificate import recheck_certificate
+from neckforge.certificate import certificate_bytes, recheck_certificate
 from neckforge.errors import (FloorCheckFailed, IngredientFloorTooLow,
                               MissingIngredient, ParameterOutOfRange,
                               SchemaViolation)
@@ -331,6 +332,22 @@ def test_pipeline_artifact_tamper_detected(tmp_path):
         recheck_certificate(tmp_path / "cert.json")
 
 
+# sha256 of certificate_bytes for fixed builds: a speedup must leave every
+# certificate byte in place. Recorded with numpy 2.4.6 and scipy 1.17.1 on
+# Python 3.11; other versions may move the last bits of the quadratures.
+GOLDEN_CERTIFICATE_DIGESTS = [
+    (lambda: tunnel_certificate(3, sharpness=100.0, grid_density=1.0),
+     "d50bb484fa8ccbc7056996c20a7830df07536542c5a6ead33ea1e731d38f4164"),
+    (lambda: tunnel_certificate(4, sharpness=1e4, grid_density=2.0,
+                                length=0.0),
+     "03b608576d762b6db57ffc9dd29f5a4971d2a7ddcee85bb7dc3b2858c805daf2"),
+    (lambda: surgery_certificate(1, 3, 0.05),
+     "c393be8d0e3419c57a6f5f90381674fe824b06074c80d9ba6d1f83f295ac10cf"),
+    (lambda: surgery_certificate(2, 4, 0.05),
+     "bfe80005460188eb3355e9bfbee52559b9dddaca2d0536d10e063a8c00fbadfb"),
+]
+
+
 def test_pipeline_reruns_are_byte_identical(tmp_path):
     blobs = []
     for run in ("one", "two"):
@@ -343,3 +360,6 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
         blobs.append((d / "files" / "assembly.json").read_bytes())
     assert blobs[0] == blobs[2]
     assert blobs[1] == blobs[3]
+    for build, digest in GOLDEN_CERTIFICATE_DIGESTS:
+        got = hashlib.sha256(certificate_bytes(build().certificate)).hexdigest()
+        assert got == digest

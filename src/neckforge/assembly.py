@@ -327,12 +327,11 @@ class Assembly:
         entries = []
         for i, piece in enumerate(self.pieces):
             fname = f"piece_{i:02d}_{piece.name}.csv"
-            save_profile_csv(piece.profile, out / fname)
             entries.append({
                 "name": piece.name,
                 "role": piece.role,
                 "file": fname,
-                "fingerprint": piece.profile.fingerprint(),
+                "fingerprint": save_profile_csv(piece.profile, out / fname),
                 "kind": piece.profile.kind,
                 "dims": list(piece.profile.component_dims),
                 "length": piece.length,

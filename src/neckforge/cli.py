@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .certificate import recheck_certificate
-from .errors import NeckforgeError
+from .errors import NeckforgeError, ParameterOutOfRange
 from .models import unit_sphere_volume
 from .pipelines import (PipelineResult, attach_hemisphere,
                         attach_product_ingredient, hemisphere_standin,
@@ -162,6 +162,16 @@ def _run_pipeline(args) -> PipelineResult:
         dim=args.n, **common)
 
 
+def _body_radii(text) -> tuple[float, float]:
+    """--body RHO_P,RHO_Q as two floats."""
+    try:
+        base_radius, slice_radius = (float(r) for r in str(text).split(","))
+    except ValueError:
+        raise ParameterOutOfRange(
+            f"--body wants two radii RHO_P,RHO_Q, got {text!r}") from None
+    return base_radius, slice_radius
+
+
 def _print_certificate(doc: dict) -> None:
     for claim in doc["claims"]:
         print(f"claim {claim['name']:34s} {claim['status']:12s} "
@@ -195,12 +205,10 @@ def main(argv=None) -> int:
                 tolerance=args.tolerance, certificate_path=args.out,
                 profiles_dir=args.profiles_dir)
         elif args.command == "surgery":
-            radii = [float(r) for r in str(args.body).split(",")]
-            if len(radii) != 2:
-                raise SystemExit("--body wants two radii: RHO_P,RHO_Q")
+            base_radius, slice_radius = _body_radii(args.body)
             result = surgery_certificate(
-                args.p, args.q, args.delta, base_radius=radii[0],
-                slice_radius=radii[1], grid_density=args.grid_density,
+                args.p, args.q, args.delta, base_radius=base_radius,
+                slice_radius=slice_radius, grid_density=args.grid_density,
                 seed=args.seed, tolerance=args.tolerance,
                 certificate_path=args.out, profiles_dir=args.profiles_dir)
         else:

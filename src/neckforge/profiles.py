@@ -106,6 +106,18 @@ def _format_jet(jet) -> str:
     return ",".join("%.17g" % x for x in jet)
 
 
+def _render(header: list[str], columns) -> bytes:
+    """Header lines, then one %.17g row per grid node, as file bytes.
+
+    All rows go through a single % format over Python floats, which print
+    exactly as the numpy scalars they come from.
+    """
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1])
+    body = "\n".join([row] * table.shape[0]) % tuple(table.ravel().tolist())
+    return ("\n".join(header) + "\n" + body + "\n").encode()
+
+
 @dataclass(frozen=True, eq=False)
 class WarpProfile:
     """One warp over a uniform grid: metric ds^2 + value(s)^2 g_{S^m}."""
@@ -216,12 +228,8 @@ class WarpProfile:
             f"# jet_end={_format_jet(self.jet_end) if self.jet_end else 'spline'}",
             "# columns=s,phi,dphi,d2phi",
         ]
-        d1 = sp(self.grid, 1)
-        d2 = sp(self.grid, 2)
-        for i in range(self.grid.size):
-            lines.append("%.17g,%.17g,%.17g,%.17g"
-                         % (self.grid[i], self.values[i], d1[i], d2[i]))
-        return ("\n".join(lines) + "\n").encode()
+        return _render(lines, (self.grid, self.values,
+                               sp(self.grid, 1), sp(self.grid, 2)))
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
@@ -362,22 +370,20 @@ class DoublyWarpProfile:
             f"# jets_end={fmt_jets(self.jets_end)}",
             "# columns=s,a,b,da,db,d2a,d2b",
         ]
-        da = sa(self.grid, 1)
-        db = sb(self.grid, 1)
-        dda = sa(self.grid, 2)
-        ddb = sb(self.grid, 2)
-        for i in range(self.grid.size):
-            lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-                         % (self.grid[i], self.values_a[i], self.values_b[i],
-                            da[i], db[i], dda[i], ddb[i]))
-        return ("\n".join(lines) + "\n").encode()
+        return _render(lines, (self.grid, self.values_a, self.values_b,
+                               sa(self.grid, 1), sb(self.grid, 1),
+                               sa(self.grid, 2), sb(self.grid, 2)))
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
 
 def save_profile_csv(profile, path) -> str:
-    """Write a profile to CSV, returning its content fingerprint."""
+    """Write a profile to CSV, returning its content fingerprint.
+
+    The file holds exactly profile.canonical_bytes(), so the returned
+    digest equals profile.fingerprint() and `sha256sum` of the file.
+    """
     data = profile.canonical_bytes()
     with open(path, "wb") as fh:
         fh.write(data)
@@ -398,6 +404,23 @@ def _parse_jet_field(text: str):
     if text == "spline":
         return None
     return tuple(float(x) for x in text.split(","))
+
+
+def _parse_table(rows: list[str]) -> np.ndarray:
+    """The data rows as a (rows, columns) float array, parsed in one pass."""
+    if not rows:
+        raise SchemaViolation("profile CSV has no data rows")
+    commas = rows[0].count(",")
+    # per row, not as a field total: a short row next to a long one
+    # would still add up to rows x columns
+    if any(row.count(",") != commas for row in rows):
+        raise SchemaViolation("ragged data row: rows differ in field count")
+    fields = ",".join(rows).split(",")
+    try:
+        data = np.fromiter(map(float, fields), float, len(fields))
+    except ValueError as exc:
+        raise SchemaViolation(f"non-numeric data row: {exc}") from None
+    return data.reshape(len(rows), commas + 1)
 
 
 def _check_derivative_columns(grid, stored, recomputed, label: str) -> None:
@@ -426,12 +449,7 @@ def load_profile_csv(path):
     if meta.get("neckforge-profile-version") != str(FORMAT_VERSION):
         raise SchemaViolation("missing or unsupported profile version header")
     kind = meta.get("kind")
-    try:
-        data = np.array([[float(x) for x in row.split(",")] for row in rows])
-    except ValueError as exc:
-        raise SchemaViolation(f"non-numeric data row: {exc}") from None
-    if data.ndim != 2:
-        raise SchemaViolation("profile CSV has no data rows")
+    data = _parse_table(rows)
 
     if kind == "warped":
         if meta.get("columns") != "s,phi,dphi,d2phi" or data.shape[1] != 4:

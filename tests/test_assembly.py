@@ -1,5 +1,6 @@
 """Gluing, collars, caps, tunnels, and surgery assemblies."""
 
+import hashlib
 import json
 import math
 
@@ -16,7 +17,7 @@ from neckforge.errors import (CodimensionTooSmall, InfeasibleBudget,
 from neckforge.measure import profile_volume
 from neckforge.models import (AmbientModel, flat_space, round_sphere,
                               unit_sphere_volume)
-from neckforge.profiles import WarpProfile
+from neckforge.profiles import DoublyWarpProfile, WarpProfile
 
 
 # -- transition legs ----------------------------------------------------------
@@ -345,7 +346,24 @@ def test_assembly_save_files_manifest(tmp_path, tunnel):
     assert doc["totals"]["volume"] == pytest.approx(tunnel.total_volume)
     for entry, piece in zip(doc["pieces"], tunnel.pieces):
         assert entry["fingerprint"] == piece.profile.fingerprint()
-        assert (tmp_path / "out" / entry["file"]).exists()
+        written = (tmp_path / "out" / entry["file"]).read_bytes()
+        assert entry["fingerprint"] == hashlib.sha256(written).hexdigest()
+
+
+def test_assembly_save_files_renders_each_piece_once(tmp_path, tunnel,
+                                                     monkeypatch):
+    renders = []
+    for cls in (WarpProfile, DoublyWarpProfile):
+        original = cls.canonical_bytes
+
+        def counted(self, original=original):
+            renders.append(self)
+            return original(self)
+
+        monkeypatch.setattr(cls, "canonical_bytes", counted)
+    tunnel.save_files(tmp_path / "out")
+    assert len(renders) == len(tunnel.pieces)
+    assert renders == [piece.profile for piece in tunnel.pieces]
 
 
 def test_assembly_save_files_deterministic(tmp_path, tunnel):

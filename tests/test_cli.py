@@ -60,6 +60,14 @@ def test_surgery_command_accepts_body_radii(capsys):
     assert "volume_above_band" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("body", ["1", "a,b"])
+def test_surgery_command_rejects_malformed_body(capsys, body):
+    code = main(["surgery", "--p", "1", "--q", "3", "--delta", "0.05",
+                 "--body", body])
+    assert code == 2
+    assert "ParameterOutOfRange" in capsys.readouterr().err
+
+
 def test_config_file_presets_defaults_flags_win(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("eps = 0.04\nd = 12  # stretched\n")

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,3 +364,43 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
     for build, digest in GOLDEN_CERTIFICATE_DIGESTS:
         got = hashlib.sha256(certificate_bytes(build().certificate)).hexdigest()
         assert got == digest
+
+
+# sha256 over the sorted (relative path, file sha256) pairs of every file a
+# build writes: certificate, manifest and each piece CSV. The certificate
+# digests above see no artifact bytes, because in-memory certificates list
+# no artifacts. Same versions as above.
+GOLDEN_ARTIFACT_DIGESTS = [
+    pytest.param(
+        lambda **files: tunnel_certificate(3, sharpness=100.0, **files),
+        "3dc3ff24dfee8ec97f50dc49f4f000964604f7ea96ac74eedb4bfb8b3427485f",
+        id="tunnel"),
+    pytest.param(
+        lambda **files: surgery_certificate(1, 3, 0.05, **files),
+        "02cbaf6369818f08e1e7a19902c07188555794cf2ee3238bfe8bf8877f6c74f6",
+        id="surgery"),
+    # four spheres: three links written from one repeated profile chain
+    pytest.param(
+        lambda **files: sphere_chain_certificate(
+            1.5 * unit_sphere_volume(3), 3, **files),
+        "6172bb5d6e9acace24c86436de839b259e904454694e39380819cdcbbaa6fbbd",
+        id="chain"),
+]
+
+
+def tree_digest(root: Path) -> str:
+    pairs = sorted((path.relative_to(root).as_posix(),
+                    hashlib.sha256(path.read_bytes()).hexdigest())
+                   for path in root.rglob("*") if path.is_file())
+    return hashlib.sha256(
+        "".join(f"{rel}\t{digest}\n" for rel, digest in pairs).encode()
+    ).hexdigest()
+
+
+@pytest.mark.parametrize("build, digest", GOLDEN_ARTIFACT_DIGESTS)
+def test_written_artifacts_are_byte_identical(tmp_path, build, digest):
+    res = build(certificate_path=tmp_path / "cert.json",
+                profiles_dir=tmp_path / "files")
+    assert res.status == "PASS"
+    assert len(list((tmp_path / "files").rglob("*.csv"))) > 1
+    assert tree_digest(tmp_path) == digest

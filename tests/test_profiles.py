@@ -28,6 +28,25 @@ def clifford_profile(n=1024, **kw):
                              values_b=np.sin(grid), dim_a=1, dim_b=1, **kw)
 
 
+def _split_row(rows):
+    # the second row a field short and the third a field long: the fields,
+    # read in order, are still the table's
+    head, _, tail = rows[1].rpartition(",")
+    return rows[:1] + [head, tail + "," + rows[2]] + rows[3:]
+
+
+# (header lines, data rows) -> the lines of a broken profile CSV
+MALFORMED_TABLES = {
+    "non_numeric": lambda head, rows: head + rows + ["zero,one,two,three"],
+    "ragged": lambda head, rows: head + rows + ["0.5,0.5,0.5"],
+    "hash_tail": lambda head, rows: head + rows[:-1] + [rows[-1] + "#x"],
+    "blank": lambda head, rows: head + rows[:3] + ["   "] + rows[3:],
+    "header_only": lambda head, rows: head,
+    "extra_column": lambda head, rows: head + [r + ",0" for r in rows],
+    "compensating_ragged": lambda head, rows: head + _split_row(rows),
+}
+
+
 class TestWarpProfile:
     def test_interpolation_accuracy(self):
         prof = sin_profile()
@@ -115,12 +134,16 @@ class TestWarpProfile:
         with pytest.raises(SchemaViolation):
             load_profile_csv(path)
 
-    def test_non_numeric_row_rejected(self, tmp_path):
+    @pytest.mark.parametrize("mangle", MALFORMED_TABLES.values(),
+                             ids=MALFORMED_TABLES.keys())
+    def test_malformed_table_rejected(self, tmp_path, mangle):
         prof = sin_profile(n=64)
         path = tmp_path / "prof.csv"
         save_profile_csv(prof, path)
-        with open(path, "a") as fh:
-            fh.write("zero,one,two,three\n")
+        lines = path.read_text().splitlines()
+        head = [ln for ln in lines if ln.startswith("#")]
+        rows = [ln for ln in lines if not ln.startswith("#")]
+        path.write_text("\n".join(mangle(head, rows)) + "\n")
         with pytest.raises(SchemaViolation):
             load_profile_csv(path)
 

@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 DEFAULT_INTERFACE_TOL = 1e-8
+# nodes per resampled piece; certificates record it as n_profile_nodes
+PROFILE_NODES = 1024
 
 
 def _closed(flag) -> bool:
@@ -125,7 +127,8 @@ def _as_warp_tuple(values, what: str) -> tuple:
     return out
 
 
-def collar_metric(start, end, dims, stretch: float, n_nodes: int = 1024):
+def collar_metric(start, end, dims, stretch: float,
+                  n_nodes: int = PROFILE_NODES):
     """One transition leg: every warp follows a C^2-flat quintic ramp.
 
     start and end give the warp values per factor (one or two entries),
@@ -157,7 +160,7 @@ def collar_metric(start, end, dims, stretch: float, n_nodes: int = 1024):
 
 
 def choose_stretch(start, end, dims, floor: float, base_stretch: float, *,
-                   n_nodes: int = 1024, refine: int = 2,
+                   n_nodes: int = PROFILE_NODES, refine: int = 2,
                    max_doublings: int = 20):
     """Shortest doubling stretch whose leg clears the curvature floor.
 
@@ -211,7 +214,7 @@ def boundary_homotopy(start, end, dims, floor: float, base_stretch: float,
 
 def cap_profile(base_dim: int, link_value: float, link_dim: int,
                 closure_radius: float = 1.0, ramp_fraction: float = 0.3,
-                n_nodes: int = 1024):
+                n_nodes: int = PROFILE_NODES):
     """Disk cap D^(base_dim+1) x S^link_dim closing the base warp.
 
     The base warp is closure_radius * cos(psi(s)), where psi' ramps from 0
@@ -387,16 +390,16 @@ def _mirror_piece(piece: AssemblyPiece, name: str) -> AssemblyPiece:
                          pole_scalars=piece.pole_scalars)
 
 
-def _chain(name: str, pieces, provenance: dict,
-           tol: float = DEFAULT_INTERFACE_TOL) -> Assembly:
+def _chain(name: str, pieces, provenance: dict) -> Assembly:
     interfaces = []
     for left, right in zip(pieces[:-1], pieces[1:]):
         lj = left.profile.boundary_jets("end")
         rj = right.profile.boundary_jets("start")
         gap = _jet_gap(lj, rj)
-        if gap > tol:
+        if gap > DEFAULT_INTERFACE_TOL:
             raise InterfaceMismatch(
-                f"{left.name} -> {right.name}: jet gap {gap:.3e} exceeds {tol:.1e}")
+                f"{left.name} -> {right.name}: jet gap {gap:.3e} exceeds "
+                f"{DEFAULT_INTERFACE_TOL:.1e}")
         interfaces.append(BoundaryInterface(left=left.name, right=right.name,
                                             left_jets=lj, right_jets=rj,
                                             mismatch=gap))
@@ -441,10 +444,10 @@ def _neck_segments(curve: BendingCurve, merge_rel: float = 1e-6):
     return segments
 
 
-def _curve_pieces(curve: BendingCurve, prefix: str, n_nodes: int):
+def _curve_pieces(curve: BendingCurve, prefix: str):
     pieces = []
     for i, (role, s0, s1) in enumerate(_neck_segments(curve)):
-        profile = curve.segment_profile(s0, s1, n_nodes=n_nodes)
+        profile = curve.segment_profile(s0, s1, n_nodes=PROFILE_NODES)
         pieces.append(AssemblyPiece(
             name=f"{prefix}{i:02d}_{role}", role=role, profile=profile,
             min_scalar=curve.min_scalar_on(s0, s1),
@@ -487,8 +490,8 @@ def _warp_tail(model: AmbientModel, curve: BendingCurve):
     return (model.base_radius, waist), (model.base_dim, model.slice_dim - 1)
 
 
-def _cylinder_piece(model: AmbientModel, radius: float, length: float,
-                    name: str = "cylinder", n_nodes: int = 257):
+def _cylinder_piece(model: AmbientModel, radius: float, length: float):
+    n_nodes = PROFILE_NODES // 8
     grid = np.linspace(0.0, float(length), n_nodes)
     m = model.slice_dim - 1
     if model.base_dim == 0:
@@ -504,7 +507,7 @@ def _cylinder_piece(model: AmbientModel, radius: float, length: float,
             dim_a=model.base_dim, dim_b=m,
             jets_start=((rho, 0.0, 0.0), (radius, 0.0, 0.0)),
             jets_end=((rho, 0.0, 0.0), (radius, 0.0, 0.0)))
-    return _sampled_piece(name, "cylinder", profile)
+    return _sampled_piece("cylinder", "cylinder", profile)
 
 
 def _model_provenance(model: AmbientModel) -> dict:
@@ -521,18 +524,17 @@ def _model_provenance(model: AmbientModel) -> dict:
 
 def _tunnel_side(model: AmbientModel, tube_radius: float, budget: float,
                  collar_floor: float, cylinder_radius: float, prefix: str,
-                 grid_density: float, n_nodes: int):
+                 grid_density: float):
     """Pieces from the ambient annulus down to the cylinder mouth."""
     params = CurveDesignParams(model=model, tube_radius=tube_radius,
                                budget=budget, grid_density=grid_density)
     curve = design_bending_curve(params)
     check = curve.check
-    pieces = _curve_pieces(curve, prefix, n_nodes)
+    pieces = _curve_pieces(curve, prefix)
     start, dims = _warp_tail(model, curve)
     end = start[:-1] + (cylinder_radius,)
     for j, (leg, bound) in enumerate(boundary_homotopy(
-            start, end, dims, collar_floor, 0.25 * tube_radius,
-            n_nodes=n_nodes)):
+            start, end, dims, collar_floor, 0.25 * tube_radius)):
         pieces.append(AssemblyPiece(
             name=f"{prefix}collar_{j}", role="collar", profile=leg,
             min_scalar=bound, scalar_method="profile-sampled",
@@ -546,13 +548,12 @@ def _tunnel_side(model: AmbientModel, tube_radius: float, budget: float,
         "waist_radius": curve.end_radius,
         "annulus_deviation": _annulus_deviation(curve, pieces[0]),
     }
-    return pieces, curve, side_stats
+    return pieces, side_stats
 
 
 def build_tunnel(model: AmbientModel, tube_radius: float, length: float = 0.0,
-                 sharpness: float = 100.0, *, grid_density: float = 1.0,
-                 n_profile_nodes: int = 1024,
-                 interface_tol: float = DEFAULT_INTERFACE_TOL) -> Assembly:
+                 sharpness: float = 100.0, *,
+                 grid_density: float = 1.0) -> Assembly:
     """Certified tunnel joining two boundary spheres of the same model.
 
     The chain runs ambient annulus, bent neck pieces, collar, cylinder of
@@ -573,11 +574,9 @@ def build_tunnel(model: AmbientModel, tube_radius: float, length: float = 0.0,
     budget = 0.5 / sharpness
     collar_floor = kappa - 0.75 / sharpness
     a_cyl = _cylinder_radius(model, tube_radius, floor)
-    side, curve, stats = _tunnel_side(model, tube_radius, budget,
-                                      collar_floor, a_cyl, "a",
-                                      grid_density, n_profile_nodes)
-    middle = [] if length == 0.0 else [
-        _cylinder_piece(model, a_cyl, length, n_nodes=max(65, n_profile_nodes // 8))]
+    side, stats = _tunnel_side(model, tube_radius, budget, collar_floor,
+                               a_cyl, "a", grid_density)
+    middle = [] if length == 0.0 else [_cylinder_piece(model, a_cyl, length)]
     mirrored = [_mirror_piece(p, "b" + p.name[1:]) for p in reversed(side)]
     pieces = side + middle + mirrored
     cylinder_volume = middle[0].volume if middle else 0.0
@@ -594,7 +593,7 @@ def build_tunnel(model: AmbientModel, tube_radius: float, length: float = 0.0,
         "cylinder_volume": cylinder_volume,
         "side": stats,
     }
-    assembly = _chain("tunnel", pieces, provenance, tol=interface_tol)
+    assembly = _chain("tunnel", pieces, provenance)
     provenance["volume_total"] = assembly.total_volume
     provenance["volume_modified"] = assembly.total_volume - cylinder_volume
     return assembly
@@ -602,9 +601,8 @@ def build_tunnel(model: AmbientModel, tube_radius: float, length: float = 0.0,
 
 def build_tunnel_between(model_a: AmbientModel, model_b: AmbientModel,
                          tube_a: float, tube_b: float, floor: float,
-                         length: float = 0.0, *, grid_density: float = 1.0,
-                         n_profile_nodes: int = 1024,
-                         interface_tol: float = DEFAULT_INTERFACE_TOL) -> Assembly:
+                         length: float = 0.0, *,
+                         grid_density: float = 1.0) -> Assembly:
     """Tunnel between two different ambient models over a shared floor.
 
     Each side receives half of its own headroom kappa_side - floor as its
@@ -628,15 +626,11 @@ def build_tunnel_between(model_a: AmbientModel, model_b: AmbientModel,
                 _cylinder_radius(model_b, tube_b, floor))
     collar_floor_a = floor + 0.25 * head_a
     collar_floor_b = floor + 0.25 * head_b
-    side_a, _, stats_a = _tunnel_side(model_a, tube_a, 0.5 * head_a,
-                                      collar_floor_a, a_cyl, "a",
-                                      grid_density, n_profile_nodes)
-    side_b, _, stats_b = _tunnel_side(model_b, tube_b, 0.5 * head_b,
-                                      collar_floor_b, a_cyl, "b",
-                                      grid_density, n_profile_nodes)
-    middle = [] if length == 0.0 else [
-        _cylinder_piece(model_a, a_cyl, length,
-                        n_nodes=max(65, n_profile_nodes // 8))]
+    side_a, stats_a = _tunnel_side(model_a, tube_a, 0.5 * head_a,
+                                   collar_floor_a, a_cyl, "a", grid_density)
+    side_b, stats_b = _tunnel_side(model_b, tube_b, 0.5 * head_b,
+                                   collar_floor_b, a_cyl, "b", grid_density)
+    middle = [] if length == 0.0 else [_cylinder_piece(model_a, a_cyl, length)]
     pieces = side_a + middle + [_mirror_piece(p, p.name)
                                 for p in reversed(side_b)]
     provenance = {
@@ -651,16 +645,15 @@ def build_tunnel_between(model_a: AmbientModel, model_b: AmbientModel,
         "side_a": stats_a,
         "side_b": stats_b,
     }
-    assembly = _chain("tunnel_between", pieces, provenance, tol=interface_tol)
+    assembly = _chain("tunnel_between", pieces, provenance)
     provenance["volume_total"] = assembly.total_volume
     return assembly
 
 
 def perform_surgery(base_dim: int, slice_dim: int, tube_radius: float, *,
                     base_radius: float = 1.0, slice_radius: float = 1.0,
-                    budget: float | None = None, grid_density: float = 1.0,
-                    n_profile_nodes: int = 1024,
-                    interface_tol: float = DEFAULT_INTERFACE_TOL) -> Assembly:
+                    budget: float | None = None,
+                    grid_density: float = 1.0) -> Assembly:
     """Codimension >= 3 surgery on S^p(rho) x S^q with certified curvature.
 
     Removes the tube of radius ~2*tube_radius around S^p x {point},
@@ -698,7 +691,7 @@ def perform_surgery(base_dim: int, slice_dim: int, tube_radius: float, *,
     # complement of the removed tube, exact ambient metric
     pole_dist = math.pi * slice_radius
     span = pole_dist - curve.start_radius
-    grid = np.linspace(0.0, span, 2 * n_profile_nodes)
+    grid = np.linspace(0.0, span, 2 * PROFILE_NODES)
     vb = slice_radius * np.sin((pole_dist - grid) / slice_radius)
     vb[0] = 0.0
     remnant_profile = DoublyWarpProfile(
@@ -709,19 +702,18 @@ def perform_surgery(base_dim: int, slice_dim: int, tube_radius: float, *,
     remnant = _sampled_piece("body_remnant", "body_remnant", remnant_profile,
                              pole_scalars=(kappa,))
 
-    pieces = [remnant] + _curve_pieces(curve, "n", n_profile_nodes)
+    pieces = [remnant] + _curve_pieces(curve, "n")
     a_target = 0.5 * tube_radius
     start, dims = _warp_tail(model, curve)
     homotopy_floor = kappa - 0.75 * budget
     for j, (leg, bound) in enumerate(boundary_homotopy(
             start, (1.0, a_target), dims, homotopy_floor,
-            0.25 * tube_radius, n_nodes=n_profile_nodes)):
+            0.25 * tube_radius)):
         pieces.append(AssemblyPiece(
             name=f"homotopy_{j}", role="collar", profile=leg,
             min_scalar=bound, scalar_method="profile-sampled",
             volume=profile_volume(leg)))
-    cap, pole = cap_profile(p, a_target, q - 1, closure_radius=1.0,
-                            n_nodes=n_profile_nodes)
+    cap, pole = cap_profile(p, a_target, q - 1, closure_radius=1.0)
     pieces.append(_sampled_piece("cap", "cap", cap, pole_scalars=(pole,)))
 
     volume_reference = (unit_sphere_volume(p) * base_radius ** p
@@ -738,7 +730,7 @@ def perform_surgery(base_dim: int, slice_dim: int, tube_radius: float, *,
         "curve_cross_check": check.cross_check_error,
         "waist_radius": curve.end_radius,
     }
-    assembly = _chain("surgery", pieces, provenance, tol=interface_tol)
+    assembly = _chain("surgery", pieces, provenance)
     provenance["volume_total"] = assembly.total_volume
     provenance["volume_ratio"] = assembly.total_volume / volume_reference
     return assembly

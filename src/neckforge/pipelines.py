@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,9 +27,9 @@ from pathlib import Path
 import numpy as np
 from scipy import special
 
-from .assembly import (DEFAULT_INTERFACE_TOL, Assembly, _chain,
-                       _sampled_piece, build_tunnel, build_tunnel_between,
-                       certified_min_scalar, perform_surgery)
+from .assembly import (PROFILE_NODES, _chain, _sampled_piece, build_tunnel,
+                       build_tunnel_between, certified_min_scalar,
+                       perform_surgery)
 from .certificate import make_certificate, write_certificate
 from .errors import (FloorCheckFailed, IngredientFloorTooLow,
                      MissingIngredient, ParameterOutOfRange)
@@ -234,35 +233,110 @@ def hemisphere_standin(dim: int, headroom: float = STANDIN_HEADROOM,
 
 # ------------------------------------------------------------- chain parts
 
-def _round_remnant(sphere_radius: float, fiber_dim: int, u_start: float,
-                   u_stop: float, n_nodes: int, *, jet_start=None,
-                   jet_end=None, closed_start: bool = False,
-                   closed_end: bool = False) -> WarpProfile:
-    """Arc of a round sphere profile between two distances from a pole.
+@dataclass(frozen=True)
+class _Body:
+    """A round body of a glued chain: an arc of the sphere of radius rho.
 
-    u measures distance from the pole along the profile axis; traversal
-    from u_start to u_stop may run in either direction.  Seam jets are
-    passed in verbatim (copied from the adjacent tunnel piece) so glued
-    interfaces close with gap exactly zero.
+    An end body also names its far end: ("pole", pole scalar) closes it
+    at the pole opposite its glue site, ("boundary", jet) stops it at the
+    equator on a hemisphere's boundary jet.
     """
-    u = np.linspace(u_start, u_stop, n_nodes)
-    values = sphere_radius * np.sin(u / sphere_radius)
-    if closed_start:
-        values[0] = 0.0
-    if closed_end:
-        values[-1] = 0.0
-    grid = np.linspace(0.0, abs(u_stop - u_start), n_nodes)
-    return WarpProfile(grid=grid, values=values, fiber_dim=fiber_dim,
-                       closed_start=closed_start, closed_end=closed_end,
-                       jet_start=jet_start, jet_end=jet_end)
+
+    name: str
+    rho: float
+    far: tuple = (None, None)
+
+
+def _mouth_radii(tunnel) -> tuple[float, float]:
+    # distance from each glue site to the tunnel's left and right mouth
+    prov = tunnel.provenance
+    if "side" in prov:
+        return prov["side"]["start_radius"], prov["side"]["start_radius"]
+    return prov["side_a"]["start_radius"], prov["side_b"]["start_radius"]
 
 
 def _rename(pieces, prefix: str):
     return [dataclasses.replace(p, name=f"{prefix}_{p.name}") for p in pieces]
 
 
-def _attachment_model(ingredient: IngredientMetric,
-                      target: float) -> tuple[AmbientModel, str]:
+def _compose(name: str, spec, provenance: dict, fiber_dim: int):
+    """Glue round bodies and tunnels, listed in chain order, into one chain.
+
+    spec mixes _Body entries with (prefix, tunnel) pairs; a tunnel's
+    pieces are renamed prefix_<name> unless prefix is None.  A body is
+    the arc at distance u from a pole of its sphere: from the left
+    tunnel's mouth radius to pi*rho less the right mouth radius, or out
+    to its far end (pi*rho at a pole, pi*rho/2 at a boundary) when no
+    tunnel follows; a first body runs from its far end down to the right
+    mouth radius.  Seam jets are copied verbatim from the neighbouring
+    tunnel pieces, so glued interfaces close with gap exactly zero.
+    """
+    pieces = []
+    for i, item in enumerate(spec):
+        if not isinstance(item, _Body):
+            prefix, tunnel = item
+            pieces.extend(tunnel.pieces if prefix is None
+                          else _rename(tunnel.pieces, prefix))
+            continue
+        left = spec[i - 1][1] if i > 0 else None
+        right = spec[i + 1][1] if i + 1 < len(spec) else None
+        kind, end = item.far
+        rho = item.rho
+        far = math.pi * rho if kind == "pole" else 0.5 * math.pi * rho
+        if left is None:
+            u_start, u_stop = far, _mouth_radii(right)[0]
+        elif right is None:
+            u_start, u_stop = _mouth_radii(left)[1], far
+        else:
+            u_start = _mouth_radii(left)[1]
+            u_stop = math.pi * rho - _mouth_radii(right)[0]
+        boundary = end if kind == "boundary" else None
+        closed_start = left is None and kind == "pole"
+        closed_end = right is None and kind == "pole"
+        u = np.linspace(u_start, u_stop, PROFILE_NODES)
+        values = rho * np.sin(u / rho)
+        if closed_start:
+            values[0] = 0.0
+        if closed_end:
+            values[-1] = 0.0
+        profile = WarpProfile(
+            grid=np.linspace(0.0, abs(u_stop - u_start), PROFILE_NODES),
+            values=values, fiber_dim=fiber_dim,
+            closed_start=closed_start, closed_end=closed_end,
+            jet_start=(boundary if left is None
+                       else left.pieces[-1].profile.boundary_jets("end")[0]),
+            jet_end=(boundary if right is None
+                     else right.pieces[0].profile.boundary_jets("start")[0]))
+        pieces.append(_sampled_piece(
+            item.name, "remnant", profile,
+            pole_scalars=(end,) if kind == "pole" else ()))
+    return _chain(name, pieces, provenance)
+
+
+def _hemisphere_body(hemisphere: IngredientMetric, rho: float):
+    """The hemisphere's chain body and the volume of its round model.
+
+    Both default to the round hemisphere of radius rho when the
+    ingredient does not record its own boundary jet and model volume.
+    """
+    n = hemisphere.dim
+    jet = hemisphere.detail.get("boundary_jet", (rho, 0.0, -1.0 / rho))
+    model_volume = hemisphere.detail.get(
+        "model_volume", 0.5 * unit_sphere_volume(n) * rho ** n)
+    body = _Body("hemisphere_remnant", rho, ("boundary", tuple(jet)))
+    return body, model_volume
+
+
+def _require_floor(what: str, ingredient: IngredientMetric,
+                   target: float) -> None:
+    if not ingredient.certified_floor > target:
+        raise IngredientFloorTooLow(
+            f"{what} floor {ingredient.certified_floor:.9g} must exceed "
+            f"{target:.9g} strictly; equality leaves no bending budget")
+
+
+def _attachment_model(
+        ingredient: IngredientMetric) -> tuple[AmbientModel, str]:
     """Ambient model the tunnel mouth lives in, plus how it was chosen.
 
     Round ingredients attach in their own exact model.  Anything else is
@@ -342,33 +416,12 @@ def _finalize(kind: str, parameters: dict, quantities: dict, claims,
 
 # ---------------------------------------------------------------- gluings
 
-def attach_hemisphere(ingredient: IngredientMetric,
-                      hemisphere: IngredientMetric | None = None, *,
-                      diameter_target: float = 0.0,
-                      sharpness: float = 100.0,
-                      tube_radius: float = 0.1,
-                      grid_density: float = 1.0,
-                      n_profile_nodes: int = 1024,
-                      interface_tol: float = DEFAULT_INTERFACE_TOL,
-                      tolerance: float = 1e-9,
-                      seed: int | None = None,
-                      certificate_path=None, profiles_dir=None,
-                      pipeline_name: str = "hemisphere_attachment",
-                      extra_parameters: dict | None = None,
-                      extra_quantities: dict | None = None,
-                      extra_claims=(),
-                      extra_provenance: dict | None = None) -> PipelineResult:
-    """Join an ingredient to a hemisphere through a curvature-safe tunnel.
-
-    Both floors must clear n(n-1) strictly; the tunnel floor sits at
-    most 1/sharpness below the smaller attachment curvature and never
-    below the target.  With diameter_target > 0 the connecting cylinder
-    alone forces the diameter lower bound, so the certificate claims
-    min scalar > n(n-1) and diameter >= diameter_target side by side.
-    The hemisphere's boundary sphere is never touched: gluing happens at
-    an interior pole, the boundary jet rides along verbatim, and the
-    certificate checks the built profile actually ends on it.
-    """
+def _attachment(name: str, ingredient: IngredientMetric,
+                hemisphere: IngredientMetric | None, diameter_target: float,
+                sharpness: float, tube_radius: float, grid_density: float,
+                seed: int | None):
+    """Parameters, quantities, claims, provenance and assemblies of one
+    hemisphere attachment, before finalizing; see attach_hemisphere."""
     n = ingredient.dim
     target = float(n * (n - 1))
     if hemisphere is None:
@@ -378,70 +431,47 @@ def attach_hemisphere(ingredient: IngredientMetric,
             f"hemisphere dimension {hemisphere.dim} != ingredient dimension {n}")
     if diameter_target < 0.0:
         raise ParameterOutOfRange("diameter target must be nonnegative")
-    if not ingredient.certified_floor > target:
-        raise IngredientFloorTooLow(
-            f"ingredient floor {ingredient.certified_floor:.9g} must exceed "
-            f"{target:.9g} strictly; equality leaves no bending budget")
-    if not hemisphere.certified_floor > target:
-        raise IngredientFloorTooLow(
-            f"hemisphere floor {hemisphere.certified_floor:.9g} must exceed "
-            f"{target:.9g} strictly")
+    _require_floor("ingredient", ingredient, target)
+    _require_floor("hemisphere", hemisphere, target)
 
-    model_a, attach_a = _attachment_model(ingredient, target)
-    model_b, attach_b = _attachment_model(hemisphere, target)
+    model_a, attach_a = _attachment_model(ingredient)
+    model_b, attach_b = _attachment_model(hemisphere)
     floor = max(target, min(model_a.scalar_curvature,
                             model_b.scalar_curvature) - 1.0 / sharpness)
     tunnel = build_tunnel_between(
         model_a, model_b, tube_radius, tube_radius, floor,
-        length=diameter_target, grid_density=grid_density,
-        n_profile_nodes=n_profile_nodes, interface_tol=interface_tol)
-    r0_a = tunnel.provenance["side_a"]["start_radius"]
-    r0_b = tunnel.provenance["side_b"]["start_radius"]
+        length=diameter_target, grid_density=grid_density)
+    r0_a, r0_b = _mouth_radii(tunnel)
     rho_a = model_a.slice_curv ** -0.5
     rho_b = model_b.slice_curv ** -0.5
     ball_a = round_ball_volume(n, rho_a, r0_a)
     ball_b = round_ball_volume(n, rho_b, r0_b)
+    hemi_body, hemi_model_volume = _hemisphere_body(hemisphere, rho_b)
+    boundary_jet = hemi_body.far[1]
 
-    pieces = list(tunnel.pieces)
+    spec = [(None, tunnel), hemi_body]
     exact_a = attach_a == "exact-round"
     if exact_a:
         # the unglued rest of the round ingredient, pole to seam
-        arc = _round_remnant(
-            rho_a, n - 1, math.pi * rho_a, r0_a, n_profile_nodes,
-            closed_start=True,
-            jet_end=tunnel.pieces[0].profile.boundary_jets("start")[0])
-        pieces.insert(0, _sampled_piece(
-            "ingredient_remnant", "remnant", arc,
-            pole_scalars=(model_a.scalar_curvature,)))
-    equator = 0.5 * math.pi * rho_b
-    boundary_jet = hemisphere.detail.get("boundary_jet",
-                                         (rho_b, 0.0, -1.0 / rho_b))
-    hemi_arc = _round_remnant(
-        rho_b, n - 1, r0_b, equator, n_profile_nodes,
-        jet_start=tunnel.pieces[-1].profile.boundary_jets("end")[0],
-        jet_end=tuple(boundary_jet))
-    pieces.append(_sampled_piece("hemisphere_remnant", "remnant", hemi_arc))
-
+        spec.insert(0, _Body("ingredient_remnant", rho_a,
+                             ("pole", model_a.scalar_curvature)))
     provenance = {
-        "pipeline": pipeline_name,
+        "pipeline": name,
         "ingredient": ingredient.summary(),
         "hemisphere": hemisphere.summary(),
         "attachment_model_a": attach_a,
         "attachment_model_b": attach_b,
-        "glue_site_clearance": equator - r0_b,
+        "glue_site_clearance": 0.5 * math.pi * rho_b - r0_b,
         "boundary_policy": "glued at an interior pole only; the totally "
                            "geodesic boundary annulus is never modified",
         "tunnel": tunnel.provenance,
         "seed": seed,
     }
-    if extra_provenance:
-        provenance.update(extra_provenance)
-    assembly = _chain(pipeline_name, pieces, provenance, tol=interface_tol)
+    assembly = _compose(name, spec, provenance, n - 1)
+    hemi_arc = assembly.pieces[-1].profile
 
     # dual route over the profile-backed pieces only: quadrature on one
     # side, closed-form sphere arithmetic on the other
-    hemi_model_volume = hemisphere.detail.get(
-        "model_volume", 0.5 * unit_sphere_volume(n) * rho_b ** n)
     route_closed = tunnel.total_volume + (hemi_model_volume - ball_b)
     if exact_a:
         route_closed += ingredient.volume - ball_a
@@ -471,8 +501,6 @@ def attach_hemisphere(ingredient: IngredientMetric,
         "boundary_profile_deviation": _boundary_deviation(hemi_arc,
                                                           boundary_jet),
     }
-    if extra_quantities:
-        quantities.update(extra_quantities)
     claims = [
         ("ingredient_floor_strict", "ingredient_floor", ">", "curvature_target"),
         ("hemisphere_floor_strict", "hemisphere_floor", ">", "curvature_target"),
@@ -482,7 +510,7 @@ def attach_hemisphere(ingredient: IngredientMetric,
         ("boundary_unchanged", "boundary_jet_gap", "<=", 1e-8),
         ("boundary_profile_consistent", "boundary_profile_deviation", "<=", 1e-4),
         ("volume_additivity", "volume_accounting_gap", "<=", 1e-6),
-    ] + list(extra_claims)
+    ]
     parameters = {
         "dim": n,
         "ingredient": ingredient.name,
@@ -491,21 +519,52 @@ def attach_hemisphere(ingredient: IngredientMetric,
         "sharpness": float(sharpness),
         "tube_radius": float(tube_radius),
         "grid_density": float(grid_density),
-        "n_profile_nodes": int(n_profile_nodes),
+        "n_profile_nodes": PROFILE_NODES,
         "seed": seed,
     }
-    if extra_parameters:
-        parameters.update(extra_parameters)
-    return _finalize(pipeline_name, parameters, quantities, claims,
-                     provenance, {"chain": assembly}, certificate_path,
-                     profiles_dir, tolerance)
+    return parameters, quantities, claims, provenance, {"chain": assembly}
+
+
+def attach_hemisphere(ingredient: IngredientMetric,
+                      hemisphere: IngredientMetric | None = None, *,
+                      diameter_target: float = 0.0,
+                      sharpness: float = 100.0,
+                      tube_radius: float = 0.1,
+                      grid_density: float = 1.0,
+                      tolerance: float = 1e-9,
+                      seed: int | None = None,
+                      certificate_path=None,
+                      profiles_dir=None) -> PipelineResult:
+    """Join an ingredient to a hemisphere through a curvature-safe tunnel.
+
+    Both floors must clear n(n-1) strictly; the tunnel floor sits at
+    most 1/sharpness below the smaller attachment curvature and never
+    below the target.  With diameter_target > 0 the connecting cylinder
+    alone forces the diameter lower bound, so the certificate claims
+    min scalar > n(n-1) and diameter >= diameter_target side by side.
+    The hemisphere's boundary sphere is never touched: gluing happens at
+    an interior pole, the boundary jet rides along verbatim, and the
+    certificate checks the built profile actually ends on it.
+    """
+    return _finalize("hemisphere_attachment",
+                     *_attachment("hemisphere_attachment", ingredient,
+                                  hemisphere, diameter_target, sharpness,
+                                  tube_radius, grid_density, seed),
+                     certificate_path, profiles_dir, tolerance)
 
 
 def attach_product_ingredient(base_dim: int, slice_dim: int, *,
                               factor_radius: float | None = None,
                               max_rescalings: int = 40,
+                              hemisphere: IngredientMetric | None = None,
+                              diameter_target: float = 0.0,
+                              sharpness: float = 100.0,
                               tube_radius: float = 0.05,
-                              **options) -> PipelineResult:
+                              grid_density: float = 1.0,
+                              tolerance: float = 1e-9,
+                              seed: int | None = None,
+                              certificate_path=None,
+                              profiles_dir=None) -> PipelineResult:
     """Hemisphere attachment whose ingredient is a round product of spheres.
 
     The floor is recomputed from the factor dimensions and radius, never
@@ -543,20 +602,19 @@ def attach_product_ingredient(base_dim: int, slice_dim: int, *,
     note = ("certified object is the round product of the two sphere "
             "factors; a connected-sum reading of the same factors is a "
             "different space and is not certified here")
-    return attach_hemisphere(
-        ingredient,
-        tube_radius=tube_radius,
-        pipeline_name="product_attachment",
-        extra_quantities={
-            "product_floor_recomputed": ingredient.recomputed_floor(),
-            "factor_radius": scale,
-        },
-        extra_claims=[("product_floor_strict", "product_floor_recomputed",
-                       ">", "curvature_target")],
-        extra_parameters={"factor_dims": [p, q], "rescalings": swept},
-        extra_provenance={"construction_note": note,
-                          "factor_radius_swept": bool(swept)},
-        **options)
+    parameters, quantities, claims, provenance, assemblies = _attachment(
+        "product_attachment", ingredient, hemisphere, diameter_target,
+        sharpness, tube_radius, grid_density, seed)
+    parameters.update(factor_dims=[p, q], rescalings=swept)
+    quantities.update(product_floor_recomputed=ingredient.recomputed_floor(),
+                      factor_radius=scale)
+    claims.append(("product_floor_strict", "product_floor_recomputed",
+                   ">", "curvature_target"))
+    provenance.update(construction_note=note,
+                      factor_radius_swept=bool(swept))
+    return _finalize("product_attachment", parameters, quantities, claims,
+                     provenance, assemblies, certificate_path, profiles_dir,
+                     tolerance)
 
 
 def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
@@ -564,8 +622,6 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
                              sharpness: float = 100.0,
                              tube_radius: float = 0.1,
                              grid_density: float = 1.0,
-                             n_profile_nodes: int = 1024,
-                             interface_tol: float = DEFAULT_INTERFACE_TOL,
                              tolerance: float = 1e-9,
                              seed: int | None = None,
                              certificate_path=None,
@@ -589,56 +645,24 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
     m = 2 * (int(volume_target / omega) + 1)
     if hemisphere is None:
         hemisphere = hemisphere_standin(n)
-    if not hemisphere.certified_floor > target:
-        raise IngredientFloorTooLow(
-            f"hemisphere floor {hemisphere.certified_floor:.9g} must exceed "
-            f"{target:.9g} strictly")
+    _require_floor("hemisphere", hemisphere, target)
 
     unit = round_sphere(n, 1.0)
     link = build_tunnel(unit, tube_radius, length=0.0, sharpness=sharpness,
-                        grid_density=grid_density,
-                        n_profile_nodes=n_profile_nodes,
-                        interface_tol=interface_tol)
-    model_b, attach_b = _attachment_model(hemisphere, target)
+                        grid_density=grid_density)
+    model_b, attach_b = _attachment_model(hemisphere)
     attach = build_tunnel_between(
         unit, model_b, tube_radius, tube_radius, target - 1.0 / sharpness,
-        length=0.0, grid_density=grid_density,
-        n_profile_nodes=n_profile_nodes, interface_tol=interface_tol)
-    r0 = link.provenance["side"]["start_radius"]
-    r0_aa = attach.provenance["side_a"]["start_radius"]
-    r0_ab = attach.provenance["side_b"]["start_radius"]
+        length=0.0, grid_density=grid_density)
+    r0 = _mouth_radii(link)[0]
+    r0_aa, r0_ab = _mouth_radii(attach)
     rho_b = model_b.slice_curv ** -0.5
-    link_start = link.pieces[0].profile.boundary_jets("start")[0]
-    link_end = link.pieces[-1].profile.boundary_jets("end")[0]
+    hemi_body, hemi_model_volume = _hemisphere_body(hemisphere, rho_b)
 
-    pieces = []
-    first = _round_remnant(1.0, n - 1, math.pi, r0, n_profile_nodes,
-                           closed_start=True, jet_end=link_start)
-    pieces.append(_sampled_piece("sphere_01", "remnant", first,
-                                 pole_scalars=(target,)))
+    spec = [_Body("sphere_01", 1.0, ("pole", target))]
     for i in range(1, m):
-        pieces.extend(_rename(link.pieces, f"link{i:02d}"))
-        if i < m - 1:
-            body = _round_remnant(1.0, n - 1, r0, math.pi - r0,
-                                  n_profile_nodes, jet_start=link_end,
-                                  jet_end=link_start)
-            pieces.append(_sampled_piece(f"sphere_{i + 1:02d}", "remnant",
-                                         body))
-    last = _round_remnant(
-        1.0, n - 1, r0, math.pi - r0_aa, n_profile_nodes,
-        jet_start=link_end,
-        jet_end=attach.pieces[0].profile.boundary_jets("start")[0])
-    pieces.append(_sampled_piece(f"sphere_{m:02d}", "remnant", last))
-    pieces.extend(_rename(attach.pieces, "attach"))
-    equator = 0.5 * math.pi * rho_b
-    boundary_jet = hemisphere.detail.get("boundary_jet",
-                                         (rho_b, 0.0, -1.0 / rho_b))
-    hemi_arc = _round_remnant(
-        rho_b, n - 1, r0_ab, equator, n_profile_nodes,
-        jet_start=attach.pieces[-1].profile.boundary_jets("end")[0],
-        jet_end=tuple(boundary_jet))
-    pieces.append(_sampled_piece("hemisphere_remnant", "remnant", hemi_arc))
-
+        spec += [(f"link{i:02d}", link), _Body(f"sphere_{i + 1:02d}", 1.0)]
+    spec += [("attach", attach), hemi_body]
     provenance = {
         "pipeline": "sphere_chain",
         "hemisphere": hemisphere.summary(),
@@ -649,13 +673,11 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
                      "chain; links differ only by name",
         "seed": seed,
     }
-    assembly = _chain("sphere_chain", pieces, provenance, tol=interface_tol)
+    assembly = _compose("sphere_chain", spec, provenance, n - 1)
 
     cap = round_ball_volume(n, 1.0, r0)
     cap_aa = round_ball_volume(n, 1.0, r0_aa)
     cap_b = round_ball_volume(n, rho_b, r0_ab)
-    hemi_model_volume = hemisphere.detail.get(
-        "model_volume", 0.5 * unit_sphere_volume(n) * rho_b ** n)
     # caps of radius r0 removed: one from each end sphere, two from each
     # of the m-2 middles, so 2(m-1) in total, plus the attachment caps
     route_closed = (m * omega - 2.0 * (m - 1) * cap - cap_aa - cap_b
@@ -695,7 +717,7 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
         "sharpness": float(sharpness),
         "tube_radius": float(tube_radius),
         "grid_density": float(grid_density),
-        "n_profile_nodes": int(n_profile_nodes),
+        "n_profile_nodes": PROFILE_NODES,
         "seed": seed,
     }
     return _finalize("sphere_chain", parameters, quantities, claims,
@@ -710,8 +732,6 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
                          ball_radius: float | None = None,
                          budget_constant: float | None = None,
                          grid_density: float = 1.0,
-                         n_profile_nodes: int = 1024,
-                         interface_tol: float = DEFAULT_INTERFACE_TOL,
                          tolerance: float = 1e-9,
                          seed: int | None = None,
                          certificate_path=None,
@@ -744,10 +764,7 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
     if hemisphere.dim != n:
         raise ParameterOutOfRange(
             f"hemisphere dimension {hemisphere.dim} != {n}")
-    if not hemisphere.certified_floor > target:
-        raise IngredientFloorTooLow(
-            f"hemisphere floor {hemisphere.certified_floor:.9g} must exceed "
-            f"{target:.9g} strictly")
+    _require_floor("hemisphere", hemisphere, target)
     delta = 0.8 * eps if ball_radius is None else float(ball_radius)
     if not 0.0 < delta < eps:
         raise ParameterOutOfRange(
@@ -756,33 +773,22 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
 
     eta = 10.0 * eps
     eta_model = round_sphere(n, eta)
-    model_a, attach_a = _attachment_model(hemisphere, target)
+    model_a, attach_a = _attachment_model(hemisphere)
     floor = target + 0.5 * min(hemisphere.certified_floor - target,
                                eta_model.scalar_curvature - target)
     tube = delta / 1.98
     tunnel = build_tunnel_between(
         model_a, eta_model, tube, tube, floor, length=diameter_target,
-        grid_density=grid_density, n_profile_nodes=n_profile_nodes,
-        interface_tol=interface_tol)
-    r0_a = tunnel.provenance["side_a"]["start_radius"]
-    r0_b = tunnel.provenance["side_b"]["start_radius"]
+        grid_density=grid_density)
+    r0_a, r0_b = _mouth_radii(tunnel)
     rho_a = model_a.slice_curv ** -0.5
     ball_a = round_ball_volume(n, rho_a, r0_a)
     cap_eta = round_ball_volume(n, eta, r0_b)
 
-    equator = 0.5 * math.pi * rho_a
-    boundary_jet = hemisphere.detail.get("boundary_jet",
-                                         (rho_a, 0.0, -1.0 / rho_a))
-    hemi_arc = _round_remnant(
-        rho_a, n - 1, equator, r0_a, n_profile_nodes,
-        jet_start=tuple(boundary_jet),
-        jet_end=tunnel.pieces[0].profile.boundary_jets("start")[0])
-    eta_arc = _round_remnant(
-        eta, n - 1, r0_b, math.pi * eta, n_profile_nodes, closed_end=True,
-        jet_start=tunnel.pieces[-1].profile.boundary_jets("end")[0])
-    hemi_piece = _sampled_piece("hemisphere_remnant", "remnant", hemi_arc)
-    eta_piece = _sampled_piece("small_sphere_remnant", "remnant", eta_arc,
-                               pole_scalars=(eta_model.scalar_curvature,))
+    hemi_body, _ = _hemisphere_body(hemisphere, rho_a)
+    spec = [hemi_body, (None, tunnel),
+            _Body("small_sphere_remnant", eta,
+                  ("pole", eta_model.scalar_curvature))]
     provenance = {
         "pipeline": "volume_budget",
         "hemisphere": hemisphere.summary(),
@@ -793,8 +799,8 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
         "tunnel": tunnel.provenance,
         "seed": seed,
     }
-    pieces = [hemi_piece] + list(tunnel.pieces) + [eta_piece]
-    assembly = _chain("volume_budget", pieces, provenance, tol=interface_tol)
+    assembly = _compose("volume_budget", spec, provenance, n - 1)
+    hemi_piece, eta_piece = assembly.pieces[0], assembly.pieces[-1]
 
     pack = omega * eps ** n
     vol_reference = 0.5 * omega
@@ -862,7 +868,7 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
         "diameter_target": float(diameter_target),
         "hemisphere": hemisphere.name,
         "grid_density": float(grid_density),
-        "n_profile_nodes": int(n_profile_nodes),
+        "n_profile_nodes": PROFILE_NODES,
         "seed": seed,
     }
     return _finalize("volume_budget", parameters, quantities, claims,
@@ -876,8 +882,6 @@ def tunnel_certificate(dim: int = 3, curvature: float = 6.0,
                        tube_radius: float = 0.1, length: float = 2.0,
                        sharpness: float = 100.0, *,
                        grid_density: float = 1.0,
-                       n_profile_nodes: int = 1024,
-                       interface_tol: float = DEFAULT_INTERFACE_TOL,
                        tolerance: float = 1e-9,
                        seed: int | None = None,
                        certificate_path=None,
@@ -897,9 +901,7 @@ def tunnel_certificate(dim: int = 3, curvature: float = 6.0,
         raise ParameterOutOfRange("ambient curvature must be positive")
     model = AmbientModel(0, n, 1.0, curvature / (n * (n - 1)))
     tunnel = build_tunnel(model, tube_radius, length=length,
-                          sharpness=sharpness, grid_density=grid_density,
-                          n_profile_nodes=n_profile_nodes,
-                          interface_tol=interface_tol)
+                          sharpness=sharpness, grid_density=grid_density)
     diameter_lower, diameter_upper = tunnel.diameter_bounds()
     norm = tube_radius ** n + length * tube_radius ** (n - 1)
     quantities = {
@@ -925,7 +927,7 @@ def tunnel_certificate(dim: int = 3, curvature: float = 6.0,
         "length": float(length),
         "sharpness": float(sharpness),
         "grid_density": float(grid_density),
-        "n_profile_nodes": int(n_profile_nodes),
+        "n_profile_nodes": PROFILE_NODES,
         "seed": seed,
     }
     provenance = {"pipeline": "tunnel", "tunnel": tunnel.provenance,
@@ -939,8 +941,6 @@ def surgery_certificate(base_dim: int, slice_dim: int, tube_radius: float, *,
                         allowance: float | None = None,
                         base_radius: float = 1.0, slice_radius: float = 1.0,
                         grid_density: float = 1.0,
-                        n_profile_nodes: int = 1024,
-                        interface_tol: float = DEFAULT_INTERFACE_TOL,
                         tolerance: float = 1e-9,
                         seed: int | None = None,
                         certificate_path=None,
@@ -958,9 +958,7 @@ def surgery_certificate(base_dim: int, slice_dim: int, tube_radius: float, *,
     surgery = perform_surgery(base_dim, slice_dim, tube_radius,
                               base_radius=base_radius,
                               slice_radius=slice_radius, budget=delta,
-                              grid_density=grid_density,
-                              n_profile_nodes=n_profile_nodes,
-                              interface_tol=interface_tol)
+                              grid_density=grid_density)
     kappa = surgery.provenance["floor"] + delta
     reference = surgery.provenance["volume_reference"]
     quantities = {
@@ -987,7 +985,7 @@ def surgery_certificate(base_dim: int, slice_dim: int, tube_radius: float, *,
         "base_radius": float(base_radius),
         "slice_radius": float(slice_radius),
         "grid_density": float(grid_density),
-        "n_profile_nodes": int(n_profile_nodes),
+        "n_profile_nodes": PROFILE_NODES,
         "seed": seed,
     }
     provenance = {"pipeline": "surgery", "surgery": surgery.provenance,

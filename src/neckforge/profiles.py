@@ -454,16 +454,15 @@ def load_profile_csv(path):
     if kind == "warped":
         if meta.get("columns") != "s,phi,dphi,d2phi" or data.shape[1] != 4:
             raise SchemaViolation("warped profile needs columns s,phi,dphi,d2phi")
-        jet_start = _parse_jet_field(meta.get("jet_start", "spline"))
-        jet_end = _parse_jet_field(meta.get("jet_end", "spline"))
         try:
             prof = WarpProfile(
                 grid=data[:, 0], values=data[:, 1],
                 fiber_dim=int(meta.get("fiber_dim", "0")),
                 closed_start=meta.get("closed_start") == "1",
                 closed_end=meta.get("closed_end") == "1",
-                jet_start=jet_start, jet_end=jet_end)
-        except (KeyError, ValueError) as exc:
+                jet_start=_parse_jet_field(meta.get("jet_start", "spline")),
+                jet_end=_parse_jet_field(meta.get("jet_end", "spline")))
+        except (KeyError, ValueError, ParameterOutOfRange) as exc:
             raise SchemaViolation(f"bad warped profile metadata: {exc}") from None
         sp = prof._spline
         _check_derivative_columns(prof.grid, data[:, 2], sp(prof.grid, 1), "dphi")
@@ -484,7 +483,7 @@ def load_profile_csv(path):
                 closed_end=parse_closed(meta.get("closed_end", "none")),
                 jets_start=parse_jets(meta.get("jets_start", "spline")),
                 jets_end=parse_jets(meta.get("jets_end", "spline")))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, ParameterOutOfRange) as exc:
             raise SchemaViolation(f"bad doubly warped profile metadata: {exc}") from None
         _check_derivative_columns(prof.grid, data[:, 3], prof._spline_a(prof.grid, 1), "da")
         _check_derivative_columns(prof.grid, data[:, 4], prof._spline_b(prof.grid, 1), "db")

@@ -385,6 +385,27 @@ GOLDEN_ARTIFACT_DIGESTS = [
             1.5 * unit_sphere_volume(3), 3, **files),
         "6172bb5d6e9acace24c86436de839b259e904454694e39380819cdcbbaa6fbbd",
         id="chain"),
+    # round ingredient remnant from its far pole, hemisphere up to its
+    # boundary, with a waist cylinder
+    pytest.param(
+        lambda **files: attach_hemisphere(round_sphere_ingredient(3, 0.5),
+                                          diameter_target=10.0, **files),
+        "227eebff3203346b0151438a6bfcfac66094b6e4d9699c066d40c3953b112161",
+        id="hemisphere"),
+    # stand-in attachment: no ingredient remnant, product entries added
+    pytest.param(
+        lambda **files: attach_product_ingredient(1, 2, factor_radius=10.0,
+                                                  **files),
+        "438a8185e33a11d8b0274d794823d851b6b7593f47a4a7385e769df78c79105d",
+        id="product"),
+    # hemisphere from its boundary down to the tunnel, small sphere out
+    # to its far pole
+    pytest.param(
+        lambda **files: verify_volume_budget(
+            hemisphere_standin(3, declared_volume=0.5 * unit_sphere_volume(3)),
+            0.05, **files),
+        "18f794aacea7ca8134016dece55e1c501e27f6348b75cad289188f00de1c9cd9",
+        id="budget"),
 ]
 
 

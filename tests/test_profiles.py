@@ -46,6 +46,30 @@ MALFORMED_TABLES = {
     "compensating_ragged": lambda head, rows: head + _split_row(rows),
 }
 
+# (profile, header key, bad value): boundary jet headers that do not
+# parse as three numbers per jet, one jet per warp
+MALFORMED_JET_HEADERS = {
+    "warped_non_numeric": (sin_profile, "jet_start", "1,2,x"),
+    "warped_two_fields": (sin_profile, "jet_end", "1,2"),
+    "doubly_non_numeric": (clifford_profile, "jets_start", "1,0,0;0.5,x,0"),
+    "doubly_two_fields": (clifford_profile, "jets_start", "1,0;0.5,1"),
+    "doubly_one_jet": (clifford_profile, "jets_end", "1,0,0"),
+}
+
+
+@pytest.mark.parametrize("make, key, value", MALFORMED_JET_HEADERS.values(),
+                         ids=MALFORMED_JET_HEADERS.keys())
+def test_malformed_jet_header_rejected(tmp_path, make, key, value):
+    path = tmp_path / "prof.csv"
+    save_profile_csv(make(n=64), path)
+    lines = path.read_text().splitlines()
+    mangled = [f"# {key}={value}" if ln.startswith(f"# {key}=") else ln
+               for ln in lines]
+    assert mangled != lines
+    path.write_text("\n".join(mangled) + "\n")
+    with pytest.raises(SchemaViolation):
+        load_profile_csv(path)
+
 
 class TestWarpProfile:
     def test_interpolation_accuracy(self):

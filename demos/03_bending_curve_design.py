@@ -45,12 +45,14 @@ for s in rng.uniform(0.0, curve.length, 6):
           f"  spectrum = {recon:9.5f},  rel gap = {rel:.1e}")
 print(f"  worst relative gap = {worst:.1e}")
 
-# export the sampled curve for plotting elsewhere
-out = Path(tempfile.mkdtemp(prefix="neckforge_demo_")) / "bending_curve.csv"
-save_curve_csv(curve, out)
-lines = out.read_text().splitlines()
-columns = next(ln for ln in lines if ln.startswith("# columns="))
-data_rows = sum(1 for ln in lines if not ln.startswith("#"))
-print()
-print(f"curve samples written to {out}")
-print(f"  {data_rows} rows, {columns[2:]}")
+# export the sampled curve for plotting elsewhere; the directory is
+# removed when the demo ends
+with tempfile.TemporaryDirectory(prefix="neckforge_demo_") as tmp:
+    out = Path(tmp) / "bending_curve.csv"
+    save_curve_csv(curve, out)
+    lines = out.read_text().splitlines()
+    columns = next(ln for ln in lines if ln.startswith("# columns="))
+    data_rows = sum(1 for ln in lines if not ln.startswith("#"))
+    print()
+    print(f"curve samples written to {out}")
+    print(f"  {data_rows} rows, {columns[2:]}")

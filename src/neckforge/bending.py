@@ -46,7 +46,7 @@ midpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -242,10 +242,10 @@ class BendingCurve:
 
     theta is represented by a cubic Hermite spline through (s, theta) with
     derivative data k; radius and axial position at the nodes come from
-    exact per-interval quadrature of cos/sin of that spline and are
-    extended off-node the same way. The scalar curvature evaluations below
-    are therefore statements about the represented object, not about the
-    ideal curve the designer aimed for.
+    exact per-interval quadrature of cos/sin of that spline, and the
+    radius is extended off-node the same way. The scalar curvature
+    evaluations below are therefore statements about the represented
+    object, not about the ideal curve the designer aimed for.
     """
 
     model: AmbientModel
@@ -257,6 +257,7 @@ class BendingCurve:
     axial_nodes: np.ndarray
     phase_breaks: tuple
     freeze_curvature: float
+    _jets: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def _theta_spline(self) -> CubicHermiteSpline:
@@ -286,7 +287,7 @@ class BendingCurve:
     def curvature_at(self, s):
         return np.asarray(self._theta_spline(s, 1), dtype=float)
 
-    def _path_integrals(self, s):
+    def radius_at(self, s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         idx = np.clip(np.searchsorted(self.s_nodes, s_arr, side="right") - 1,
                       0, self.s_nodes.size - 2)
@@ -297,18 +298,8 @@ class BendingCurve:
         xs = mid[:, None] + half[:, None] * nodes[None, :]
         th = self._theta_spline(xs)
         cos_i = np.sum(half[:, None] * weights[None, :] * np.cos(th), axis=1)
-        sin_i = np.sum(half[:, None] * weights[None, :] * np.sin(th), axis=1)
-        return idx, cos_i, sin_i, s_arr.shape == np.shape(s)
-
-    def radius_at(self, s):
-        idx, cos_i, _, keep = self._path_integrals(s)
         out = self.radius_nodes[idx] - cos_i
-        return out if keep else out.reshape(np.shape(s))
-
-    def axial_at(self, s):
-        idx, _, sin_i, keep = self._path_integrals(s)
-        out = self.axial_nodes[idx] + sin_i
-        return out if keep else out.reshape(np.shape(s))
+        return out if s_arr.shape == np.shape(s) else out.reshape(np.shape(s))
 
     def scalar_curvature(self, s):
         return sigma_scalar_closed_form(self.model, self.theta_at(s),
@@ -377,8 +368,12 @@ class BendingCurve:
 
         d1 = -sn'(r) cos(theta); d2 = -c sn cos^2(theta) + k sn' sin(theta).
         Values below roundoff scale are snapped to exact zeros so that flat
-        ends glue bitwise.
+        ends glue bitwise. Each point is evaluated once per curve, so the
+        two segments that meet at a cut share one jet.
         """
+        jet = self._jets.get(s)
+        if jet is not None:
+            return jet
         th = float(self.theta_at(s))
         k = float(self.curvature_at(s))
         r = float(self.radius_at(np.array([s]))[0])
@@ -391,7 +386,8 @@ class BendingCurve:
             d1 = 0.0
         if abs(d2) < 1e-13 * max(1.0, abs(k)):
             d2 = 0.0
-        return (sn, d1, d2)
+        jet = self._jets[s] = (sn, d1, d2)
+        return jet
 
     def segment_profile(self, s_lo: float, s_hi: float, n_nodes: int = 1024):
         """Resample [s_lo, s_hi] of the swept metric as a profile piece.
@@ -548,7 +544,7 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
         return x**5 * (7.0 - 14.0 * x + 10.0 * x * x - 2.5 * x**3)
 
     def kfun_fade(ss: float, tt: float, rr: float) -> float:
-        return float(smoothstep7((ss - ell_v) / ell_r)) * alloc(tt, rr)
+        return smoothstep7((ss - ell_v) / ell_r) * alloc(tt, rr)
 
     x0 = 1.0 / 64.0
     c_js = b_eff / (2.0 * (q - 1) * G_bend)
@@ -617,7 +613,7 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
     mark = len(S)
     for _ in range(60):
         def kfun_blend(ss: float, tt: float, rr: float) -> float:
-            w = float(smoothstep5((ss - s_f) / ell_b))
+            w = smoothstep5((ss - s_f) / ell_b)
             return (1.0 - w) * alloc(tt, rr) + w * k_freeze
 
         s, th, r = s_f, th_f, r_f
@@ -671,7 +667,7 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
     ell_4 = 2.0 * params.taper_angle / k_freeze
 
     def kfun_taper(uu: float, tt: float, rr: float) -> float:
-        return k_freeze * (1.0 - float(smoothstep5(uu / ell_4)))
+        return k_freeze * (1.0 - smoothstep5(uu / ell_4))
 
     n_tp = max(64, int(round(64 * dens)))
     for i in range(1, n_tp + 1):

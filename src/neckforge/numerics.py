@@ -2,8 +2,9 @@
 
 Polynomial blend windows (the C^2 and C^3 flavors used by collars, fades and
 caps) and panelized Gauss-Legendre quadrature. Everything here is
-elementary and vectorized; nothing imports from the rest of the package
-except the error types.
+elementary and vectorized; a window clamps a Python float without numpy,
+to the same bits, for the designer's RK4 loop. Nothing imports from the
+rest of the package except the error types.
 """
 
 from __future__ import annotations
@@ -22,13 +23,19 @@ __all__ = [
 ]
 
 
+def _clamp01(x):
+    if isinstance(x, float):
+        return min(max(x, 0.0), 1.0)
+    return np.clip(x, 0.0, 1.0)
+
+
 def smoothstep5(x):
     """Quintic step 10x^3 - 15x^4 + 6x^5 clamped to [0, 1].
 
     Value 0 at x<=0 and 1 at x>=1 with first and second derivatives
     vanishing at both ends, so pieces blended with it stay C^2.
     """
-    x = np.clip(x, 0.0, 1.0)
+    x = _clamp01(x)
     return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
 
 
@@ -38,7 +45,7 @@ def smoothstep7(x):
     Leading term x^4, so a quantity faded in with this window turns on with
     three vanishing derivatives at the junction.
     """
-    x = np.clip(x, 0.0, 1.0)
+    x = _clamp01(x)
     return x * x * x * x * (35.0 + x * (-84.0 + x * (70.0 - 20.0 * x)))
 
 

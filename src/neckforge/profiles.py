@@ -178,6 +178,11 @@ class WarpProfile:
     def component_values(self, s) -> tuple[np.ndarray, ...]:
         return (self.value(s),)
 
+    @property
+    def warp_splines(self) -> tuple:
+        """(spline, closed at start, closed at end) for each warp."""
+        return ((self._spline, self.closed_start, self.closed_end),)
+
     def scalar_curvature(self, s):
         sp = self._spline
         return scalar_curvature_warped(sp(s), sp(s, 1), sp(s, 2), self.fiber_dim)
@@ -312,6 +317,11 @@ class DoublyWarpProfile:
     def component_values(self, s) -> tuple[np.ndarray, ...]:
         return (np.asarray(self._spline_a(s), dtype=float),
                 np.asarray(self._spline_b(s), dtype=float))
+
+    @property
+    def warp_splines(self) -> tuple:
+        return ((self._spline_a, self.closed_start == 0, self.closed_end == 0),
+                (self._spline_b, self.closed_start == 1, self.closed_end == 1))
 
     def scalar_curvature(self, s):
         sa, sb = self._spline_a, self._spline_b

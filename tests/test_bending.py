@@ -30,6 +30,7 @@ from neckforge.models import (
     round_sphere,
     sphere_times_flat,
 )
+from neckforge.numerics import smoothstep5, smoothstep7
 from neckforge.pipelines import surgery_certificate, tunnel_certificate
 
 MODELS = [
@@ -267,6 +268,15 @@ def test_param_validation():
         CurveDesignParams(model=model, tube_radius=0.1, grid_density=0.0)
 
 
+@pytest.mark.parametrize("window", [smoothstep5, smoothstep7])
+def test_window_float_branch_is_bitwise_the_array_branch(window, rng):
+    x = np.concatenate([rng.uniform(-0.5, 1.5, 100_000 - 4),
+                        [0.0, 1.0, -2.0, 3.0]])
+    floats = [window(v) for v in x.tolist()]
+    assert all(type(v) is float for v in floats)
+    assert np.array(floats).tobytes() == window(x).tobytes()
+
+
 # -- emission ------------------------------------------------------------------
 
 
@@ -295,6 +305,23 @@ def test_adjacent_segments_share_exact_jets(tunnel_curve):
     left = curve.segment_profile(0.0, s_mid, n_nodes=256)
     right = curve.segment_profile(s_mid, curve.length, n_nodes=256)
     assert left.boundary_jets("end") == right.boundary_jets("start")
+
+
+def test_one_jet_per_cut(monkeypatch):
+    curve = design_bending_curve(
+        CurveDesignParams(model=round_sphere(3, 1.0), tube_radius=0.1))
+    calls = [0]
+    original = BendingCurve.curvature_at
+
+    def counting(self, s):
+        calls[0] += 1
+        return original(self, s)
+
+    monkeypatch.setattr(BendingCurve, "curvature_at", counting)
+    segments = _neck_segments(curve)
+    for _, s0, s1 in segments:
+        curve.segment_profile(s0, s1, n_nodes=64)
+    assert calls[0] == len(segments) + 1
 
 
 def test_segment_profile_curvature_tracks_curve(tunnel_curve):

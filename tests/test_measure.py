@@ -3,12 +3,21 @@
 import numpy as np
 import pytest
 
+from neckforge import measure
 from neckforge.errors import QuadratureNonConvergence
 from neckforge.measure import (
+    _volume_integrand,
     adaptive_panel_integral,
     diameter_bounds,
     profile_volume,
     total_volume,
+)
+from neckforge.numerics import gauss_legendre_panels
+from neckforge.pipelines import (
+    attach_product_ingredient,
+    sphere_chain_certificate,
+    surgery_certificate,
+    tunnel_certificate,
 )
 from neckforge.profiles import DoublyWarpProfile, WarpProfile
 
@@ -79,3 +88,76 @@ def test_adaptive_integral_nonconvergence():
     wild = lambda x: np.sin(1.0 / (x + 1e-7))
     with pytest.raises(QuadratureNonConvergence):
         adaptive_panel_integral(wild, [0.0, 1.0], rel_tol=1e-12, max_depth=6)
+
+
+# -- the exact path --------------------------------------------------------
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts the Gauss-Legendre passes that measure runs."""
+    count = [0]
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return gauss_legendre_panels(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "gauss_legendre_panels", counting)
+    return count
+
+
+def _distinct_profiles(result):
+    profiles = {}
+    for assembly in result.assemblies.values():
+        for piece in assembly.pieces:
+            profiles[id(piece.profile)] = piece.profile
+    return list(profiles.values())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tunnel_certificate(3, sharpness=1e4),
+    lambda: surgery_certificate(1, 3, 0.1),
+    lambda: attach_product_ingredient(1, 2),
+    lambda: sphere_chain_certificate(1.5 * 2 * np.pi**2, 3),
+], ids=["tunnel", "surgery", "cor-t", "cor-v"])
+def test_exact_path_equals_the_halving_loop(build):
+    for prof in _distinct_profiles(build()):
+        assert profile_volume(prof) == adaptive_panel_integral(
+            _volume_integrand(prof), prof.grid)
+
+
+def test_one_quadrature_pass_per_tunnel_volume(passes):
+    profiles = _distinct_profiles(tunnel_certificate(4, 12.0, sharpness=1e3))
+    passes[0] = 0
+    for prof in profiles:
+        profile_volume(prof)
+    assert passes[0] == len(profiles)
+
+
+def test_closed_ends_take_the_exact_path(passes):
+    grid = np.linspace(0.0, np.pi, 512)
+    prof = WarpProfile(grid=grid, values=np.sin(grid), fiber_dim=2,
+                       closed_start=True, closed_end=True)
+    assert profile_volume(prof) == pytest.approx(2 * np.pi**2, rel=1e-9)
+    assert passes[0] == 1
+
+
+def test_high_fiber_dimension_takes_the_halving_loop(passes):
+    # 3 * 8 = 24 exceeds the degree 12-point panels integrate exactly
+    grid = np.linspace(0.0, 1.0, 64)
+    prof = WarpProfile(grid=grid, values=0.5 + 0.1 * grid, fiber_dim=8)
+    vol = profile_volume(prof)
+    assert passes[0] >= 2
+    assert vol == adaptive_panel_integral(_volume_integrand(prof), prof.grid)
+
+
+def test_negative_spline_dip_takes_the_halving_loop(passes):
+    # positive at every node, but the spline overshoots below zero after
+    # the step, where |v|^d is no longer the polynomial v^d
+    grid = np.linspace(0.0, 1.0, 16)
+    values = np.where(np.arange(16) < 8, 1.0, 0.01)
+    prof = WarpProfile(grid=grid, values=values, fiber_dim=1)
+    assert np.min(prof.value(np.linspace(0.0, 1.0, 2001))) < 0.0
+    vol = profile_volume(prof)
+    assert passes[0] >= 2
+    assert vol == adaptive_panel_integral(_volume_integrand(prof), prof.grid)

@@ -15,7 +15,7 @@ the method that produced it:
   stored in the piece cannot resolve the innermost tail octaves, so the
   curve, not the respline, is the authority.
 * ``profile-sampled``: minimum of the closed-form curvature of the stored
-  spline over a refined sample grid. Used for collars, cylinders and
+  spline over its nodes and midpoints. Used for collars, cylinders and
   caps, whose node counts are chosen to resolve them fully.
 * a ``+declared-poles`` suffix marks closed pieces where a band of
   samples next to each round closure is excluded (a cubic spline
@@ -65,6 +65,14 @@ __all__ = [
 DEFAULT_INTERFACE_TOL = 1e-8
 # nodes per resampled piece; certificates record it as n_profile_nodes
 PROFILE_NODES = 1024
+# grid nodes next to a closed end whose curvature samples are excluded
+POLE_MARGIN = 8
+# choose_stretch tries base_stretch * 2^i for i = 0..MAX_DOUBLINGS
+MAX_DOUBLINGS = 20
+# fraction of a cap's closure radius spent on the quintic ramp of psi'
+CAP_RAMP_FRACTION = 0.3
+# neck cuts closer than this fraction of the curve length are merged
+SEGMENT_MERGE_REL = 1e-6
 
 
 def _closed(flag) -> bool:
@@ -72,28 +80,27 @@ def _closed(flag) -> bool:
     return flag is not None and flag is not False
 
 
-def certified_min_scalar(profile, refine: int = 2, pole_margin: int = 8,
-                         pole_scalars: tuple = ()) -> float:
+def certified_min_scalar(profile, pole_scalars: tuple = ()) -> float:
     """Lower bound for the scalar curvature of a stored profile.
 
-    Samples the spline curvature on nodes and refined interior points,
-    excluding a pole_margin-node band next to closed ends where a finite
-    spline cannot represent an exact round closure; constructions that
-    close poles pass the analytic pole values through pole_scalars.
+    Samples the spline curvature on nodes and midpoints, excluding a
+    POLE_MARGIN-node band next to closed ends where a finite spline cannot
+    represent an exact round closure; constructions that close poles pass
+    the analytic pole values through pole_scalars.
     """
     if (_closed(profile.closed_start) or _closed(profile.closed_end)) \
             and not pole_scalars:
         raise ParameterOutOfRange(
             "closed profiles need declared pole scalar values")
-    s, R = profile.curvature_samples(refine)
+    s, R = profile.curvature_samples()
     grid = profile.grid
     h = float(grid[1] - grid[0])
     lo = float(grid[0])
     hi = float(grid[-1])
     if _closed(profile.closed_start):
-        lo += pole_margin * h
+        lo += POLE_MARGIN * h
     if _closed(profile.closed_end):
-        hi -= pole_margin * h
+        hi -= POLE_MARGIN * h
     mask = (s >= lo) & (s <= hi)
     vals = [float(np.min(R[mask]))] if np.any(mask) else []
     vals.extend(float(x) for x in pole_scalars)
@@ -102,7 +109,7 @@ def certified_min_scalar(profile, refine: int = 2, pole_margin: int = 8,
     return min(vals)
 
 
-def slope_deficit(profile, refine: int = 2) -> float:
+def slope_deficit(profile) -> float:
     """Largest sampled gap between static and actual scalar curvature.
 
     Static means the curvature the same warp values would have with all s
@@ -110,7 +117,7 @@ def slope_deficit(profile, refine: int = 2) -> float:
     isolates the price of the transition slope; for a quintic ramp leg it
     scales like stretch^-2 exactly, since both derivative terms do.
     """
-    s, R = profile.curvature_samples(refine)
+    s, R = profile.curvature_samples()
     static = np.zeros_like(R)
     for v, d in zip(profile.component_values(s), profile.component_dims):
         if d > 1:
@@ -159,12 +166,10 @@ def collar_metric(start, end, dims, stretch: float,
                                        (end[1], 0.0, 0.0)))
 
 
-def choose_stretch(start, end, dims, floor: float, base_stretch: float, *,
-                   n_nodes: int = PROFILE_NODES, refine: int = 2,
-                   max_doublings: int = 20):
+def choose_stretch(start, end, dims, floor: float, base_stretch: float):
     """Shortest doubling stretch whose leg clears the curvature floor.
 
-    Tries base_stretch * 2^i for i = 0..max_doublings and returns the
+    Tries base_stretch * 2^i for i = 0..MAX_DOUBLINGS and returns the
     first (leg, certified bound) pair with bound >= floor. The slope
     deficit halves quadratically per doubling, so failure at the cap
     means the static warp values themselves sit below the floor; that is
@@ -173,20 +178,18 @@ def choose_stretch(start, end, dims, floor: float, base_stretch: float, *,
     if not base_stretch > 0.0:
         raise ParameterOutOfRange("base_stretch must be positive")
     best = -math.inf
-    for i in range(max_doublings + 1):
-        leg = collar_metric(start, end, dims, base_stretch * (2.0 ** i),
-                            n_nodes=n_nodes)
-        bound = certified_min_scalar(leg, refine=refine)
+    for i in range(MAX_DOUBLINGS + 1):
+        leg = collar_metric(start, end, dims, base_stretch * (2.0 ** i))
+        bound = certified_min_scalar(leg)
         if bound >= floor:
             return leg, bound
         best = max(best, bound)
     raise InfeasibleBudget(
-        f"no stretch up to base_stretch * 2^{max_doublings} reaches the "
+        f"no stretch up to base_stretch * 2^{MAX_DOUBLINGS} reaches the "
         f"curvature floor {floor:.6g}; best certified bound {best:.6g}")
 
 
-def boundary_homotopy(start, end, dims, floor: float, base_stretch: float,
-                      **kwargs):
+def boundary_homotopy(start, end, dims, floor: float, base_stretch: float):
     """Deform boundary warp data one factor at a time, slice warp first.
 
     Returns a tuple of (leg, bound) pairs; factors already in agreement
@@ -207,22 +210,22 @@ def boundary_homotopy(start, end, dims, floor: float, base_stretch: float,
         nxt = list(cur)
         nxt[idx] = end[idx]
         legs.append(choose_stretch(tuple(cur), tuple(nxt), dims, floor,
-                                   base_stretch, **kwargs))
+                                   base_stretch))
         cur = nxt
     return tuple(legs)
 
 
 def cap_profile(base_dim: int, link_value: float, link_dim: int,
-                closure_radius: float = 1.0, ramp_fraction: float = 0.3,
-                n_nodes: int = PROFILE_NODES):
+                closure_radius: float = 1.0):
     """Disk cap D^(base_dim+1) x S^link_dim closing the base warp.
 
     The base warp is closure_radius * cos(psi(s)), where psi' ramps from 0
-    to 1/closure_radius along a quintic and then holds, so the start is
-    C^2-flat at the full closure_radius and the end is an exact round
-    closure of curvature radius closure_radius. The link warp stays at
-    link_value. Returns (profile, pole_scalar) with the analytic pole
-    curvature base*(base+1)/closure_radius^2 + link*(link-1)/link_value^2.
+    to 1/closure_radius along a quintic over CAP_RAMP_FRACTION *
+    closure_radius and then holds, so the start is C^2-flat at the full
+    closure_radius and the end is an exact round closure of curvature
+    radius closure_radius. The link warp stays at link_value. Returns
+    (profile, pole_scalar) with the analytic pole curvature
+    base*(base+1)/closure_radius^2 + link*(link-1)/link_value^2.
     """
     p = int(base_dim)
     if p < 1:
@@ -231,13 +234,11 @@ def cap_profile(base_dim: int, link_value: float, link_dim: int,
             "round ball profile")
     if not link_value > 0.0 or not closure_radius > 0.0:
         raise ParameterOutOfRange("link_value and closure_radius must be positive")
-    if not 0.05 <= ramp_fraction <= 1.0:
-        raise ParameterOutOfRange("ramp_fraction must lie in [0.05, 1]")
     a_r = float(closure_radius)
-    ell = ramp_fraction * a_r
+    ell = CAP_RAMP_FRACTION * a_r
     psi_ramp = 0.5 * ell / a_r
     s_end = ell + a_r * (math.pi / 2.0 - psi_ramp)
-    grid = np.linspace(0.0, s_end, int(n_nodes))
+    grid = np.linspace(0.0, s_end, PROFILE_NODES)
     x = np.minimum(grid / ell, 1.0)
     # integral of the quintic ramp: int_0^x S5 = x^4 (x^2 - 3x + 2.5)
     ramp_int = (ell / a_r) * x ** 4 * (x * x - 3.0 * x + 2.5)
@@ -320,8 +321,8 @@ class Assembly:
                 return p
         raise KeyError(name)
 
-    def diameter_bounds(self, refine: int = 4):
-        return diameter_bounds(self.profiles, refine=refine)
+    def diameter_bounds(self):
+        return diameter_bounds(self.profiles)
 
     def save_files(self, out_dir, certificate_ref: str | None = None) -> Path:
         """Write piece CSVs plus an assembly.json manifest; returns its path."""
@@ -409,7 +410,7 @@ def _chain(name: str, pieces, provenance: dict) -> Assembly:
 
 # -- neck segmentation --------------------------------------------------------
 
-def _neck_segments(curve: BendingCurve, merge_rel: float = 1e-6):
+def _neck_segments(curve: BendingCurve):
     """Cut points and roles for resampling a bending curve into pieces.
 
     Cuts at every phase change and additionally at radius halvings, so no
@@ -431,7 +432,7 @@ def _neck_segments(curve: BendingCurve, merge_rel: float = 1e-6):
     ordered = sorted(cuts)
     merged = [ordered[0]]
     for s in ordered[1:]:
-        if s - merged[-1] > merge_rel * curve.length:
+        if s - merged[-1] > SEGMENT_MERGE_REL * curve.length:
             merged.append(s)
     merged[-1] = curve.length
     phase_at = sorted(breaks.items(), key=lambda kv: kv[1])
@@ -522,23 +523,36 @@ def _model_provenance(model: AmbientModel) -> dict:
 
 # -- builders -----------------------------------------------------------------
 
+def _neck(params: CurveDesignParams, end: tuple, floor: float,
+          prefix: str, stem: str):
+    """A designed curve, its bent-neck pieces, then the collar legs that
+    move its waist warps to end, each certified above floor.
+
+    Returns (curve, pieces); neck pieces are named {prefix}NN_<role> and
+    legs {stem}_0, {stem}_1, ...
+    """
+    curve = design_bending_curve(params)
+    pieces = _curve_pieces(curve, prefix)
+    start, dims = _warp_tail(params.model, curve)
+    for j, (leg, bound) in enumerate(boundary_homotopy(
+            start, end, dims, floor, 0.25 * params.tube_radius)):
+        pieces.append(AssemblyPiece(
+            name=f"{stem}_{j}", role="collar", profile=leg,
+            min_scalar=bound, scalar_method="profile-sampled",
+            volume=profile_volume(leg)))
+    return curve, pieces
+
+
 def _tunnel_side(model: AmbientModel, tube_radius: float, budget: float,
                  collar_floor: float, cylinder_radius: float, prefix: str,
                  grid_density: float):
     """Pieces from the ambient annulus down to the cylinder mouth."""
     params = CurveDesignParams(model=model, tube_radius=tube_radius,
                                budget=budget, grid_density=grid_density)
-    curve = design_bending_curve(params)
+    base = (model.base_radius,) if model.base_dim else ()
+    curve, pieces = _neck(params, base + (cylinder_radius,), collar_floor,
+                          prefix, f"{prefix}collar")
     check = curve.check
-    pieces = _curve_pieces(curve, prefix)
-    start, dims = _warp_tail(model, curve)
-    end = start[:-1] + (cylinder_radius,)
-    for j, (leg, bound) in enumerate(boundary_homotopy(
-            start, end, dims, collar_floor, 0.25 * tube_radius)):
-        pieces.append(AssemblyPiece(
-            name=f"{prefix}collar_{j}", role="collar", profile=leg,
-            min_scalar=bound, scalar_method="profile-sampled",
-            volume=profile_volume(leg)))
     side_stats = {
         "curve_length": curve.length,
         "curve_min_scalar": check.min_scalar,
@@ -652,7 +666,6 @@ def build_tunnel_between(model_a: AmbientModel, model_b: AmbientModel,
 
 def perform_surgery(base_dim: int, slice_dim: int, tube_radius: float, *,
                     base_radius: float = 1.0, slice_radius: float = 1.0,
-                    budget: float | None = None,
                     grid_density: float = 1.0) -> Assembly:
     """Codimension >= 3 surgery on S^p(rho) x S^q with certified curvature.
 
@@ -660,7 +673,7 @@ def perform_surgery(base_dim: int, slice_dim: int, tube_radius: float, *,
     descends through a bent neck to a thin cylinder, homotopes the
     boundary data to (1, tube_radius/2) and closes with a round disk cap
     D^(p+1) x S^(q-1). Scalar curvature is certified above
-    kappa - budget (budget defaults to tube_radius); the volume change
+    kappa - tube_radius, the curvature budget; the volume change
     against the closed product is reported in the provenance for the
     certificate layer to claim against its (1 +- delta) band.
     """
@@ -679,13 +692,12 @@ def perform_surgery(base_dim: int, slice_dim: int, tube_radius: float, *,
     model = AmbientModel(base_dim=p, slice_dim=q, base_radius=base_radius,
                          slice_curv=slice_radius ** -2)
     kappa = model.scalar_curvature
-    if budget is None:
-        budget = tube_radius
-    if not budget > 0.0:
-        raise ParameterOutOfRange("budget must be positive")
     params = CurveDesignParams(model=model, tube_radius=tube_radius,
-                               budget=0.5 * budget, grid_density=grid_density)
-    curve = design_bending_curve(params)
+                               budget=0.5 * tube_radius,
+                               grid_density=grid_density)
+    a_target = 0.5 * tube_radius
+    curve, neck = _neck(params, (1.0, a_target), kappa - 0.75 * tube_radius,
+                        "n", "homotopy")
     check = curve.check
 
     # complement of the removed tube, exact ambient metric
@@ -702,19 +714,9 @@ def perform_surgery(base_dim: int, slice_dim: int, tube_radius: float, *,
     remnant = _sampled_piece("body_remnant", "body_remnant", remnant_profile,
                              pole_scalars=(kappa,))
 
-    pieces = [remnant] + _curve_pieces(curve, "n")
-    a_target = 0.5 * tube_radius
-    start, dims = _warp_tail(model, curve)
-    homotopy_floor = kappa - 0.75 * budget
-    for j, (leg, bound) in enumerate(boundary_homotopy(
-            start, (1.0, a_target), dims, homotopy_floor,
-            0.25 * tube_radius)):
-        pieces.append(AssemblyPiece(
-            name=f"homotopy_{j}", role="collar", profile=leg,
-            min_scalar=bound, scalar_method="profile-sampled",
-            volume=profile_volume(leg)))
     cap, pole = cap_profile(p, a_target, q - 1, closure_radius=1.0)
-    pieces.append(_sampled_piece("cap", "cap", cap, pole_scalars=(pole,)))
+    pieces = [remnant, *neck,
+              _sampled_piece("cap", "cap", cap, pole_scalars=(pole,))]
 
     volume_reference = (unit_sphere_volume(p) * base_radius ** p
                         * unit_sphere_volume(q) * slice_radius ** q)
@@ -722,8 +724,8 @@ def perform_surgery(base_dim: int, slice_dim: int, tube_radius: float, *,
         "builder": "perform_surgery",
         "model": _model_provenance(model),
         "tube_radius": tube_radius,
-        "budget": budget,
-        "floor": kappa - budget,
+        "budget": tube_radius,
+        "floor": kappa - tube_radius,
         "cap_link_radius": a_target,
         "volume_reference": volume_reference,
         "curve_min_scalar": check.min_scalar,

@@ -20,19 +20,21 @@ more curvature than the allocator
     k_alloc = b_eff / (2 (q-1) sin(theta) G)
             + ((q-2) G^2 - 2c) (1 - m2) sin(theta) / (2 G)
 
-permits, where b_eff is the budget scaled by a spend margin m1 and m2
-holds back part of the favorable quadratic term. Keeping k <= k_alloc at
-every point forces kappa - R <= b_eff < budget, with a cushion that the
-final verification then confirms on the represented object itself.
+permits, where b_eff is the budget scaled by the spend margin
+m1 = BEND_MARGIN and m2 = QUAD_MARGIN holds back part of the favorable
+quadratic term. Keeping k <= k_alloc at every point forces
+kappa - R <= b_eff < budget, with a cushion that the final verification
+then confirms on the represented object itself.
 
 The curve runs through phases: a vertical drop (theta = 0, isometric to an
 ambient annulus), a quartic-window fade-in of the allocator (k turns on
 with three vanishing derivatives), a follow phase riding the allocator, a
 blend onto the frozen curvature value quad_part(crossing) once sin(theta)
-crosses a threshold (the frozen value is a lower bound for the allocator
-from that point on, so the invariant survives), an analytic taper that
-lands theta exactly on pi/2 with two flat derivatives, and a short exact
-horizontal margin. All switching windows are C^1 in k, so theta is C^2.
+crosses FREEZE_SIN (the frozen value is a lower bound for the allocator
+from that point on, so the invariant survives), an analytic taper over
+the last TAPER_ANGLE that lands theta exactly on pi/2 with two flat
+derivatives, and a short exact horizontal margin. All switching windows
+are C^1 in k, so theta is C^2.
 
 The represented object is the cubic Hermite spline of theta (derivative
 data k); radius and axial position are recovered from it by per-interval
@@ -78,9 +80,16 @@ __all__ = [
 # ball) and runs straight down to 0.99 * tube_radius before bending
 START_RADIUS_FACTOR = 1.98
 BEND_RADIUS_FACTOR = 0.99
-
-# the 12-point rule integrates cos/sin of the theta spline per interval
-_GL_POINTS = 12
+# fraction of the budget the allocator actually spends
+BEND_MARGIN = 0.5
+# fraction of the quadratic curvature credit held back
+QUAD_MARGIN = 0.1
+# sin(theta) threshold where the curvature freezes
+FREEZE_SIN = 0.8
+# angle left for the final taper onto theta = pi/2
+TAPER_ANGLE = 0.15
+# bound on k * ds per integration step, before grid_density divides it
+STEP_ANGLE = 0.02
 
 
 # -- pointwise hypersurface data ----------------------------------------------
@@ -173,26 +182,17 @@ def sigma_scalar_gauss(model: AmbientModel, theta, curv, radius):
 
 @dataclass(frozen=True)
 class CurveDesignParams:
-    """Knobs for design_bending_curve.
+    """Inputs of design_bending_curve; the shape constants above are fixed.
 
     tube_radius is the tube scale (the curve starts at 1.98x it); budget
     is the permitted scalar curvature drop below the ambient value and
-    defaults to tube_radius. bend_margin is the fraction of the budget the
-    allocator actually spends; quad_margin holds back part of the
-    quadratic credit. freeze_sin is the sin(theta) threshold where the
-    curvature freezes; taper_angle the angle left for the final taper.
-    step_angle bounds k * ds per integration step and grid_density scales
-    every resolution knob at once.
+    defaults to tube_radius. grid_density scales every resolution of the
+    designer at once.
     """
 
     model: AmbientModel
     tube_radius: float
     budget: float | None = None
-    bend_margin: float = 0.5
-    quad_margin: float = 0.1
-    freeze_sin: float = 0.8
-    taper_angle: float = 0.15
-    step_angle: float = 0.02
     grid_density: float = 1.0
 
     def __post_init__(self) -> None:
@@ -200,18 +200,6 @@ class CurveDesignParams:
             raise ParameterOutOfRange("tube_radius must be positive")
         if self.budget is not None and not self.budget > 0.0:
             raise ParameterOutOfRange("budget must be positive when given")
-        if not 0.0 < self.bend_margin < 1.0:
-            raise ParameterOutOfRange("bend_margin must be in (0, 1)")
-        if not 0.0 < self.quad_margin < 1.0:
-            raise ParameterOutOfRange("quad_margin must be in (0, 1)")
-        if not 0.4 <= self.freeze_sin <= 0.95:
-            raise ParameterOutOfRange("freeze_sin must be in [0.4, 0.95]")
-        headroom = math.pi / 2 - math.asin(self.freeze_sin)
-        if not 0.01 <= self.taper_angle <= 0.45 * headroom:
-            raise ParameterOutOfRange(
-                "taper_angle must be in [0.01, 0.45 * (pi/2 - asin(freeze_sin))]")
-        if not 1e-4 <= self.step_angle <= 0.1:
-            raise ParameterOutOfRange("step_angle must be in [1e-4, 0.1]")
         if not 0.25 <= self.grid_density <= 64.0:
             raise ParameterOutOfRange("grid_density must be in [0.25, 64]")
 
@@ -294,7 +282,7 @@ class BendingCurve:
         a = self.s_nodes[idx]
         half = 0.5 * (s_arr - a)
         mid = 0.5 * (s_arr + a)
-        nodes, weights = gauss_legendre_rule(_GL_POINTS)
+        nodes, weights = gauss_legendre_rule()
         xs = mid[:, None] + half[:, None] * nodes[None, :]
         th = self._theta_spline(xs)
         cos_i = np.sum(half[:, None] * weights[None, :] * np.cos(th), axis=1)
@@ -467,8 +455,8 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
             f"entry radius {r_start} does not fit below the model equator "
             f"{model.max_radius}")
     budget = params.resolved_budget
-    b_eff = budget * params.bend_margin
-    one_m2 = 1.0 - params.quad_margin
+    b_eff = budget * BEND_MARGIN
+    one_m2 = 1.0 - QUAD_MARGIN
 
     if c == 0.0:
         def log_slope(r: float) -> float:
@@ -497,7 +485,7 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
                 + ((q - 2) * G * G - 2.0 * c) * one_m2 * st / (2.0 * G))
 
     dens = params.grid_density
-    ang = params.step_angle / dens
+    ang = STEP_ANGLE / dens
 
     S = [0.0]
     TH = [0.0]
@@ -565,7 +553,7 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
         guard += 1
         if guard > 200000:
             raise InfeasibleBudget("fade-in step limit exceeded")
-        if th >= math.pi / 2 - 2.0 * params.taper_angle:
+        if th >= math.pi / 2 - 2.0 * TAPER_ANGLE:
             raise InfeasibleBudget(
                 "budget so large the curve overturns during fade-in; "
                 "reduce budget or tube_radius")
@@ -576,7 +564,7 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
     def kfun_follow(ss: float, tt: float, rr: float) -> float:
         return alloc(tt, rr)
 
-    target = params.freeze_sin
+    target = FREEZE_SIN
     guard = 0
     while math.sin(th) < target:
         guard += 1
@@ -608,7 +596,7 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
     s_f, th_f, r_f = s, th, r
     k_freeze = quad_part(th_f, r_f)
     k_alloc_f = alloc(th_f, r_f)
-    theta_taper_at = math.pi / 2 - params.taper_angle
+    theta_taper_at = math.pi / 2 - TAPER_ANGLE
     ell_b = 0.15 / k_alloc_f
     mark = len(S)
     for _ in range(60):
@@ -630,7 +618,7 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
             guard += 1
             if guard > 200000:
                 raise InfeasibleBudget("blend step limit exceeded")
-            if th >= math.pi / 2 - 1.5 * params.taper_angle:
+            if th >= math.pi / 2 - 1.5 * TAPER_ANGLE:
                 ok = False
                 break
         if ok:
@@ -664,7 +652,7 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
     # window phase through roundoff
     breaks.append(("taper", s))
     s_t = s
-    ell_4 = 2.0 * params.taper_angle / k_freeze
+    ell_4 = 2.0 * TAPER_ANGLE / k_freeze
 
     def kfun_taper(uu: float, tt: float, rr: float) -> float:
         return k_freeze * (1.0 - smoothstep5(uu / ell_4))
@@ -707,7 +695,7 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
     b = s_nodes[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
-    nodes, weights = gauss_legendre_rule(_GL_POINTS)
+    nodes, weights = gauss_legendre_rule()
     xs = mid[:, None] + half[:, None] * nodes[None, :]
     th_q = spline(xs)
     cos_inc = np.sum(half[:, None] * weights[None, :] * np.cos(th_q), axis=1)

@@ -173,6 +173,8 @@ def _body_radii(text) -> tuple[float, float]:
 
 
 def _print_certificate(doc: dict) -> None:
+    """One line per claim, then the aggregate status; doc is a certificate
+    or a recheck report."""
     for claim in doc["claims"]:
         print(f"claim {claim['name']:34s} {claim['status']:12s} "
               f"margin={claim['margin']:.6e}")
@@ -190,12 +192,9 @@ def main(argv=None) -> int:
         if args.command == "recheck":
             report = recheck_certificate(args.certificate,
                                          files_dir=args.profiles_dir)
-            for claim in report["claims"]:
-                print(f"claim {claim['name']:34s} {claim['status']:12s} "
-                      f"margin={claim['margin']:.6e}")
             if report["artifacts_missing"]:
                 print(f"artifacts missing: {report['artifacts_missing']}")
-            print(f"status {report['status']}")
+            _print_certificate(report)
             return 0 if report["status"] == "PASS" else 1
 
         if args.command == "build-tunnel":

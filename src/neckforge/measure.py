@@ -1,19 +1,19 @@
 """Volume and diameter measurement for profile pieces.
 
 Volume integrates the product of warp powers against the unit volumes of
-the sphere factors with 12-point Gauss-Legendre panels on the spline knots.
-That is exact when 3 * sum(component_dims) <= 23 and every warp's cubic is
->= 0 on every knot interval, checked through its four Bernstein
-coefficients with a rounding margin (a declared closed end may touch zero).
-Such a piece takes one pass on the halved panels, the float the halving
-check returns after its first refinement. Any other piece falls back to
-the halving check, so volumes of anything less tame fail loudly instead of
-silently drifting.
+the sphere factors with GL_POINTS-point Gauss-Legendre panels on the
+spline knots. That is exact when 3 * sum(component_dims) < 2 * GL_POINTS
+and every warp's cubic is >= 0 on every knot interval, checked through its
+four Bernstein coefficients with a rounding margin (a declared closed end
+may touch zero). Such a piece takes one pass on the halved panels, the
+float the halving check returns after its first refinement. Any other
+piece falls back to the halving check to rel_tol 1e-10, so volumes of
+anything less tame fail loudly instead of silently drifting.
 
 Diameter: the summed axial length is a rigorous lower bound (arclength is
 1-Lipschitz). The upper value, length + pi * max sqrt(sum of squared
-warps), takes its maximum over samples, so it is not a bound (ROADMAP
-item 3).
+warps), takes its maximum over each grid refined DIAMETER_REFINE times, so
+it is not a bound (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -22,14 +22,16 @@ import numpy as np
 
 from .errors import QuadratureNonConvergence
 from .models import unit_sphere_volume
-from .numerics import gauss_legendre_panels
+from .numerics import GL_POINTS, gauss_legendre_panels
 
 __all__ = [
     "adaptive_panel_integral",
     "profile_volume",
-    "total_volume",
     "diameter_bounds",
 ]
+
+# the diameter's fiber maximum samples each grid interval this many times
+DIAMETER_REFINE = 4
 
 
 def _halved(bp: np.ndarray) -> np.ndarray:
@@ -39,17 +41,17 @@ def _halved(bp: np.ndarray) -> np.ndarray:
 
 
 def adaptive_panel_integral(f, breakpoints, rel_tol: float = 1e-10,
-                            max_depth: int = 12, npts: int = 12) -> float:
+                            max_depth: int = 12) -> float:
     """Gauss-Legendre panel integral with a panel-halving convergence check.
 
     Halves every panel until two successive refinements agree to rel_tol;
     raises QuadratureNonConvergence after max_depth halvings.
     """
     bp = np.asarray(breakpoints, dtype=float)
-    prev = gauss_legendre_panels(f, bp, npts)
+    prev = gauss_legendre_panels(f, bp)
     for _ in range(max_depth):
         bp = _halved(bp)
-        cur = gauss_legendre_panels(f, bp, npts)
+        cur = gauss_legendre_panels(f, bp)
         scale = max(abs(cur), abs(prev), 1e-300)
         if abs(cur - prev) <= rel_tol * scale:
             return cur
@@ -88,21 +90,16 @@ def _nonnegative_cubics(spline, closed_start: bool, closed_end: bool) -> bool:
     return bool(ok.all())
 
 
-def profile_volume(profile, rel_tol: float = 1e-10) -> float:
-    """Riemannian volume of one profile piece; rel_tol is the fallback's."""
+def profile_volume(profile) -> float:
+    """Riemannian volume of one profile piece."""
     f = _volume_integrand(profile)
-    if 3 * sum(profile.component_dims) <= 23 and all(
+    if 3 * sum(profile.component_dims) < 2 * GL_POINTS and all(
             _nonnegative_cubics(*warp) for warp in profile.warp_splines):
         return gauss_legendre_panels(f, _halved(profile.grid))
-    return adaptive_panel_integral(f, profile.grid, rel_tol=rel_tol)
+    return adaptive_panel_integral(f, profile.grid)
 
 
-def total_volume(profiles, rel_tol: float = 1e-10) -> float:
-    """Sum of piece volumes for a chain of profiles."""
-    return float(sum(profile_volume(p, rel_tol=rel_tol) for p in profiles))
-
-
-def diameter_bounds(profiles, refine: int = 4) -> tuple[float, float]:
+def diameter_bounds(profiles) -> tuple[float, float]:
     """(lower, upper) diameter estimates for a glued chain.
 
     Lower, rigorous: the summed axial length (the arclength function of
@@ -119,8 +116,8 @@ def diameter_bounds(profiles, refine: int = 4) -> tuple[float, float]:
         grid = prof.grid
         h = (grid[-1] - grid[0]) / (grid.size - 1)
         pts = [grid]
-        for k in range(1, refine):
-            pts.append(grid[:-1] + (k / refine) * h)
+        for k in range(1, DIAMETER_REFINE):
+            pts.append(grid[:-1] + (k / DIAMETER_REFINE) * h)
         s = np.concatenate(pts)
         sq = np.zeros_like(s)
         for v in prof.component_values(s):

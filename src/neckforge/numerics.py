@@ -16,11 +16,16 @@ import numpy as np
 from .errors import DegenerateGrid
 
 __all__ = [
+    "GL_POINTS",
     "smoothstep5",
     "smoothstep7",
     "gauss_legendre_rule",
     "gauss_legendre_panels",
 ]
+
+# nodes per Gauss-Legendre panel, everywhere in the package: exact for
+# polynomials of degree < 2 * GL_POINTS on each panel
+GL_POINTS = 12
 
 
 def _clamp01(x):
@@ -50,34 +55,35 @@ def smoothstep7(x):
 
 
 @lru_cache(maxsize=None)
-def gauss_legendre_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the npts-point Gauss-Legendre rule on [-1, 1].
+def gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the GL_POINTS-point Gauss-Legendre rule on [-1, 1].
 
-    Computed once per npts and shared, so the arrays are read-only.
+    Computed once and shared, so the arrays are read-only.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(npts)
+    nodes, weights = np.polynomial.legendre.leggauss(GL_POINTS)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
 
 
-def gauss_legendre_panels(f, breakpoints, npts: int = 12) -> float:
+def gauss_legendre_panels(f, breakpoints) -> float:
     """Integrate f over [breakpoints[0], breakpoints[-1]] panel by panel.
 
     Each consecutive pair of breakpoints becomes one Gauss-Legendre panel
-    with `npts` nodes. f must accept a 1d array of abscissae. Exact for
-    polynomials of degree < 2*npts on each panel, which makes integrals of
-    spline data with panel edges at the knots reproducible to roundoff.
+    with GL_POINTS nodes. f must accept a 1d array of abscissae. Exact for
+    polynomials of degree < 2 * GL_POINTS on each panel, which makes
+    integrals of spline data with panel edges at the knots reproducible to
+    roundoff.
     """
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 2:
         raise DegenerateGrid("need at least two breakpoints to integrate")
-    nodes, weights = gauss_legendre_rule(npts)
+    nodes, weights = gauss_legendre_rule()
     lo = bp[:-1]
     hi = bp[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    # (n_panels, npts) abscissae, flattened for a single f call
+    # (n_panels, GL_POINTS) abscissae, flattened for a single f call
     xs = mid[:, None] + half[:, None] * nodes[None, :]
     vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
     return float(np.sum(half[:, None] * weights[None, :] * vals))

@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 STANDIN_HEADROOM = 1e-3
+# halvings of a product ingredient's factor radius before giving up
+MAX_RESCALINGS = 40
 
 
 # ---------------------------------------------------------------- volumes
@@ -387,7 +389,8 @@ class PipelineResult:
 def _finalize(kind: str, parameters: dict, quantities: dict, claims,
               provenance: dict, assemblies: dict,
               certificate_path, profiles_dir, tolerance: float) -> PipelineResult:
-    """Save assemblies, fingerprint their manifests, emit the certificate."""
+    """Save assemblies, fingerprint their manifests, emit the certificate;
+    every certificate records n_profile_nodes here."""
     artifacts = {}
     if profiles_dir is not None:
         profiles_dir = Path(profiles_dir)
@@ -402,6 +405,7 @@ def _finalize(kind: str, parameters: dict, quantities: dict, claims,
                 "file": os.path.relpath(manifest, anchor),
                 "sha256": hashlib.sha256(manifest.read_bytes()).hexdigest(),
             }
+    parameters = {**parameters, "n_profile_nodes": PROFILE_NODES}
     doc = make_certificate(kind, parameters, quantities, claims,
                            provenance=provenance, artifacts=artifacts,
                            tolerance=tolerance)
@@ -519,7 +523,6 @@ def _attachment(name: str, ingredient: IngredientMetric,
         "sharpness": float(sharpness),
         "tube_radius": float(tube_radius),
         "grid_density": float(grid_density),
-        "n_profile_nodes": PROFILE_NODES,
         "seed": seed,
     }
     return parameters, quantities, claims, provenance, {"chain": assembly}
@@ -555,7 +558,6 @@ def attach_hemisphere(ingredient: IngredientMetric,
 
 def attach_product_ingredient(base_dim: int, slice_dim: int, *,
                               factor_radius: float | None = None,
-                              max_rescalings: int = 40,
                               hemisphere: IngredientMetric | None = None,
                               diameter_target: float = 0.0,
                               sharpness: float = 100.0,
@@ -591,13 +593,13 @@ def attach_product_ingredient(base_dim: int, slice_dim: int, *,
         raise FloorCheckFailed(
             "product of two circles is flat; no rescaling clears the target")
     swept = 0
-    while not base_curv / scale ** 2 > target and swept < max_rescalings:
+    while not base_curv / scale ** 2 > target and swept < MAX_RESCALINGS:
         scale *= 0.5
         swept += 1
     if not base_curv / scale ** 2 > target:
         raise FloorCheckFailed(
             f"product floor {base_curv / scale ** 2:.6g} never cleared "
-            f"{target:.6g} within {max_rescalings} rescalings")
+            f"{target:.6g} within {MAX_RESCALINGS} rescalings")
     ingredient = product_ingredient(p, q, scale)
     note = ("certified object is the round product of the two sphere "
             "factors; a connected-sum reading of the same factors is a "
@@ -717,7 +719,6 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
         "sharpness": float(sharpness),
         "tube_radius": float(tube_radius),
         "grid_density": float(grid_density),
-        "n_profile_nodes": PROFILE_NODES,
         "seed": seed,
     }
     return _finalize("sphere_chain", parameters, quantities, claims,
@@ -730,7 +731,6 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
                          diameter_target: float = 10.0,
                          dim: int = 3,
                          ball_radius: float | None = None,
-                         budget_constant: float | None = None,
                          grid_density: float = 1.0,
                          tolerance: float = 1e-9,
                          seed: int | None = None,
@@ -811,12 +811,11 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
     hemi_model_closed = 0.5 * omega * rho_a ** n - ball_a
     additivity_gap = (abs(hemi_piece.volume - hemi_model_closed)
                       + abs(eta_piece.volume - vol_eta))
-    if budget_constant is None:
-        # a-priori, eps-free: lateral tube area times stretched length,
-        # plus the small-sphere block at the largest admitted scale
-        budget_constant = (1.2 * unit_sphere_volume(n - 1) * 0.46 ** (n - 1)
-                           * (diameter_target + 1.0)
-                           + (10.0 ** n + 2.0) * omega * 0.08)
+    # a-priori, eps-free: lateral tube area times stretched length, plus
+    # the small-sphere block at the largest admitted scale
+    budget_constant = (1.2 * unit_sphere_volume(n - 1) * 0.46 ** (n - 1)
+                       * (diameter_target + 1.0)
+                       + (10.0 ** n + 2.0) * omega * 0.08)
     bound_final = vol_reference + budget_constant * eps ** (n - 1)
     diameter_lower, diameter_upper = assembly.diameter_bounds()
     global_min = min(assembly.min_scalar, hemisphere.certified_floor)
@@ -868,7 +867,6 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
         "diameter_target": float(diameter_target),
         "hemisphere": hemisphere.name,
         "grid_density": float(grid_density),
-        "n_profile_nodes": PROFILE_NODES,
         "seed": seed,
     }
     return _finalize("volume_budget", parameters, quantities, claims,
@@ -927,7 +925,6 @@ def tunnel_certificate(dim: int = 3, curvature: float = 6.0,
         "length": float(length),
         "sharpness": float(sharpness),
         "grid_density": float(grid_density),
-        "n_profile_nodes": PROFILE_NODES,
         "seed": seed,
     }
     provenance = {"pipeline": "tunnel", "tunnel": tunnel.provenance,
@@ -938,7 +935,6 @@ def tunnel_certificate(dim: int = 3, curvature: float = 6.0,
 
 
 def surgery_certificate(base_dim: int, slice_dim: int, tube_radius: float, *,
-                        allowance: float | None = None,
                         base_radius: float = 1.0, slice_radius: float = 1.0,
                         grid_density: float = 1.0,
                         tolerance: float = 1e-9,
@@ -947,17 +943,15 @@ def surgery_certificate(base_dim: int, slice_dim: int, tube_radius: float, *,
                         profiles_dir=None) -> PipelineResult:
     """Certify a codimension >= 3 surgery on a product of round spheres.
 
-    allowance is the delta in both certified bands: scalar curvature
-    above kappa - delta and total volume within (1 +- delta) of the
-    unmodified product.  It defaults to the tube radius, matching the
-    surgery builder's own curvature budget.
+    The tube radius is also the allowance delta of both certified bands:
+    scalar curvature above kappa - delta, which is the surgery builder's
+    own curvature budget, and total volume within (1 +- delta) of the
+    unmodified product.
     """
-    delta = float(tube_radius if allowance is None else allowance)
-    if not delta > 0.0:
-        raise ParameterOutOfRange("allowance must be positive")
+    delta = float(tube_radius)
     surgery = perform_surgery(base_dim, slice_dim, tube_radius,
                               base_radius=base_radius,
-                              slice_radius=slice_radius, budget=delta,
+                              slice_radius=slice_radius,
                               grid_density=grid_density)
     kappa = surgery.provenance["floor"] + delta
     reference = surgery.provenance["volume_reference"]
@@ -985,7 +979,6 @@ def surgery_certificate(base_dim: int, slice_dim: int, tube_radius: float, *,
         "base_radius": float(base_radius),
         "slice_radius": float(slice_radius),
         "grid_density": float(grid_density),
-        "n_profile_nodes": PROFILE_NODES,
         "seed": seed,
     }
     provenance = {"pipeline": "surgery", "surgery": surgery.provenance,

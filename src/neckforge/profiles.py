@@ -81,15 +81,10 @@ def _validate_warp(values: np.ndarray, grid: np.ndarray,
         raise NonPositiveWarp(f"{name} must be positive away from closed poles")
 
 
-def _curvature_sample_points(grid: np.ndarray, refine: int,
-                             trim_start: bool, trim_end: bool) -> np.ndarray:
-    if refine < 1:
-        raise ParameterOutOfRange("refine must be >= 1")
+def _curvature_sample_points(grid: np.ndarray, trim_start: bool,
+                             trim_end: bool) -> np.ndarray:
     h = (grid[-1] - grid[0]) / (grid.size - 1)
-    pts = [grid]
-    for k in range(1, refine):
-        pts.append(grid[:-1] + (k / refine) * h)
-    s = np.unique(np.concatenate(pts))
+    s = np.unique(np.concatenate([grid, grid[:-1] + 0.5 * h]))
     margin = _POLE_TRIM * (grid[-1] - grid[0])
     if trim_start:
         s = s[s > grid[0] + margin]
@@ -187,14 +182,14 @@ class WarpProfile:
         sp = self._spline
         return scalar_curvature_warped(sp(s), sp(s, 1), sp(s, 2), self.fiber_dim)
 
-    def curvature_samples(self, refine: int = 2):
-        """Sample points (nodes plus refine-1 subdivisions) and R there.
+    def curvature_samples(self):
+        """Sample points (nodes and interval midpoints) and R there.
 
         Pole nodes of closed ends are excluded; their analytic limits live
         with the piece that built the closure.
         """
-        s = _curvature_sample_points(self.grid, refine,
-                                     self.closed_start, self.closed_end)
+        s = _curvature_sample_points(self.grid, self.closed_start,
+                                     self.closed_end)
         return s, self.scalar_curvature(s)
 
     def boundary_jets(self, end: str) -> tuple[tuple[float, float, float], ...]:
@@ -330,8 +325,8 @@ class DoublyWarpProfile:
             sb(s), sb(s, 1), sb(s, 2),
             self.dim_a, self.dim_b)
 
-    def curvature_samples(self, refine: int = 2):
-        s = _curvature_sample_points(self.grid, refine,
+    def curvature_samples(self):
+        s = _curvature_sample_points(self.grid,
                                      self.closed_start is not None,
                                      self.closed_end is not None)
         return s, self.scalar_curvature(s)

@@ -66,7 +66,7 @@ def test_choose_stretch_stops_at_first_admissible_leg():
 def test_choose_stretch_unreachable_floor_is_infeasible():
     # static curvature tops out at 2/0.3^2; no stretch can beat it
     with pytest.raises(InfeasibleBudget):
-        choose_stretch((0.3,), (0.6,), (2,), 1e5, 0.1, max_doublings=8)
+        choose_stretch((0.3,), (0.6,), (2,), 1e5, 0.1)
 
 
 def test_boundary_homotopy_moves_slice_warp_first():
@@ -102,7 +102,7 @@ def test_certified_min_scalar_requires_declared_poles():
 
 def test_certified_min_scalar_open_profile_plain_minimum():
     leg = collar_metric((0.3,), (0.6,), (2,), stretch=2.0)
-    s, R = leg.curvature_samples(2)
+    s, R = leg.curvature_samples()
     assert certified_min_scalar(leg) == pytest.approx(float(np.min(R)))
 
 

@@ -259,13 +259,19 @@ def test_param_validation():
     with pytest.raises(ParameterOutOfRange):
         CurveDesignParams(model=model, tube_radius=0.1, budget=-1.0)
     with pytest.raises(ParameterOutOfRange):
-        CurveDesignParams(model=model, tube_radius=0.1, bend_margin=1.0)
-    with pytest.raises(ParameterOutOfRange):
-        CurveDesignParams(model=model, tube_radius=0.1, freeze_sin=0.99)
-    with pytest.raises(ParameterOutOfRange):
-        CurveDesignParams(model=model, tube_radius=0.1, taper_angle=0.6)
-    with pytest.raises(ParameterOutOfRange):
         CurveDesignParams(model=model, tube_radius=0.1, grid_density=0.0)
+
+
+def test_design_constants_in_range():
+    # the ranges the designer's phases rely on: a spend margin and a held
+    # back share of the credit, a freeze point, and a taper that fits in
+    # the angle left after the freeze with room for the blend
+    assert 0.0 < bending.BEND_MARGIN < 1.0
+    assert 0.0 < bending.QUAD_MARGIN < 1.0
+    assert 0.4 <= bending.FREEZE_SIN <= 0.95
+    headroom = math.pi / 2 - math.asin(bending.FREEZE_SIN)
+    assert 0.01 <= bending.TAPER_ANGLE <= 0.45 * headroom
+    assert 1e-4 <= bending.STEP_ANGLE <= 0.1
 
 
 @pytest.mark.parametrize("window", [smoothstep5, smoothstep7])

@@ -31,6 +31,17 @@ def test_recheck_roundtrip_and_tamper_exit(tmp_path, capsys):
     assert "SchemaViolation" in capsys.readouterr().err
 
 
+def test_recheck_prints_the_claim_lines_of_the_build(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert main(["build-tunnel", "--out", str(cert)]) == 0
+    built = capsys.readouterr().out.splitlines()
+    assert main(["recheck", str(cert)]) == 0
+    rechecked = capsys.readouterr().out.splitlines()
+    claims = [line for line in built if line.startswith("claim ")]
+    assert len(claims) == 3
+    assert rechecked == claims + ["status PASS"]
+
+
 def test_pipeline_names_map_to_kinds(tmp_path):
     for name, kind in [("main-a", "hemisphere_attachment"),
                        ("cor-d", "hemisphere_attachment"),

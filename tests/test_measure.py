@@ -10,7 +10,6 @@ from neckforge.measure import (
     adaptive_panel_integral,
     diameter_bounds,
     profile_volume,
-    total_volume,
 )
 from neckforge.numerics import gauss_legendre_panels
 from neckforge.pipelines import (
@@ -51,13 +50,6 @@ def test_product_body_volume():
                              dim_a=1, dim_b=2, closed_start=1, closed_end=1)
     expected = (4 * np.pi) * (2 * np.pi**2 * 27)
     assert profile_volume(prof) == pytest.approx(expected, rel=1e-9)
-
-
-def test_total_volume_adds():
-    grid = np.linspace(0.0, 1.0, 32)
-    prof = WarpProfile(grid=grid, values=np.full(32, 0.5), fiber_dim=2)
-    assert total_volume([prof, prof]) == pytest.approx(2 * profile_volume(prof),
-                                                       rel=1e-14)
 
 
 def test_diameter_bounds_cylinder():

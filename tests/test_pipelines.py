@@ -180,8 +180,10 @@ def test_product_attachment_sweeps_radius_when_needed():
 
 
 def test_product_attachment_fails_without_sweep_room():
+    # the floor clears 6 below radius 0.58: about 100 halvings from 1e30,
+    # more than MAX_RESCALINGS allows
     with pytest.raises(FloorCheckFailed):
-        attach_product_ingredient(1, 2, factor_radius=10.0, max_rescalings=0)
+        attach_product_ingredient(1, 2, factor_radius=1e30)
 
 
 def test_product_attachment_equal_factors_symmetric():

@@ -81,7 +81,7 @@ class TestWarpProfile:
 
     def test_scalar_curvature_matches_round_sphere(self):
         prof = sin_profile()
-        s, R = prof.curvature_samples(refine=2)
+        s, R = prof.curvature_samples()
         assert np.max(np.abs(R - 6.0)) < 1e-5
 
     def test_closed_sphere_profile(self):

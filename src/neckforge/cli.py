@@ -47,8 +47,6 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
                      help="key = value defaults; explicit flags win")
     top.add_argument("--grid-density", type=float, default=1.0,
                      help="multiplier on curvature sampling resolution")
-    top.add_argument("--seed", type=int, default=None,
-                     help="recorded in provenance; runs are deterministic")
     top.add_argument("--tolerance", type=float, default=1e-9,
                      help="claim margin below this is inconclusive")
     sub = top.add_subparsers(dest="command", required=True)
@@ -128,9 +126,8 @@ def _apply_config(config: dict, top, subparsers) -> None:
 
 
 def _run_pipeline(args) -> PipelineResult:
-    common = dict(grid_density=args.grid_density, seed=args.seed,
-                  tolerance=args.tolerance, certificate_path=args.out,
-                  profiles_dir=args.profiles_dir)
+    common = dict(grid_density=args.grid_density, tolerance=args.tolerance,
+                  certificate_path=args.out, profiles_dir=args.profiles_dir)
     diameter = args.d
     if args.name == "main-a":
         ingredient = round_sphere_ingredient(args.n, args.ingredient_radius)
@@ -200,16 +197,15 @@ def main(argv=None) -> int:
         if args.command == "build-tunnel":
             result = tunnel_certificate(
                 args.n, args.kappa, args.delta, args.length, args.j,
-                grid_density=args.grid_density, seed=args.seed,
-                tolerance=args.tolerance, certificate_path=args.out,
-                profiles_dir=args.profiles_dir)
+                grid_density=args.grid_density, tolerance=args.tolerance,
+                certificate_path=args.out, profiles_dir=args.profiles_dir)
         elif args.command == "surgery":
             base_radius, slice_radius = _body_radii(args.body)
             result = surgery_certificate(
                 args.p, args.q, args.delta, base_radius=base_radius,
                 slice_radius=slice_radius, grid_density=args.grid_density,
-                seed=args.seed, tolerance=args.tolerance,
-                certificate_path=args.out, profiles_dir=args.profiles_dir)
+                tolerance=args.tolerance, certificate_path=args.out,
+                profiles_dir=args.profiles_dir)
         else:
             result = _run_pipeline(args)
     except NeckforgeError as exc:

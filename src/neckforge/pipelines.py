@@ -422,8 +422,7 @@ def _finalize(kind: str, parameters: dict, quantities: dict, claims,
 
 def _attachment(name: str, ingredient: IngredientMetric,
                 hemisphere: IngredientMetric | None, diameter_target: float,
-                sharpness: float, tube_radius: float, grid_density: float,
-                seed: int | None):
+                sharpness: float, tube_radius: float, grid_density: float):
     """Parameters, quantities, claims, provenance and assemblies of one
     hemisphere attachment, before finalizing; see attach_hemisphere."""
     n = ingredient.dim
@@ -469,7 +468,6 @@ def _attachment(name: str, ingredient: IngredientMetric,
         "boundary_policy": "glued at an interior pole only; the totally "
                            "geodesic boundary annulus is never modified",
         "tunnel": tunnel.provenance,
-        "seed": seed,
     }
     assembly = _compose(name, spec, provenance, n - 1)
     hemi_arc = assembly.pieces[-1].profile
@@ -523,7 +521,6 @@ def _attachment(name: str, ingredient: IngredientMetric,
         "sharpness": float(sharpness),
         "tube_radius": float(tube_radius),
         "grid_density": float(grid_density),
-        "seed": seed,
     }
     return parameters, quantities, claims, provenance, {"chain": assembly}
 
@@ -535,7 +532,6 @@ def attach_hemisphere(ingredient: IngredientMetric,
                       tube_radius: float = 0.1,
                       grid_density: float = 1.0,
                       tolerance: float = 1e-9,
-                      seed: int | None = None,
                       certificate_path=None,
                       profiles_dir=None) -> PipelineResult:
     """Join an ingredient to a hemisphere through a curvature-safe tunnel.
@@ -552,7 +548,7 @@ def attach_hemisphere(ingredient: IngredientMetric,
     return _finalize("hemisphere_attachment",
                      *_attachment("hemisphere_attachment", ingredient,
                                   hemisphere, diameter_target, sharpness,
-                                  tube_radius, grid_density, seed),
+                                  tube_radius, grid_density),
                      certificate_path, profiles_dir, tolerance)
 
 
@@ -564,8 +560,7 @@ def attach_product_ingredient(base_dim: int, slice_dim: int, *,
                               tube_radius: float = 0.05,
                               grid_density: float = 1.0,
                               tolerance: float = 1e-9,
-                              seed: int | None = None,
-                              certificate_path=None,
+                                     certificate_path=None,
                               profiles_dir=None) -> PipelineResult:
     """Hemisphere attachment whose ingredient is a round product of spheres.
 
@@ -606,7 +601,7 @@ def attach_product_ingredient(base_dim: int, slice_dim: int, *,
             "different space and is not certified here")
     parameters, quantities, claims, provenance, assemblies = _attachment(
         "product_attachment", ingredient, hemisphere, diameter_target,
-        sharpness, tube_radius, grid_density, seed)
+        sharpness, tube_radius, grid_density)
     parameters.update(factor_dims=[p, q], rescalings=swept)
     quantities.update(product_floor_recomputed=ingredient.recomputed_floor(),
                       factor_radius=scale)
@@ -625,8 +620,7 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
                              tube_radius: float = 0.1,
                              grid_density: float = 1.0,
                              tolerance: float = 1e-9,
-                             seed: int | None = None,
-                             certificate_path=None,
+                                   certificate_path=None,
                              profiles_dir=None) -> PipelineResult:
     """Beat a volume target by chaining unit round spheres.
 
@@ -673,7 +667,6 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
         "attach_tunnel": attach.provenance,
         "link_note": "all inter-sphere tunnels reuse one built profile "
                      "chain; links differ only by name",
-        "seed": seed,
     }
     assembly = _compose("sphere_chain", spec, provenance, n - 1)
 
@@ -719,7 +712,6 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
         "sharpness": float(sharpness),
         "tube_radius": float(tube_radius),
         "grid_density": float(grid_density),
-        "seed": seed,
     }
     return _finalize("sphere_chain", parameters, quantities, claims,
                      provenance, {"chain": assembly}, certificate_path,
@@ -733,8 +725,7 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
                          ball_radius: float | None = None,
                          grid_density: float = 1.0,
                          tolerance: float = 1e-9,
-                         seed: int | None = None,
-                         certificate_path=None,
+                           certificate_path=None,
                          profiles_dir=None) -> PipelineResult:
     """Long thin tunnel from a certified hemisphere to a small sphere.
 
@@ -797,7 +788,6 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
         "attachment_model_a": attach_a,
         "small_sphere_radius": eta,
         "tunnel": tunnel.provenance,
-        "seed": seed,
     }
     assembly = _compose("volume_budget", spec, provenance, n - 1)
     hemi_piece, eta_piece = assembly.pieces[0], assembly.pieces[-1]
@@ -867,7 +857,6 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
         "diameter_target": float(diameter_target),
         "hemisphere": hemisphere.name,
         "grid_density": float(grid_density),
-        "seed": seed,
     }
     return _finalize("volume_budget", parameters, quantities, claims,
                      provenance, {"chain": assembly}, certificate_path,
@@ -881,7 +870,6 @@ def tunnel_certificate(dim: int = 3, curvature: float = 6.0,
                        sharpness: float = 100.0, *,
                        grid_density: float = 1.0,
                        tolerance: float = 1e-9,
-                       seed: int | None = None,
                        certificate_path=None,
                        profiles_dir=None) -> PipelineResult:
     """Certify one tunnel within a single round ambient model.
@@ -925,10 +913,8 @@ def tunnel_certificate(dim: int = 3, curvature: float = 6.0,
         "length": float(length),
         "sharpness": float(sharpness),
         "grid_density": float(grid_density),
-        "seed": seed,
     }
-    provenance = {"pipeline": "tunnel", "tunnel": tunnel.provenance,
-                  "seed": seed}
+    provenance = {"pipeline": "tunnel", "tunnel": tunnel.provenance}
     return _finalize("tunnel", parameters, quantities, claims, provenance,
                      {"tunnel": tunnel}, certificate_path, profiles_dir,
                      tolerance)
@@ -938,8 +924,7 @@ def surgery_certificate(base_dim: int, slice_dim: int, tube_radius: float, *,
                         base_radius: float = 1.0, slice_radius: float = 1.0,
                         grid_density: float = 1.0,
                         tolerance: float = 1e-9,
-                        seed: int | None = None,
-                        certificate_path=None,
+                         certificate_path=None,
                         profiles_dir=None) -> PipelineResult:
     """Certify a codimension >= 3 surgery on a product of round spheres.
 
@@ -979,10 +964,8 @@ def surgery_certificate(base_dim: int, slice_dim: int, tube_radius: float, *,
         "base_radius": float(base_radius),
         "slice_radius": float(slice_radius),
         "grid_density": float(grid_density),
-        "seed": seed,
     }
-    provenance = {"pipeline": "surgery", "surgery": surgery.provenance,
-                  "seed": seed}
+    provenance = {"pipeline": "surgery", "surgery": surgery.provenance}
     return _finalize("surgery", parameters, quantities, claims, provenance,
                      {"surgery": surgery}, certificate_path, profiles_dir,
                      tolerance)

@@ -108,11 +108,15 @@ def test_infeasible_construction_exits_two(capsys):
     assert "IngredientFloorTooLow" in capsys.readouterr().err
 
 
-def test_global_seed_and_tolerance_are_recorded(tmp_path):
+def test_global_tolerance_is_recorded(tmp_path):
     cert = tmp_path / "cert.json"
-    main(["--seed", "7", "--tolerance", "1e-10", "pipeline", "cor-d",
-          "--out", str(cert)])
+    main(["--tolerance", "1e-10", "pipeline", "cor-d", "--out", str(cert)])
     doc = json.loads(cert.read_text())
-    assert doc["parameters"]["seed"] == 7
-    assert doc["provenance"]["seed"] == 7
     assert all(c["tolerance"] == 1e-10 for c in doc["claims"])
+
+
+def test_seed_option_is_rejected():
+    # builds are deterministic; there is no seed to set
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "7", "build-tunnel"])
+    assert exc.value.code == 2

@@ -340,14 +340,14 @@ def test_pipeline_artifact_tamper_detected(tmp_path):
 # Python 3.11; other versions may move the last bits of the quadratures.
 GOLDEN_CERTIFICATE_DIGESTS = [
     (lambda: tunnel_certificate(3, sharpness=100.0, grid_density=1.0),
-     "d50bb484fa8ccbc7056996c20a7830df07536542c5a6ead33ea1e731d38f4164"),
+     "03546acaa0a3edfbd18a6559733b4a5a3cb1cd2746e9d56dfe8c239a9f2eb082"),
     (lambda: tunnel_certificate(4, sharpness=1e4, grid_density=2.0,
                                 length=0.0),
-     "03b608576d762b6db57ffc9dd29f5a4971d2a7ddcee85bb7dc3b2858c805daf2"),
+     "aed8aabcb38ea5830b0c4f8052bc0d417097eb48bc73d78cc888da7f6e00ac3b"),
     (lambda: surgery_certificate(1, 3, 0.05),
-     "c393be8d0e3419c57a6f5f90381674fe824b06074c80d9ba6d1f83f295ac10cf"),
+     "4e3975f1b7a2252fb564df1eb36b854503dcfa570d3ea1f750e1de29e590aff3"),
     (lambda: surgery_certificate(2, 4, 0.05),
-     "bfe80005460188eb3355e9bfbee52559b9dddaca2d0536d10e063a8c00fbadfb"),
+     "0e821d3d72e74d836b5e2188c2c608d4c1864ba8b8269dc929a00910efdd44ab"),
 ]
 
 
@@ -356,7 +356,7 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
     for run in ("one", "two"):
         d = tmp_path / run
         attach_hemisphere(round_sphere_ingredient(3, 0.5),
-                          diameter_target=10.0, seed=11,
+                          diameter_target=10.0,
                           certificate_path=d / "cert.json",
                           profiles_dir=d / "files")
         blobs.append((d / "cert.json").read_bytes())
@@ -375,30 +375,30 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
 GOLDEN_ARTIFACT_DIGESTS = [
     pytest.param(
         lambda **files: tunnel_certificate(3, sharpness=100.0, **files),
-        "3dc3ff24dfee8ec97f50dc49f4f000964604f7ea96ac74eedb4bfb8b3427485f",
+        "b32cd42489f37b3d8aada1555fe9e5e6201af204da1104be8f7548345b7ccc24",
         id="tunnel"),
     pytest.param(
         lambda **files: surgery_certificate(1, 3, 0.05, **files),
-        "02cbaf6369818f08e1e7a19902c07188555794cf2ee3238bfe8bf8877f6c74f6",
+        "cb9f259bad52425cbd8b0c631074de17c19b7f999d1d001661c1f77843ec4508",
         id="surgery"),
     # four spheres: three links written from one repeated profile chain
     pytest.param(
         lambda **files: sphere_chain_certificate(
             1.5 * unit_sphere_volume(3), 3, **files),
-        "6172bb5d6e9acace24c86436de839b259e904454694e39380819cdcbbaa6fbbd",
+        "02a5819d40f444a8988078901ac95459677361782adf5b667c0cfe19133de829",
         id="chain"),
     # round ingredient remnant from its far pole, hemisphere up to its
     # boundary, with a waist cylinder
     pytest.param(
         lambda **files: attach_hemisphere(round_sphere_ingredient(3, 0.5),
                                           diameter_target=10.0, **files),
-        "227eebff3203346b0151438a6bfcfac66094b6e4d9699c066d40c3953b112161",
+        "efca9c5728835c99668f77df899d4884148d0c278b610cbcddb719a2a633014c",
         id="hemisphere"),
     # stand-in attachment: no ingredient remnant, product entries added
     pytest.param(
         lambda **files: attach_product_ingredient(1, 2, factor_radius=10.0,
                                                   **files),
-        "438a8185e33a11d8b0274d794823d851b6b7593f47a4a7385e769df78c79105d",
+        "1ec0f44d7c17940d20a963f955a06b7ac074ccc6ea22e6213430fe2e0f4ab443",
         id="product"),
     # hemisphere from its boundary down to the tunnel, small sphere out
     # to its far pole
@@ -406,7 +406,7 @@ GOLDEN_ARTIFACT_DIGESTS = [
         lambda **files: verify_volume_budget(
             hemisphere_standin(3, declared_volume=0.5 * unit_sphere_volume(3)),
             0.05, **files),
-        "18f794aacea7ca8134016dece55e1c501e27f6348b75cad289188f00de1c9cd9",
+        "1bcc80612ca090507de114dd97718311a823215cc49adf4f52e454575364b52e",
         id="budget"),
 ]
 

@@ -6,7 +6,10 @@ ds^2 + v^2 g_{S^m}) or two warps (DoublyWarpProfile, metric
 ds^2 + va^2 g_{S^p} + vb^2 g_{S^f}). Values are interpolated with
 not-a-knot cubic splines; all curvature and volume evaluation downstream
 goes through the spline, so a profile written to disk and reloaded
-reproduces its numbers exactly.
+reproduces its numbers exactly. A constant warp (the round base factor of
+a surgery neck, a cylinder, the fixed factor of a collar leg or cap) is
+its own closed form: it evaluates to the same floats as its spline
+without building one.
 
 Warps must stay positive except at a declared closed end, where exactly one
 warp vanishes with unit slope and the metric closes smoothly over a pole
@@ -93,7 +96,38 @@ def _curvature_sample_points(grid: np.ndarray, trim_start: bool,
     return s
 
 
-def _spline_jet(spline: CubicSpline, s: float) -> tuple[float, float, float]:
+class _ConstantWarp:
+    """The not-a-knot spline through equal samples, in closed form.
+
+    For constant data every slope of CubicSpline's banded solve is exactly
+    +0.0, so the spline is the constant for nu = 0 and +0.0 for nu >= 1,
+    bit for bit wherever its extrapolation does not overflow. This returns
+    those floats without the solve or any per-point polynomial evaluation.
+    """
+
+    def __init__(self, grid: np.ndarray, value: float) -> None:
+        self.x = grid
+        self.value = value
+
+    def __call__(self, s, nu: int = 0) -> np.ndarray:
+        return np.full(np.shape(s), self.value if nu == 0 else 0.0)
+
+    @property
+    def c(self) -> np.ndarray:
+        """Power coefficients per knot interval, laid out as CubicSpline.c."""
+        c = np.zeros((4, self.x.size - 1))
+        c[3] = self.value
+        return c
+
+
+def _warp_spline(grid: np.ndarray, values: np.ndarray):
+    """The interpolant of one warp: closed form for constant samples."""
+    if np.all(values == values[0]):
+        return _ConstantWarp(grid, float(values[0]))
+    return CubicSpline(grid, values)
+
+
+def _spline_jet(spline, s: float) -> tuple[float, float, float]:
     return (float(spline(s)), float(spline(s, 1)), float(spline(s, 2)))
 
 
@@ -149,8 +183,8 @@ class WarpProfile:
     # -- evaluation ------------------------------------------------------
 
     @cached_property
-    def _spline(self) -> CubicSpline:
-        return CubicSpline(self.grid, self.values)
+    def _spline(self):
+        return _warp_spline(self.grid, self.values)
 
     @property
     def kind(self) -> str:
@@ -290,12 +324,12 @@ class DoublyWarpProfile:
         object.__setattr__(self, "jets_end", jets_end)
 
     @cached_property
-    def _spline_a(self) -> CubicSpline:
-        return CubicSpline(self.grid, self.values_a)
+    def _spline_a(self):
+        return _warp_spline(self.grid, self.values_a)
 
     @cached_property
-    def _spline_b(self) -> CubicSpline:
-        return CubicSpline(self.grid, self.values_b)
+    def _spline_b(self):
+        return _warp_spline(self.grid, self.values_b)
 
     @property
     def kind(self) -> str:

@@ -6,17 +6,25 @@ import pytest
 from neckforge import measure
 from neckforge.errors import QuadratureNonConvergence
 from neckforge.measure import (
+    DIAMETER_REFINE,
+    _bernstein,
+    _fiber_bound,
     _volume_integrand,
     adaptive_panel_integral,
     diameter_bounds,
     profile_volume,
 )
+from neckforge.models import unit_sphere_volume
 from neckforge.numerics import gauss_legendre_panels
 from neckforge.pipelines import (
+    attach_hemisphere,
     attach_product_ingredient,
+    hemisphere_standin,
+    round_sphere_ingredient,
     sphere_chain_certificate,
     surgery_certificate,
     tunnel_certificate,
+    verify_volume_budget,
 )
 from neckforge.profiles import DoublyWarpProfile, WarpProfile
 
@@ -126,6 +134,21 @@ def test_one_quadrature_pass_per_tunnel_volume(passes):
     assert passes[0] == len(profiles)
 
 
+def test_split_intervals_take_the_exact_path(passes):
+    # acollar_0 has a negative Bernstein coefficient on one interval where
+    # its cubic stays positive; one de Casteljau split proves the interval
+    result = tunnel_certificate(3, 6.0, 0.0504, 0.585, 5.40e5)
+    collar = result.assemblies["tunnel"].piece("acollar_0")
+    bern, scale = _bernstein(collar.profile.warp_splines[0][0])
+    assert not (bern >= 8e-16 * scale).all()
+    assert collar.volume.hex() == "0x1.0baa76e8d37a9p-10"
+    profiles = _distinct_profiles(result)
+    passes[0] = 0
+    for prof in profiles:
+        profile_volume(prof)
+    assert passes[0] == len(profiles)
+
+
 def test_closed_ends_take_the_exact_path(passes):
     grid = np.linspace(0.0, np.pi, 512)
     prof = WarpProfile(grid=grid, values=np.sin(grid), fiber_dim=2,
@@ -153,3 +176,83 @@ def test_negative_spline_dip_takes_the_halving_loop(passes):
     vol = profile_volume(prof)
     assert passes[0] >= 2
     assert vol == adaptive_panel_integral(_volume_integrand(prof), prof.grid)
+
+
+# -- the bounded diameter sweep ---------------------------------------------
+
+
+def reference_diameter(profiles):
+    """The exhaustive sweep: every piece sampled on its refined grid."""
+    length = 0.0
+    max_fiber = 0.0
+    for prof in profiles:
+        length += prof.length
+        grid = prof.grid
+        h = (grid[-1] - grid[0]) / (grid.size - 1)
+        pts = [grid]
+        for k in range(1, DIAMETER_REFINE):
+            pts.append(grid[:-1] + (k / DIAMETER_REFINE) * h)
+        s = np.concatenate(pts)
+        sq = np.zeros_like(s)
+        for v in prof.component_values(s):
+            sq = sq + v * v
+        max_fiber = max(max_fiber, float(np.max(np.sqrt(sq))))
+    return length, length + np.pi * max_fiber
+
+
+@pytest.fixture
+def sampled(monkeypatch):
+    """The profiles whose fiber the diameter sweep samples, in order."""
+    seen = []
+    real = measure._sampled_fiber
+
+    def spy(profile):
+        seen.append(profile)
+        return real(profile)
+
+    monkeypatch.setattr(measure, "_sampled_fiber", spy)
+    return seen
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tunnel_certificate(3),
+    lambda: surgery_certificate(1, 3, 0.05),
+    lambda: attach_hemisphere(round_sphere_ingredient(3, 0.8)),
+    lambda: attach_hemisphere(round_sphere_ingredient(3, 0.5),
+                              diameter_target=10.0),
+    lambda: attach_product_ingredient(1, 2),
+    lambda: sphere_chain_certificate(3 * unit_sphere_volume(3), 3),
+    lambda: verify_volume_budget(
+        hemisphere_standin(3, declared_volume=0.5 * unit_sphere_volume(3)),
+        0.05, diameter_target=10.0),
+], ids=["tunnel", "surgery", "main-a", "cor-d", "cor-t", "cor-v", "main-b"])
+def test_diameter_sweep_equals_the_exhaustive_sweep(build, sampled):
+    for assembly in build().assemblies.values():
+        sampled.clear()
+        assert assembly.diameter_bounds() == reference_diameter(
+            assembly.profiles)
+        assert 0 < len(sampled) < len(assembly.pieces)
+
+
+def test_diameter_maximum_in_the_second_piece(sampled):
+    grid = np.linspace(0.0, 1.0, 64)
+    flat = WarpProfile(grid=grid, values=np.full(64, 0.3), fiber_dim=2)
+    bump = WarpProfile(grid=grid, values=0.3 + 0.5 * np.sin(np.pi * grid),
+                       fiber_dim=2)
+    assert diameter_bounds([flat, bump]) == reference_diameter([flat, bump])
+    # the flat piece's bound is below the bump's maximum: never sampled
+    assert sampled == [bump]
+
+
+def test_diameter_samples_a_piece_whose_bound_clears_the_maximum(sampled):
+    # a spike's cubics overshoot their nodes' hull, so its bound exceeds
+    # its sampled maximum by about 0.2%; the larger spike holds the
+    # maximum, but the smaller one's bound still clears it
+    grid = np.linspace(0.0, 1.0, 8)
+    values = np.full(8, 0.5)
+    values[3] = 0.9
+    small = WarpProfile(grid=grid, values=values, fiber_dim=2)
+    large = WarpProfile(grid=grid, values=1.001 * values, fiber_dim=2)
+    assert _fiber_bound(small) > np.max(large.values) > np.max(small.values)
+    assert diameter_bounds([small, large]) == reference_diameter([small, large])
+    assert sampled == [large, small]

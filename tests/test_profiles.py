@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from neckforge import profiles
 from neckforge.errors import (
     DegenerateGrid,
     NonPositiveWarp,
     ParameterOutOfRange,
     SchemaViolation,
 )
+from neckforge.measure import _halved
+from neckforge.numerics import gauss_legendre_rule
+from neckforge.pipelines import surgery_certificate
 from neckforge.profiles import (
     DoublyWarpProfile,
     WarpProfile,
@@ -248,3 +253,89 @@ class TestDoublyWarpProfile:
         path.write_text(body)
         with pytest.raises(SchemaViolation):
             load_profile_csv(path)
+
+
+# -- constant warps ------------------------------------------------------------
+
+CONSTANTS = (1e-12, 0.37, 1.0, 123.0)
+
+
+def constant_profile(kind, n, c):
+    """A profile whose first warp is the constant c, and that warp's
+    spline attribute and samples."""
+    grid = np.linspace(0.25, 2.75, n)
+    if kind == "warped":
+        prof = WarpProfile(grid=grid, values=np.full(n, c), fiber_dim=2)
+        return prof, "_spline", prof.values
+    prof = DoublyWarpProfile(grid=grid, values_a=np.full(n, c),
+                             values_b=c * (1.5 + 0.5 * np.sin(grid)),
+                             dim_a=1, dim_b=3)
+    return prof, "_spline_a", prof.values_a
+
+
+def probe_points(grid):
+    """Nodes, midpoints, the abscissae of the volume quadrature on the
+    halved panels, 0-d and scalar inputs, and points outside the grid."""
+    h = grid[1] - grid[0]
+    bp = _halved(grid)
+    half = 0.5 * np.diff(bp)
+    mid = 0.5 * (bp[:-1] + bp[1:])
+    abscissae = (mid[:, None] + half[:, None] * gauss_legendre_rule()[0]).ravel()
+    outside = np.array([grid[0] - 1.0, grid[0] - h / 3, grid[-1] + h / 3,
+                        grid[-1] + 10.0])
+    return [grid, grid[:-1] + 0.5 * h, abscissae, outside,
+            np.array(grid[5]), float(grid[5]), 1.3]
+
+
+@pytest.mark.parametrize("kind", ["warped", "doubly_warped"])
+@pytest.mark.parametrize("n", [8, 128, 1024, 2048])
+def test_constant_warp_evaluates_as_its_spline_bit_for_bit(kind, n):
+    for c in CONSTANTS:
+        prof, attr, values = constant_profile(kind, n, c)
+        closed_form = getattr(prof, attr)
+        assert not isinstance(closed_form, CubicSpline)
+        spline = CubicSpline(prof.grid, values)
+        for x in probe_points(prof.grid):
+            for nu in (0, 1, 2):
+                got = np.asarray(closed_form(x, nu))
+                want = np.asarray(spline(x, nu))
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ["warped", "doubly_warped"])
+def test_constant_warp_keeps_canonical_bytes(kind, tmp_path):
+    # derivative columns of the constant warp: s,phi,dphi,d2phi and
+    # s,a,b,da,db,d2a,d2b
+    columns = (2, 3) if kind == "warped" else (3, 5)
+    for n in (8, 128, 1024, 2048):
+        for c in CONSTANTS:
+            prof, attr, values = constant_profile(kind, n, c)
+            ref, _, _ = constant_profile(kind, n, c)
+            # the cached spline the profile had before the closed form
+            ref.__dict__[attr] = CubicSpline(ref.grid, values)
+            data = prof.canonical_bytes()
+            assert data == ref.canonical_bytes()
+            rows = [ln.split(",") for ln in data.decode().splitlines()
+                    if not ln.startswith("#")]
+            assert all(row[k] == "0" for row in rows for k in columns)
+            path = tmp_path / f"{kind}_{n}_{c}.csv"
+            assert save_profile_csv(prof, path) == ref.fingerprint()
+            assert load_profile_csv(path).fingerprint() == ref.fingerprint()
+
+
+def test_no_constant_warp_builds_a_spline(monkeypatch):
+    constant = []
+
+    def counting(x, y):
+        constant.append(bool(np.all(y == y[0])))
+        return CubicSpline(x, y)
+
+    monkeypatch.setattr(profiles, "CubicSpline", counting)
+    result = surgery_certificate(1, 3, 0.05)
+    closed_forms = [warp for assembly in result.assemblies.values()
+                    for piece in assembly.pieces
+                    for warp, _, _ in piece.profile.warp_splines
+                    if not isinstance(warp, CubicSpline)]
+    assert closed_forms
+    assert constant and not any(constant)

@@ -39,10 +39,11 @@ are C^1 in k, so theta is C^2.
 The represented object is the cubic Hermite spline of theta (derivative
 data k); radius and axial position are recovered from it by per-interval
 Gauss-Legendre quadrature, which is exact to roundoff for these
-integrands. Verification evaluates the closed form above and, as an
-independent route, the Gauss equation with the explicit principal
-curvature spectrum and ambient sectional curvature table, on nodes and
-midpoints.
+integrands. The designer hands its spline to the curve, and the
+quadrature reads it on each abscissa's known knot interval.
+Verification evaluates the closed form above and, as an independent
+route, the Gauss equation with the explicit principal curvature
+spectrum and ambient sectional curvature table, on nodes and midpoints.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .errors import (
     RadiusExceedsModel,
 )
 from .models import AmbientModel
-from .numerics import gauss_legendre_rule, smoothstep5, smoothstep7
+from .numerics import cubic_rows, gauss_legendre_rule, smoothstep5, smoothstep7
 from .profiles import DoublyWarpProfile, WarpProfile
 
 __all__ = [
@@ -245,12 +246,10 @@ class BendingCurve:
     axial_nodes: np.ndarray
     phase_breaks: tuple
     freeze_curvature: float
+    # the cubic Hermite spline through (s_nodes, theta_nodes) with slopes
+    # curvature_nodes
+    theta_spline: CubicHermiteSpline = field(repr=False)
     _jets: dict = field(default_factory=dict, init=False, repr=False)
-
-    @cached_property
-    def _theta_spline(self) -> CubicHermiteSpline:
-        return CubicHermiteSpline(self.s_nodes, self.theta_nodes,
-                                  self.curvature_nodes)
 
     @property
     def length(self) -> float:
@@ -270,10 +269,10 @@ class BendingCurve:
         return self.model.scalar_curvature - self.params.resolved_budget
 
     def theta_at(self, s):
-        return np.asarray(self._theta_spline(s), dtype=float)
+        return np.asarray(self.theta_spline(s), dtype=float)
 
     def curvature_at(self, s):
-        return np.asarray(self._theta_spline(s, 1), dtype=float)
+        return np.asarray(self.theta_spline(s, 1), dtype=float)
 
     def radius_at(self, s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
@@ -284,7 +283,8 @@ class BendingCurve:
         mid = 0.5 * (s_arr + a)
         nodes, weights = gauss_legendre_rule()
         xs = mid[:, None] + half[:, None] * nodes[None, :]
-        th = self._theta_spline(xs)
+        sp = self.theta_spline
+        th = cubic_rows(sp.c, sp.x, xs, idx)
         cos_i = np.sum(half[:, None] * weights[None, :] * np.cos(th), axis=1)
         out = self.radius_nodes[idx] - cos_i
         return out if s_arr.shape == np.shape(s) else out.reshape(np.shape(s))
@@ -583,9 +583,14 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
                     hi, th_hi, r_hi = mid, thm, rm
                 else:
                     lo = mid
-            s += hi
             th, r = th_hi, r_hi
-            commit(s, th, r, alloc(th, r))
+            if s + hi > s:
+                s += hi
+                commit(s, th, r, alloc(th, r))
+            else:
+                # the crossing is closer to the last node than s can
+                # resolve: that node becomes the crossing
+                TH[-1], KK[-1], RR[-1] = th, alloc(th, r), r
             break
         s += ds
         th, r = th2, r2
@@ -697,7 +702,7 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
     mid = 0.5 * (b + a)
     nodes, weights = gauss_legendre_rule()
     xs = mid[:, None] + half[:, None] * nodes[None, :]
-    th_q = spline(xs)
+    th_q = cubic_rows(spline.c, spline.x, xs)
     cos_inc = np.sum(half[:, None] * weights[None, :] * np.cos(th_q), axis=1)
     sin_inc = np.sum(half[:, None] * weights[None, :] * np.sin(th_q), axis=1)
     radius_nodes = r_start - np.concatenate([[0.0], np.cumsum(cos_inc)])
@@ -710,7 +715,7 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
                          curvature_nodes=curvature_nodes,
                          radius_nodes=radius_nodes, axial_nodes=axial_nodes,
                          phase_breaks=tuple(breaks),
-                         freeze_curvature=k_freeze)
+                         freeze_curvature=k_freeze, theta_spline=spline)
     check = curve.check
     if not check.passed:
         raise FloorCheckFailed(

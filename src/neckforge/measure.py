@@ -5,10 +5,13 @@ the sphere factors with GL_POINTS-point Gauss-Legendre panels on the
 spline knots. That is exact when 3 * sum(component_dims) < 2 * GL_POINTS
 and every warp's cubic is >= 0 on every knot interval, checked through its
 four Bernstein coefficients with a rounding margin (a declared closed end
-may touch zero). Such a piece takes one pass on the halved panels, the
-float the halving check returns after its first refinement. Any other
-piece falls back to the halving check to rel_tol 1e-10, so volumes of
-anything less tame fail loudly instead of silently drifting.
+may touch zero; the profile's cubic_bounds). Such a piece takes one pass
+on the halved panels, the float the halving check returns after its
+first refinement; the pass reads each warp's cubic on the knot interval
+that every abscissa is known to lie in (numerics.cubic_rows), with the
+floats of the spline's own evaluation. Any other piece falls back to the
+halving check to rel_tol 1e-10, so volumes of anything less tame fail
+loudly instead of silently drifting.
 
 Diameter: the summed axial length is a rigorous lower bound (arclength is
 1-Lipschitz). The upper value, length + pi * max sqrt(sum of squared
@@ -17,16 +20,21 @@ it is still a sampled maximum, not a bound (ROADMAP item 3). Only the
 pieces that can hold that maximum are sampled: each piece's fiber is
 bounded above from its cubics' Bernstein coefficients, and pieces are
 sampled from the largest bound down until no remaining bound exceeds the
-running maximum, typically one or two of a tunnel's pieces.
+running maximum, typically one or two of a tunnel's pieces. Both the
+volume check and the fiber bound read the profile's cubic_bounds, one
+Bernstein pass per warp; a reversed piece (a tunnel's mirror side) takes
+the bounds of the piece it reverses and builds no spline unless the
+sweep samples it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.interpolate import PPoly
 
 from .errors import QuadratureNonConvergence
 from .models import unit_sphere_volume
-from .numerics import GL_POINTS, gauss_legendre_panels
+from .numerics import GL_POINTS, cubic_rows, gauss_legendre_panels
 
 __all__ = [
     "adaptive_panel_integral",
@@ -64,81 +72,59 @@ def adaptive_panel_integral(f, breakpoints, rel_tol: float = 1e-10,
         f"integral did not stabilize to {rel_tol} within {max_depth} halvings")
 
 
-def _volume_integrand(profile):
+def _volume_integrand(profile, warp_values=None):
+    """The volume density at s; warp_values(s) gives the warps' values
+    there (profile.component_values unless given)."""
     dims = profile.component_dims
     factor = 1.0
     for d in dims:
         factor *= unit_sphere_volume(d)
+    values = profile.component_values if warp_values is None else warp_values
 
     def integrand(s):
         out = factor
-        for v, d in zip(profile.component_values(s), dims):
+        for v, d in zip(values(s), dims):
             out = out * np.abs(v) ** d
         return out
 
     return integrand
 
 
-def _bernstein(spline) -> tuple[np.ndarray, np.ndarray]:
-    """Bernstein coefficients (4, intervals) of each cubic piece of the
-    spline on its knot interval, and the sum of the absolute power
-    coefficients per interval, the scale of their rounding error. On its
-    interval a cubic lies between its least and largest coefficient."""
-    h = np.diff(spline.x)
-    c3, c2, c1, a0 = spline.c
-    a1, a2, a3 = c1 * h, c2 * h * h, c3 * h * h * h
-    b1 = a0 + a1 / 3.0
-    bern = np.stack([a0, b1, b1 + (a1 + a2) / 3.0, a0 + a1 + a2 + a3])
-    return bern, np.abs(a0) + np.abs(a1) + np.abs(a2) + np.abs(a3)
-
-
-def _nonnegative_cubics(spline, closed_start: bool, closed_end: bool) -> bool:
-    """Whether every cubic piece of the spline is >= 0 on its knot interval.
-
-    Each Bernstein coefficient must clear a rounding margin; a declared
-    closed end may touch zero. An interval that fails is split once at its
-    midpoint by de Casteljau, whose two halves' coefficients bound the
-    cubic more tightly, before the test gives up.
-    """
-    bern, scale = _bernstein(spline)
-    margin = 8e-16 * scale
-    floor = np.broadcast_to(margin, bern.shape).copy()
-    if closed_start:
-        floor[0, 0] = -margin[0]
-    if closed_end:
-        floor[3, -1] = -margin[-1]
-    bad = ~(bern >= floor).all(axis=0)
-    if not bad.any():
-        return True
-    b0, b1, b2, b3 = bern[:, bad]
-    m01, m12, m23 = 0.5 * (b0 + b1), 0.5 * (b1 + b2), 0.5 * (b2 + b3)
-    left2, right1 = 0.5 * (m01 + m12), 0.5 * (m12 + m23)
-    # left half b0, m01, left2, mid; right half mid, right1, m23, b3
-    halves = np.stack([b0, m01, left2, 0.5 * (left2 + right1), right1, m23, b3])
-    return bool((halves >= floor[[0, 1, 1, 1, 1, 1, 3]][:, bad]).all())
+def _knot_rows(spline, X):
+    """The warp at X, row r in knot interval r, without interval search."""
+    if isinstance(spline, PPoly):
+        return cubic_rows(spline.c, spline.x, X)
+    return spline(X)  # a closed form
 
 
 def profile_volume(profile) -> float:
     """Riemannian volume of one profile piece."""
-    f = _volume_integrand(profile)
     if 3 * sum(profile.component_dims) < 2 * GL_POINTS and all(
-            _nonnegative_cubics(*warp) for warp in profile.warp_splines):
-        return gauss_legendre_panels(f, _halved(profile.grid))
-    return adaptive_panel_integral(f, profile.grid)
+            nonnegative for nonnegative, _ in profile.cubic_bounds):
+        grid = profile.grid
+        warps = [spline for spline, _, _ in profile.warp_splines]
+        # the halved panels' abscissae, 2 * GL_POINTS per knot interval
+        rows = lambda s: [_knot_rows(spline, s.reshape(grid.size - 1, -1))
+                          for spline in warps]
+        return gauss_legendre_panels(_volume_integrand(profile, rows),
+                                     _halved(grid))
+    return adaptive_panel_integral(_volume_integrand(profile), profile.grid)
 
 
 def _fiber_bound(profile) -> float:
     """An upper bound for the sampled fiber sqrt(sum v_i^2) of a piece.
 
     Each warp's cubics lie within their Bernstein coefficients; the slack
-    of 1e-12 times the power-coefficient scale, and again on the result,
-    stays far above the rounding of the coefficients and of the sampled
-    evaluation, sum and square root.
+    of 1e-12 times the power-coefficient scale (numerics.cubic_bounds),
+    and again on the result, stays far above the rounding of the
+    coefficients and of the sampled evaluation, sum and square root. It
+    also covers the few ulps by which the spline of a reversed piece
+    differs from its source's spline reversed, so a reversed piece takes
+    its source's bounds and builds no spline of its own.
     """
+    source = profile if profile.reversed_from is None else profile.reversed_from
     sq = 0.0
-    for spline, _, _ in profile.warp_splines:
-        bern, scale = _bernstein(spline)
-        top = float(np.max(np.max(np.abs(bern), axis=0) + 1e-12 * scale))
+    for _, top in source.cubic_bounds:
         sq += top * top
     return (1.0 + 1e-12) * float(np.sqrt(sq))
 

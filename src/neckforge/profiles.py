@@ -6,10 +6,14 @@ ds^2 + v^2 g_{S^m}) or two warps (DoublyWarpProfile, metric
 ds^2 + va^2 g_{S^p} + vb^2 g_{S^f}). Values are interpolated with
 not-a-knot cubic splines; all curvature and volume evaluation downstream
 goes through the spline, so a profile written to disk and reloaded
-reproduces its numbers exactly. A constant warp (the round base factor of
+reproduces its numbers exactly. The splines are built here (CubicSpline)
+with scipy's arithmetic, bit for bit, but without its validation passes,
+which the profile's own grid and warp checks make redundant; samples
+must therefore be finite. A constant warp (the round base factor of
 a surgery neck, a cylinder, the fixed factor of a collar leg or cap) is
 its own closed form: it evaluates to the same floats as its spline
-without building one.
+without building one. A reversed piece remembers the piece it reverses
+(reversed_from), so the bounds of one serve both.
 
 Warps must stay positive except at a declared closed end, where exactly one
 warp vanishes with unit slope and the metric closes smoothly over a pole
@@ -24,11 +28,12 @@ share a boundary match to roundoff instead of to spline accuracy.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import PPoly
+from scipy.linalg import solve_banded
 
 from .curvature import scalar_curvature_doubly_warped, scalar_curvature_warped
 from .errors import (
@@ -37,6 +42,7 @@ from .errors import (
     ParameterOutOfRange,
     SchemaViolation,
 )
+from .numerics import cubic_bounds
 
 __all__ = ["WarpProfile", "DoublyWarpProfile", "load_profile_csv", "save_profile_csv"]
 
@@ -56,16 +62,21 @@ def _as_jet(value) -> tuple[float, float, float]:
 def _validate_uniform_grid(grid: np.ndarray) -> None:
     if grid.ndim != 1 or grid.size < 8:
         raise DegenerateGrid("profile grid needs at least 8 samples")
+    if not np.all(np.isfinite(grid)):
+        raise DegenerateGrid("profile grid must be finite")
     steps = np.diff(grid)
     if not np.all(steps > 0.0):
         raise DegenerateGrid("profile grid must be strictly increasing")
     h = (grid[-1] - grid[0]) / (grid.size - 1)
-    if not np.allclose(steps, h, rtol=1e-9, atol=1e-15 * abs(h)):
+    # np.allclose(steps, h, rtol=1e-9, atol=1e-15 * |h|), written out
+    if not np.all(np.abs(steps - h) <= 1e-15 * abs(h) + 1e-9 * abs(h)):
         raise DegenerateGrid("profile grid must be uniform")
 
 
 def _validate_warp(values: np.ndarray, grid: np.ndarray,
                    closed_start: bool, closed_end: bool, name: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NonPositiveWarp(f"{name} samples must be finite")
     scale = float(np.max(np.abs(values))) or 1.0
     interior = values[1:-1] if (closed_start or closed_end) else values
     lo = values[0]
@@ -120,11 +131,56 @@ class _ConstantWarp:
         return c
 
 
+def CubicSpline(x: np.ndarray, y: np.ndarray) -> PPoly:
+    """The not-a-knot cubic spline through (x, y), as a PPoly.
+
+    The floats of scipy.interpolate.CubicSpline(x, y) (scipy 1.17): its
+    banded system for the knot slopes, the same solve_banded call, and
+    CubicHermiteSpline's coefficient formulas, without their validation
+    passes. x and y are a validated profile grid (uniform, at least 8
+    nodes) and finite samples on it.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    n = x.size
+    A = np.zeros((3, n))
+    b = np.empty(n)
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    A[1, 0] = dx[1]
+    A[0, 1] = d
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    A[1, -1] = dx[-2]
+    A[-1, -2] = d
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
+                     overwrite_b=True, check_finite=False).reshape(n)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    return PPoly.construct_fast(c, x)
+
+
 def _warp_spline(grid: np.ndarray, values: np.ndarray):
     """The interpolant of one warp: closed form for constant samples."""
     if np.all(values == values[0]):
         return _ConstantWarp(grid, float(values[0]))
     return CubicSpline(grid, values)
+
+
+def _cubic_bounds(warp_splines) -> tuple[tuple[bool, float], ...]:
+    return tuple(cubic_bounds(spline.c, spline.x, closed_start, closed_end)
+                 for spline, closed_start, closed_end in warp_splines)
+
+
+def _reversed(source, profile):
+    """profile, recorded as the reversal of source (or of its own source)."""
+    root = source if source.reversed_from is None else source.reversed_from
+    object.__setattr__(profile, "reversed_from", root)
+    return profile
 
 
 def _spline_jet(spline, s: float) -> tuple[float, float, float]:
@@ -158,6 +214,10 @@ class WarpProfile:
     closed_end: bool = False
     jet_start: tuple[float, float, float] | None = None
     jet_end: tuple[float, float, float] | None = None
+    # the piece reverse() made this one from, followed back to the first;
+    # its warps are this piece's traversed the other way
+    reversed_from: "WarpProfile | None" = field(default=None, init=False,
+                                                repr=False)
 
     def __post_init__(self) -> None:
         grid = np.ascontiguousarray(self.grid, dtype=float)
@@ -212,6 +272,12 @@ class WarpProfile:
         """(spline, closed at start, closed at end) for each warp."""
         return ((self._spline, self.closed_start, self.closed_end),)
 
+    @cached_property
+    def cubic_bounds(self) -> tuple[tuple[bool, float], ...]:
+        """numerics.cubic_bounds of each warp: whether its cubics are >= 0
+        and a bound of its |value|."""
+        return _cubic_bounds(self.warp_splines)
+
     def scalar_curvature(self, s):
         sp = self._spline
         return scalar_curvature_warped(sp(s), sp(s, 1), sp(s, 2), self.fiber_dim)
@@ -238,7 +304,7 @@ class WarpProfile:
     def reverse(self) -> "WarpProfile":
         """The same piece traversed the other way."""
         flip = lambda jet: (jet[0], -jet[1], jet[2]) if jet is not None else None
-        return WarpProfile(
+        return _reversed(self, WarpProfile(
             grid=self.grid[0] + (self.grid[-1] - self.grid[::-1]),
             values=self.values[::-1],
             fiber_dim=self.fiber_dim,
@@ -246,7 +312,7 @@ class WarpProfile:
             closed_end=self.closed_start,
             jet_start=flip(self.jet_end),
             jet_end=flip(self.jet_start),
-        )
+        ))
 
     # -- serialization ---------------------------------------------------
 
@@ -286,6 +352,9 @@ class DoublyWarpProfile:
     closed_end: int | None = None
     jets_start: tuple | None = None
     jets_end: tuple | None = None
+    # the piece reverse() made this one from, followed back to the first
+    reversed_from: "DoublyWarpProfile | None" = field(default=None,
+                                                      init=False, repr=False)
 
     def __post_init__(self) -> None:
         grid = np.ascontiguousarray(self.grid, dtype=float)
@@ -352,6 +421,10 @@ class DoublyWarpProfile:
         return ((self._spline_a, self.closed_start == 0, self.closed_end == 0),
                 (self._spline_b, self.closed_start == 1, self.closed_end == 1))
 
+    @cached_property
+    def cubic_bounds(self) -> tuple[tuple[bool, float], ...]:
+        return _cubic_bounds(self.warp_splines)
+
     def scalar_curvature(self, s):
         sa, sb = self._spline_a, self._spline_b
         return scalar_curvature_doubly_warped(
@@ -381,7 +454,7 @@ class DoublyWarpProfile:
     def reverse(self) -> "DoublyWarpProfile":
         flip_one = lambda jet: (jet[0], -jet[1], jet[2])
         flip = lambda jets: tuple(flip_one(j) for j in jets) if jets is not None else None
-        return DoublyWarpProfile(
+        return _reversed(self, DoublyWarpProfile(
             grid=self.grid[0] + (self.grid[-1] - self.grid[::-1]),
             values_a=self.values_a[::-1],
             values_b=self.values_b[::-1],
@@ -391,7 +464,7 @@ class DoublyWarpProfile:
             closed_end=self.closed_start,
             jets_start=flip(self.jets_end),
             jets_end=flip(self.jets_start),
-        )
+        ))
 
     def canonical_bytes(self) -> bytes:
         sa, sb = self._spline_a, self._spline_b
@@ -467,7 +540,9 @@ def _check_derivative_columns(grid, stored, recomputed, label: str) -> None:
     # punishing regeneration noise
     scale = max(float(np.max(np.abs(recomputed))), 1e-12)
     err = float(np.max(np.abs(stored[2:-2] - recomputed[2:-2]))) if grid.size > 4 else 0.0
-    if err > 1e-2 * scale:
+    # written so that a nan cell fails it; the two rows at each end are
+    # not compared, but must still be finite
+    if not (err <= 1e-2 * scale and np.all(np.isfinite(stored))):
         raise SchemaViolation(
             f"{label} column disagrees with the spline of the value column "
             f"(max deviation {err:.3e} against scale {scale:.3e})")

@@ -228,6 +228,27 @@ def test_tighter_budget_narrows_the_waist():
     assert waists[0] > waists[1] > waists[2] > 0.0
 
 
+def test_freeze_crossing_closer_than_the_last_node_resolves():
+    # the follow phase's bisection puts the FREEZE_SIN crossing less than
+    # one ulp of s past its last node; that node becomes the crossing
+    # (the tunnel side of tunnel_certificate(3, 6.0, 0.0889..., 2.75...,
+    # 131685.08..., grid_density=8.0))
+    params = CurveDesignParams(model=round_sphere(3, 1.0),
+                               tube_radius=0.08895497341425397,
+                               budget=0.5 / 131685.0814522805,
+                               grid_density=8.0)
+    curve = design_bending_curve(params)
+    check_designed_curve(curve)
+    assert np.all(np.diff(curve.s_nodes) > 0.0)
+    follow, freeze_blend = (s for name, s in curve.phase_breaks
+                            if name in ("follow", "freeze_blend"))
+    node = int(np.searchsorted(curve.s_nodes, freeze_blend))
+    assert curve.s_nodes[node] == freeze_blend > follow
+    # theta was rescaled by (pi/2) / theta_end after the taper
+    assert math.sin(curve.theta_nodes[node]) == pytest.approx(
+        bending.FREEZE_SIN, abs=1e-12)
+
+
 # -- the designer: refusal paths -----------------------------------------------
 
 

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from neckforge import measure
+from neckforge import measure, profiles
 from neckforge.errors import QuadratureNonConvergence
 from neckforge.measure import (
     DIAMETER_REFINE,
-    _bernstein,
     _fiber_bound,
     _volume_integrand,
     adaptive_panel_integral,
@@ -15,7 +14,7 @@ from neckforge.measure import (
     profile_volume,
 )
 from neckforge.models import unit_sphere_volume
-from neckforge.numerics import gauss_legendre_panels
+from neckforge.numerics import bernstein, gauss_legendre_panels
 from neckforge.pipelines import (
     attach_hemisphere,
     attach_product_ingredient,
@@ -139,7 +138,8 @@ def test_split_intervals_take_the_exact_path(passes):
     # its cubic stays positive; one de Casteljau split proves the interval
     result = tunnel_certificate(3, 6.0, 0.0504, 0.585, 5.40e5)
     collar = result.assemblies["tunnel"].piece("acollar_0")
-    bern, scale = _bernstein(collar.profile.warp_splines[0][0])
+    spline = collar.profile.warp_splines[0][0]
+    bern, scale = bernstein(spline.c, spline.x)
     assert not (bern >= 8e-16 * scale).all()
     assert collar.volume.hex() == "0x1.0baa76e8d37a9p-10"
     profiles = _distinct_profiles(result)
@@ -256,3 +256,28 @@ def test_diameter_samples_a_piece_whose_bound_clears_the_maximum(sampled):
     assert _fiber_bound(small) > np.max(large.values) > np.max(small.values)
     assert diameter_bounds([small, large]) == reference_diameter([small, large])
     assert sampled == [large, small]
+
+
+def test_mirror_pieces_take_their_source_bound(sampled, monkeypatch):
+    # a tunnel's mirror side reuses its source's volume and floor; its
+    # fiber bound comes from the source too, so a mirror piece builds a
+    # spline only when the sweep samples it
+    builds = []
+    real_builder = profiles.CubicSpline
+
+    def counting(x, y):
+        builds.append(1)
+        return real_builder(x, y)
+
+    monkeypatch.setattr(profiles, "CubicSpline", counting)
+    tunnel = tunnel_certificate(3, sharpness=1e4).assemblies["tunnel"]
+    assert len(builds) <= 26
+    mirrors = [p.profile for p in tunnel.pieces
+               if p.profile.reversed_from is not None]
+    assert len(mirrors) == 22
+    with_spline = {id(prof) for prof in mirrors if "_spline" in vars(prof)}
+    assert with_spline == {id(prof) for prof in sampled
+                           if prof.reversed_from is not None}
+    for prof in mirrors:
+        assert _fiber_bound(prof) == _fiber_bound(prof.reversed_from)
+        assert _fiber_bound(prof) >= measure._sampled_fiber(prof)

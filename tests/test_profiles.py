@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+import neckforge.pipelines as pipelines
 from neckforge import profiles
 from neckforge.errors import (
     DegenerateGrid,
@@ -13,7 +14,7 @@ from neckforge.errors import (
 )
 from neckforge.measure import _halved
 from neckforge.numerics import gauss_legendre_rule
-from neckforge.pipelines import surgery_certificate
+from neckforge.pipelines import surgery_certificate, tunnel_certificate
 from neckforge.profiles import (
     DoublyWarpProfile,
     WarpProfile,
@@ -339,3 +340,127 @@ def test_no_constant_warp_builds_a_spline(monkeypatch):
                     if not isinstance(warp, CubicSpline)]
     assert closed_forms
     assert constant and not any(constant)
+
+
+# -- non-finite input ----------------------------------------------------------
+
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("at", [0, 17, 31])
+def test_non_finite_warp_rejected(bad, at):
+    grid = np.linspace(0.0, 1.0, 32)
+    values = np.ones(32)
+    values[at] = bad
+    with pytest.raises(NonPositiveWarp):
+        WarpProfile(grid=grid, values=values, fiber_dim=2)
+    with pytest.raises(NonPositiveWarp):
+        DoublyWarpProfile(grid=grid, values_a=np.ones(32), values_b=values,
+                          dim_a=1, dim_b=2)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("at", [0, 17, 31, slice(30, 32)],
+                         ids=["first", "inner", "last", "last-two"])
+def test_non_finite_grid_rejected(bad, at):
+    grid = np.linspace(0.0, 1.0, 32)
+    grid[at] = bad
+    with pytest.raises(DegenerateGrid):
+        WarpProfile(grid=grid, values=np.ones(32), fiber_dim=2)
+
+
+def _mangle_cell(path, column, value, row=20):
+    """Rewrite one data cell of a profile CSV."""
+    lines = path.read_text().splitlines()
+    data = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
+    cols = lines[data[row]].split(",")
+    cols[column] = value
+    lines[data[row]] = ",".join(cols)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("make, column", [(sin_profile, 1),
+                                          (clifford_profile, 1),
+                                          (clifford_profile, 2)],
+                         ids=["phi", "a", "b"])
+def test_non_finite_value_cell_is_a_typed_error(tmp_path, make, column, bad):
+    path = tmp_path / "prof.csv"
+    save_profile_csv(make(n=64), path)
+    _mangle_cell(path, column, bad)
+    with pytest.raises(NonPositiveWarp):
+        load_profile_csv(path)
+
+
+@pytest.mark.parametrize("row", [0, 20, -1])
+@pytest.mark.parametrize("make, column", [(sin_profile, 2), (sin_profile, 3),
+                                          (clifford_profile, 3),
+                                          (clifford_profile, 6)],
+                         ids=["dphi", "d2phi", "da", "d2b"])
+def test_nan_derivative_cell_rejected(tmp_path, make, column, row):
+    path = tmp_path / "prof.csv"
+    save_profile_csv(make(n=64), path)
+    _mangle_cell(path, column, "nan", row)
+    with pytest.raises(SchemaViolation):
+        load_profile_csv(path)
+
+
+# -- the not-a-knot builder ----------------------------------------------------
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                      want.view(np.int64))
+
+
+# warps on u in [0, 1]
+BUILDER_WARPS = {
+    "smooth": lambda u: 1.5 + np.sin(3.0 * u),
+    "steep": lambda u: 1e-3 + np.exp(-4e3 * (u - 0.4) ** 2),
+    "tiny": lambda u: 1e-13 * (1.0 + u * u),
+    "closed": lambda u: np.sin(np.pi * u),
+}
+
+
+@pytest.mark.parametrize("warp", BUILDER_WARPS.keys())
+@pytest.mark.parametrize("n", [8, 9, 1024, 2048])
+def test_builder_coefficients_are_scipys(n, warp):
+    grid = np.linspace(0.25, 2.75, n)
+    values = BUILDER_WARPS[warp](np.linspace(0.0, 1.0, n))
+    if warp == "closed":
+        values[-1] = 0.0
+        prof = WarpProfile(grid=grid, values=values, fiber_dim=2,
+                           closed_start=True, closed_end=True)
+    else:
+        prof = WarpProfile(grid=grid, values=values, fiber_dim=2)
+    assert same_bits(prof._spline.c, CubicSpline(grid, values).c)
+    assert same_bits(profiles.CubicSpline(grid, values).c,
+                     CubicSpline(grid, values).c)
+
+
+def warp_samples(profile) -> tuple:
+    if isinstance(profile, WarpProfile):
+        return (profile.values,)
+    return (profile.values_a, profile.values_b)
+
+
+BUILDS = {
+    "tunnel": lambda: tunnel_certificate(3, sharpness=1e4),
+    "surgery": lambda: surgery_certificate(1, 3, 0.1),
+    "cor-t": lambda: pipelines.attach_product_ingredient(1, 2),
+    "cor-v": lambda: pipelines.sphere_chain_certificate(
+        1.5 * 2 * np.pi**2, 3),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+def test_every_piece_warp_has_scipys_coefficients(build):
+    # constant warps included: their closed form's coefficients are the
+    # spline's too
+    for assembly in build().assemblies.values():
+        for piece in assembly.pieces:
+            prof = piece.profile
+            for (warp, _, _), values in zip(prof.warp_splines,
+                                            warp_samples(prof)):
+                assert same_bits(warp.c, CubicSpline(prof.grid, values).c)

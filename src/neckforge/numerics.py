@@ -94,46 +94,30 @@ def gauss_legendre_panels(f, breakpoints) -> float:
     return float(np.sum(half[:, None] * weights[None, :] * vals))
 
 
-def cubic_rows(c, x, X, idx=None, nu: int = 0) -> np.ndarray:
-    """The nu-th derivative (0, 1 or 2) of a piecewise cubic at known rows.
+def cubic_rows(c, x, X, idx=None) -> np.ndarray:
+    """A piecewise cubic at rows whose knot interval is known.
 
     c (4, intervals) and x (knots) are laid out as scipy's PPoly. Row r of
     the 2d array X lies in knot interval idx[r], or in interval r when idx
     is None, so no interval search is made. The floats are PPoly's: with
     s = X - x[interval] and a_k the coefficient of s^k, its evaluate_poly1
-    sums ((0 + a0) + a1 s) + a2 (s s) + a3 ((s s) s), and for derivatives
-    (0 + a1) + (a2 s) 2 + (a3 (s s)) 3 and (0 + a2 2) + (a3 s) 6, where
-    PPoly picks the interval itself; out of range, it extrapolates with
-    the first or the last one.
+    sums ((0 + a0) + a1 s) + a2 (s s) + a3 ((s s) s), where PPoly picks
+    the interval itself; out of range, it extrapolates with the first or
+    the last one.
     """
     lo = x[:-1] if idx is None else x[idx]
     a3, a2, a1, a0 = (c if idx is None else c[:, idx])[:, :, None]
     s = X - lo[:, None]
     # in place, one commuted operand at a time: the same floats with
     # three temporaries instead of ten
-    if nu == 0:
-        out = a1 * s
-        out += 0.0 + a0
-        ss = s * s
-        s *= ss
-        ss *= a2
-        out += ss
-        s *= a3
-        out += s
-    elif nu == 1:
-        out = a2 * s
-        out *= 2.0
-        out += 0.0 + a1
-        s *= s
-        s *= a3
-        s *= 3.0
-        out += s
-    elif nu == 2:
-        s *= a3
-        s *= 6.0
-        out = s + (0.0 + a2 * 2.0)
-    else:
-        raise ValueError("cubic_rows evaluates nu = 0, 1 or 2")
+    out = a1 * s
+    out += 0.0 + a0
+    ss = s * s
+    s *= ss
+    ss *= a2
+    out += ss
+    s *= a3
+    out += s
     return out
 
 

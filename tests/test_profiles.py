@@ -294,7 +294,7 @@ def test_constant_warp_evaluates_as_its_spline_bit_for_bit(kind, n):
     for c in CONSTANTS:
         prof, attr, values = constant_profile(kind, n, c)
         closed_form = getattr(prof, attr)
-        assert not isinstance(closed_form, CubicSpline)
+        assert isinstance(closed_form, profiles._ConstantWarp)
         spline = CubicSpline(prof.grid, values)
         for x in probe_points(prof.grid):
             for nu in (0, 1, 2):
@@ -337,7 +337,7 @@ def test_no_constant_warp_builds_a_spline(monkeypatch):
     closed_forms = [warp for assembly in result.assemblies.values()
                     for piece in assembly.pieces
                     for warp, _, _ in piece.profile.warp_splines
-                    if not isinstance(warp, CubicSpline)]
+                    if isinstance(warp, profiles._ConstantWarp)]
     assert closed_forms
     assert constant and not any(constant)
 

@@ -277,12 +277,10 @@ class AssemblyPiece:
 
 @dataclass(frozen=True)
 class BoundaryInterface:
-    """Jet data across one seam of the chain."""
+    """One seam of the chain: the pieces it joins and their jet gap."""
 
     left: str
     right: str
-    left_jets: tuple
-    right_jets: tuple
     mismatch: float
 
 
@@ -394,15 +392,13 @@ def _mirror_piece(piece: AssemblyPiece, name: str) -> AssemblyPiece:
 def _chain(name: str, pieces, provenance: dict) -> Assembly:
     interfaces = []
     for left, right in zip(pieces[:-1], pieces[1:]):
-        lj = left.profile.boundary_jets("end")
-        rj = right.profile.boundary_jets("start")
-        gap = _jet_gap(lj, rj)
+        gap = _jet_gap(left.profile.boundary_jets("end"),
+                       right.profile.boundary_jets("start"))
         if gap > DEFAULT_INTERFACE_TOL:
             raise InterfaceMismatch(
                 f"{left.name} -> {right.name}: jet gap {gap:.3e} exceeds "
                 f"{DEFAULT_INTERFACE_TOL:.1e}")
         interfaces.append(BoundaryInterface(left=left.name, right=right.name,
-                                            left_jets=lj, right_jets=rj,
                                             mismatch=gap))
     return Assembly(name=name, pieces=tuple(pieces),
                     interfaces=tuple(interfaces), provenance=provenance)

@@ -116,9 +116,9 @@ def make_certificate(kind: str, parameters: dict, quantities: dict, claims,
                      tolerance: float = DEFAULT_TOLERANCE) -> dict:
     """Assemble a certificate document.
 
-    claims is an iterable of (name, lhs_ref, op, rhs) tuples, with an
-    optional fifth element overriding the tolerance for that claim; rhs
-    is either a number or the name of another quantity. Margins are
+    claims is an iterable of (name, lhs_ref, op, rhs) tuples; rhs is
+    either a number or the name of another quantity. Every claim stores
+    the one tolerance. Margins are
     oriented so that positive always means the claim holds: lhs - rhs for
     ">" and ">=", rhs - lhs otherwise. Quantities, bounds, tolerances and
     margins are rounded to the canonical 13 significant digits here, so
@@ -126,6 +126,7 @@ def make_certificate(kind: str, parameters: dict, quantities: dict, claims,
     """
     if not tolerance > 0.0:
         raise ParameterOutOfRange("tolerance must be positive")
+    tol = _round12(tolerance)
     clean = {}
     for key, val in quantities.items():
         if isinstance(val, bool) or not isinstance(val, numbers.Real):
@@ -136,12 +137,7 @@ def make_certificate(kind: str, parameters: dict, quantities: dict, claims,
                            else _round12(val))
     quantities = clean
     claim_docs = []
-    for spec in claims:
-        if len(spec) == 4:
-            name, lhs_ref, op, rhs = spec
-            tol = tolerance
-        else:
-            name, lhs_ref, op, rhs, tol = spec
+    for name, lhs_ref, op, rhs in claims:
         if op not in _OPS:
             raise ParameterOutOfRange(f"unsupported comparison {op!r}")
         if lhs_ref not in quantities:
@@ -153,9 +149,6 @@ def make_certificate(kind: str, parameters: dict, quantities: dict, claims,
             rhs_ref, rhs_value = rhs, float(quantities[rhs])
         else:
             rhs_ref, rhs_value = None, _round12(rhs)
-        tol = _round12(tol)
-        if not tol > 0.0:
-            raise ParameterOutOfRange(f"claim {name}: tolerance must be positive")
         margin = _round12(lhs_value - rhs_value if op in (">", ">=")
                           else rhs_value - lhs_value)
         claim_docs.append({
@@ -211,6 +204,24 @@ def _check_number(value, where: str) -> float:
     return value
 
 
+def _manifest_pieces(data: bytes) -> list:
+    """The pieces an assembly manifest lists; none for other artifacts.
+
+    data has already matched its certificate hash, so a file cannot stop
+    being a manifest without failing that check first.
+    """
+    try:
+        doc = json.loads(data)
+    except (ValueError, UnicodeDecodeError):
+        return []
+    pieces = doc.get("pieces", []) if isinstance(doc, dict) else []
+    _require(isinstance(pieces, list) and all(
+        isinstance(p, dict) and isinstance(p.get("file"), str)
+        and isinstance(p.get("fingerprint"), str) for p in pieces),
+        "manifest pieces must each name a file and a fingerprint")
+    return pieces
+
+
 def recheck_certificate(source, files_dir=None) -> dict:
     """Validate a certificate's schema and internal consistency.
 
@@ -218,8 +229,11 @@ def recheck_certificate(source, files_dir=None) -> dict:
     bytes must equal the canonical re-serialization, so formatting level
     tampering is caught too, and artifact fingerprints are verified
     against files_dir (default: the certificate's own directory) when the
-    referenced files are present. Raises SchemaViolation on any
-    inconsistency; returns a report with the verified aggregate status.
+    referenced files are present. An artifact that is an assembly
+    manifest has each piece file it lists hashed against that piece's
+    fingerprint as well; an absent piece file is reported missing, as
+    "<artifact>/<file>". Raises SchemaViolation on any inconsistency;
+    returns a report with the verified aggregate status.
     """
     if isinstance(source, (str, Path)):
         raw = Path(source).read_bytes()
@@ -288,9 +302,18 @@ def recheck_certificate(source, files_dir=None) -> dict:
         if not path.exists():
             missing.append(name)
             continue
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        _require(digest == entry["sha256"],
+        data = path.read_bytes()
+        _require(hashlib.sha256(data).hexdigest() == entry["sha256"],
                  f"artifact {name}: file content does not match fingerprint")
+        for piece in _manifest_pieces(data):
+            piece_path = path.parent / piece["file"]
+            if not piece_path.exists():
+                missing.append(f"{name}/{piece['file']}")
+                continue
+            digest = hashlib.sha256(piece_path.read_bytes()).hexdigest()
+            _require(digest == piece["fingerprint"],
+                     f"artifact {name}: piece {piece['file']} does not "
+                     f"match its fingerprint")
         verified.append(name)
     return {
         "status": doc["status"],

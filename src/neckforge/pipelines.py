@@ -389,8 +389,8 @@ class PipelineResult:
 def _finalize(kind: str, parameters: dict, quantities: dict, claims,
               provenance: dict, assemblies: dict,
               certificate_path, profiles_dir, tolerance: float) -> PipelineResult:
-    """Save assemblies, fingerprint their manifests, emit the certificate;
-    every certificate records n_profile_nodes here."""
+    """Save the one assembly, fingerprint its manifest, emit the
+    certificate; every certificate records n_profile_nodes here."""
     artifacts = {}
     if profiles_dir is not None:
         profiles_dir = Path(profiles_dir)
@@ -398,13 +398,12 @@ def _finalize(kind: str, parameters: dict, quantities: dict, claims,
                   else profiles_dir)
         cert_name = (Path(certificate_path).name
                      if certificate_path is not None else None)
-        for label, assembly in assemblies.items():
-            out = profiles_dir if len(assemblies) == 1 else profiles_dir / label
-            manifest = assembly.save_files(out, certificate_ref=cert_name)
-            artifacts[f"{label}_manifest"] = {
-                "file": os.path.relpath(manifest, anchor),
-                "sha256": hashlib.sha256(manifest.read_bytes()).hexdigest(),
-            }
+        [(label, assembly)] = assemblies.items()
+        manifest = assembly.save_files(profiles_dir, certificate_ref=cert_name)
+        artifacts[f"{label}_manifest"] = {
+            "file": os.path.relpath(manifest, anchor),
+            "sha256": hashlib.sha256(manifest.read_bytes()).hexdigest(),
+        }
     parameters = {**parameters, "n_profile_nodes": PROFILE_NODES}
     doc = make_certificate(kind, parameters, quantities, claims,
                            provenance=provenance, artifacts=artifacts,

@@ -5,11 +5,12 @@ the arclength coordinate plus one warp (WarpProfile, metric
 ds^2 + v^2 g_{S^m}) or two warps (DoublyWarpProfile, metric
 ds^2 + va^2 g_{S^p} + vb^2 g_{S^f}). Values are interpolated with
 not-a-knot cubic splines; all curvature and volume evaluation downstream
-goes through the spline, so a profile written to disk and reloaded
-reproduces its numbers exactly. The splines are built here (CubicSpline)
-with scipy's arithmetic, bit for bit, but without its validation passes,
-which the profile's own grid and warp checks make redundant; samples
-must therefore be finite. A constant warp (the round base factor of
+goes through the spline, so a profile file stores only what defines the
+piece (header, grid and warp values; derivatives are the spline's) and a
+reloaded profile reproduces its numbers exactly. The splines are built
+here (CubicSpline) with scipy's arithmetic, bit for bit, but without its
+validation passes, which the profile's own grid and warp checks make
+redundant; samples must therefore be finite. A constant warp (the round base factor of
 a surgery neck, a cylinder, the fixed factor of a collar leg or cap) is
 its own closed form: it evaluates to the same floats as its spline
 without building one. A reversed piece remembers the piece it reverses
@@ -46,7 +47,7 @@ from .numerics import cubic_bounds
 
 __all__ = ["WarpProfile", "DoublyWarpProfile", "load_profile_csv", "save_profile_csv"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # fraction of an interval trimmed next to a pole when sampling curvature
 _POLE_TRIM = 1e-9
@@ -317,7 +318,6 @@ class WarpProfile:
     # -- serialization ---------------------------------------------------
 
     def canonical_bytes(self) -> bytes:
-        sp = self._spline
         lines = [
             f"# neckforge-profile-version={FORMAT_VERSION}",
             "# kind=warped",
@@ -326,10 +326,9 @@ class WarpProfile:
             f"# closed_end={int(self.closed_end)}",
             f"# jet_start={_format_jet(self.jet_start) if self.jet_start else 'spline'}",
             f"# jet_end={_format_jet(self.jet_end) if self.jet_end else 'spline'}",
-            "# columns=s,phi,dphi,d2phi",
+            "# columns=s,phi",
         ]
-        return _render(lines, (self.grid, self.values,
-                               sp(self.grid, 1), sp(self.grid, 2)))
+        return _render(lines, (self.grid, self.values))
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
@@ -467,7 +466,6 @@ class DoublyWarpProfile:
         ))
 
     def canonical_bytes(self) -> bytes:
-        sa, sb = self._spline_a, self._spline_b
         fmt_closed = lambda c: "none" if c is None else str(c)
         fmt_jets = lambda js: ("spline" if js is None
                                else ";".join(_format_jet(j) for j in js))
@@ -480,11 +478,9 @@ class DoublyWarpProfile:
             f"# closed_end={fmt_closed(self.closed_end)}",
             f"# jets_start={fmt_jets(self.jets_start)}",
             f"# jets_end={fmt_jets(self.jets_end)}",
-            "# columns=s,a,b,da,db,d2a,d2b",
+            "# columns=s,a,b",
         ]
-        return _render(lines, (self.grid, self.values_a, self.values_b,
-                               sa(self.grid, 1), sb(self.grid, 1),
-                               sa(self.grid, 2), sb(self.grid, 2)))
+        return _render(lines, (self.grid, self.values_a, self.values_b))
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
@@ -535,24 +531,10 @@ def _parse_table(rows: list[str]) -> np.ndarray:
     return data.reshape(len(rows), commas + 1)
 
 
-def _check_derivative_columns(grid, stored, recomputed, label: str) -> None:
-    # loose sanity check: catches swapped or hand-mangled columns without
-    # punishing regeneration noise
-    scale = max(float(np.max(np.abs(recomputed))), 1e-12)
-    err = float(np.max(np.abs(stored[2:-2] - recomputed[2:-2]))) if grid.size > 4 else 0.0
-    # written so that a nan cell fails it; the two rows at each end are
-    # not compared, but must still be finite
-    if not (err <= 1e-2 * scale and np.all(np.isfinite(stored))):
-        raise SchemaViolation(
-            f"{label} column disagrees with the spline of the value column "
-            f"(max deviation {err:.3e} against scale {scale:.3e})")
-
-
 def load_profile_csv(path):
     """Read a profile CSV written by save_profile_csv.
 
-    Raises SchemaViolation for missing or inconsistent metadata and for
-    derivative columns that contradict the value columns.
+    Raises SchemaViolation for missing or inconsistent metadata.
     """
     with open(path, "rb") as fh:
         text = fh.read().decode()
@@ -566,10 +548,10 @@ def load_profile_csv(path):
     data = _parse_table(rows)
 
     if kind == "warped":
-        if meta.get("columns") != "s,phi,dphi,d2phi" or data.shape[1] != 4:
-            raise SchemaViolation("warped profile needs columns s,phi,dphi,d2phi")
+        if meta.get("columns") != "s,phi" or data.shape[1] != 2:
+            raise SchemaViolation("warped profile needs columns s,phi")
         try:
-            prof = WarpProfile(
+            return WarpProfile(
                 grid=data[:, 0], values=data[:, 1],
                 fiber_dim=int(meta.get("fiber_dim", "0")),
                 closed_start=meta.get("closed_start") == "1",
@@ -578,19 +560,15 @@ def load_profile_csv(path):
                 jet_end=_parse_jet_field(meta.get("jet_end", "spline")))
         except (KeyError, ValueError, ParameterOutOfRange) as exc:
             raise SchemaViolation(f"bad warped profile metadata: {exc}") from None
-        sp = prof._spline
-        _check_derivative_columns(prof.grid, data[:, 2], sp(prof.grid, 1), "dphi")
-        _check_derivative_columns(prof.grid, data[:, 3], sp(prof.grid, 2), "d2phi")
-        return prof
 
     if kind == "doubly_warped":
-        if meta.get("columns") != "s,a,b,da,db,d2a,d2b" or data.shape[1] != 7:
-            raise SchemaViolation("doubly warped profile needs columns s,a,b,da,db,d2a,d2b")
+        if meta.get("columns") != "s,a,b" or data.shape[1] != 3:
+            raise SchemaViolation("doubly warped profile needs columns s,a,b")
         parse_closed = lambda t: None if t == "none" else int(t)
         parse_jets = lambda t: (None if t == "spline" else
                                 tuple(_parse_jet_field(j) for j in t.split(";")))
         try:
-            prof = DoublyWarpProfile(
+            return DoublyWarpProfile(
                 grid=data[:, 0], values_a=data[:, 1], values_b=data[:, 2],
                 dim_a=int(meta.get("dim_a", "0")), dim_b=int(meta.get("dim_b", "0")),
                 closed_start=parse_closed(meta.get("closed_start", "none")),
@@ -599,10 +577,5 @@ def load_profile_csv(path):
                 jets_end=parse_jets(meta.get("jets_end", "spline")))
         except (KeyError, ValueError, ParameterOutOfRange) as exc:
             raise SchemaViolation(f"bad doubly warped profile metadata: {exc}") from None
-        _check_derivative_columns(prof.grid, data[:, 3], prof._spline_a(prof.grid, 1), "da")
-        _check_derivative_columns(prof.grid, data[:, 4], prof._spline_b(prof.grid, 1), "db")
-        _check_derivative_columns(prof.grid, data[:, 5], prof._spline_a(prof.grid, 2), "d2a")
-        _check_derivative_columns(prof.grid, data[:, 6], prof._spline_b(prof.grid, 2), "d2b")
-        return prof
 
     raise SchemaViolation(f"unknown profile kind {kind!r}")

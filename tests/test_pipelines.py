@@ -330,9 +330,26 @@ def test_pipeline_artifact_tamper_detected(tmp_path):
                       certificate_path=tmp_path / "cert.json",
                       profiles_dir=tmp_path / "files")
     manifest = tmp_path / "files" / "assembly.json"
-    manifest.write_bytes(manifest.read_bytes().replace(b"pieces", b"Pieces", 1))
+    original = manifest.read_bytes()
+    manifest.write_bytes(original.replace(b"pieces", b"Pieces", 1))
     with pytest.raises(SchemaViolation):
         recheck_certificate(tmp_path / "cert.json")
+    # the manifest intact, one value cell of a piece file it lists edited
+    manifest.write_bytes(original)
+    assert recheck_certificate(tmp_path / "cert.json")["status"] == "PASS"
+    piece = sorted((tmp_path / "files").glob("piece_*.csv"))[1]
+    lines = piece.read_text().splitlines()
+    row = [i for i, ln in enumerate(lines) if not ln.startswith("#")][100]
+    cells = lines[row].split(",")
+    cells[1] = "%.17g" % (1.5 * float(cells[1]))
+    lines[row] = ",".join(cells)
+    piece.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaViolation):
+        recheck_certificate(tmp_path / "cert.json")
+    # an absent piece file is reported, as an absent manifest is
+    piece.unlink()
+    report = recheck_certificate(tmp_path / "cert.json")
+    assert report["artifacts_missing"] == [f"chain_manifest/{piece.name}"]
 
 
 # sha256 of certificate_bytes for fixed builds: a speedup must leave every
@@ -375,30 +392,30 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
 GOLDEN_ARTIFACT_DIGESTS = [
     pytest.param(
         lambda **files: tunnel_certificate(3, sharpness=100.0, **files),
-        "b32cd42489f37b3d8aada1555fe9e5e6201af204da1104be8f7548345b7ccc24",
+        "8e50d6649ab2f970a775259674184a29221d55845a1b79e178f00df3eb597b0d",
         id="tunnel"),
     pytest.param(
         lambda **files: surgery_certificate(1, 3, 0.05, **files),
-        "cb9f259bad52425cbd8b0c631074de17c19b7f999d1d001661c1f77843ec4508",
+        "c778a79201aedae09041a8c0b3a89cff27275dff1a58639b30f35f8acb6b26df",
         id="surgery"),
     # four spheres: three links written from one repeated profile chain
     pytest.param(
         lambda **files: sphere_chain_certificate(
             1.5 * unit_sphere_volume(3), 3, **files),
-        "02a5819d40f444a8988078901ac95459677361782adf5b667c0cfe19133de829",
+        "9908ae6b31a4bafb88ca08ab1a530d5b3715f591012099e04e553d62302e6f8a",
         id="chain"),
     # round ingredient remnant from its far pole, hemisphere up to its
     # boundary, with a waist cylinder
     pytest.param(
         lambda **files: attach_hemisphere(round_sphere_ingredient(3, 0.5),
                                           diameter_target=10.0, **files),
-        "efca9c5728835c99668f77df899d4884148d0c278b610cbcddb719a2a633014c",
+        "5538be3057e13cd30557af822ddee6c60ea7b31466563bfd5ca36bed85fcb697",
         id="hemisphere"),
     # stand-in attachment: no ingredient remnant, product entries added
     pytest.param(
         lambda **files: attach_product_ingredient(1, 2, factor_radius=10.0,
                                                   **files),
-        "1ec0f44d7c17940d20a963f955a06b7ac074ccc6ea22e6213430fe2e0f4ab443",
+        "5838037e24d18e7635f7e05840cfaeb1e57fdf2cadbe5edfe6b5b919dc651b59",
         id="product"),
     # hemisphere from its boundary down to the tunnel, small sphere out
     # to its far pole
@@ -406,7 +423,7 @@ GOLDEN_ARTIFACT_DIGESTS = [
         lambda **files: verify_volume_budget(
             hemisphere_standin(3, declared_volume=0.5 * unit_sphere_volume(3)),
             0.05, **files),
-        "1bcc80612ca090507de114dd97718311a823215cc49adf4f52e454575364b52e",
+        "61aac317c2c0b773a06285b5a2df5ef4c30dc1b8313c2292dcba52ead1e961e4",
         id="budget"),
 ]
 

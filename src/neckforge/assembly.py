@@ -45,7 +45,7 @@ from .errors import (CodimensionTooSmall, InfeasibleBudget, InterfaceMismatch,
 from .measure import diameter_bounds, profile_volume
 from .models import AmbientModel, unit_sphere_volume
 from .numerics import smoothstep5
-from .profiles import DoublyWarpProfile, WarpProfile, save_profile_csv
+from .profiles import make_profile, save_profile_csv
 
 __all__ = [
     "AssemblyPiece",
@@ -75,11 +75,6 @@ CAP_RAMP_FRACTION = 0.3
 SEGMENT_MERGE_REL = 1e-6
 
 
-def _closed(flag) -> bool:
-    # identity checks: a DoublyWarpProfile uses 0 for "first warp closes"
-    return flag is not None and flag is not False
-
-
 def certified_min_scalar(profile, pole_scalars: tuple = ()) -> float:
     """Lower bound for the scalar curvature of a stored profile.
 
@@ -88,8 +83,8 @@ def certified_min_scalar(profile, pole_scalars: tuple = ()) -> float:
     represent an exact round closure; constructions that close poles pass
     the analytic pole values through pole_scalars.
     """
-    if (_closed(profile.closed_start) or _closed(profile.closed_end)) \
-            and not pole_scalars:
+    closed_start, closed_end = profile.closed_ends
+    if (closed_start or closed_end) and not pole_scalars:
         raise ParameterOutOfRange(
             "closed profiles need declared pole scalar values")
     s, R = profile.curvature_samples()
@@ -97,9 +92,9 @@ def certified_min_scalar(profile, pole_scalars: tuple = ()) -> float:
     h = float(grid[1] - grid[0])
     lo = float(grid[0])
     hi = float(grid[-1])
-    if _closed(profile.closed_start):
+    if closed_start:
         lo += POLE_MARGIN * h
-    if _closed(profile.closed_end):
+    if closed_end:
         hi -= POLE_MARGIN * h
     mask = (s >= lo) & (s <= hi)
     vals = [float(np.min(R[mask]))] if np.any(mask) else []
@@ -134,6 +129,10 @@ def _as_warp_tuple(values, what: str) -> tuple:
     return out
 
 
+def _flat_jets(warps) -> tuple:
+    return tuple((v, 0.0, 0.0) for v in warps)
+
+
 def collar_metric(start, end, dims, stretch: float,
                   n_nodes: int = PROFILE_NODES):
     """One transition leg: every warp follows a C^2-flat quintic ramp.
@@ -153,17 +152,9 @@ def collar_metric(start, end, dims, stretch: float,
         raise ParameterOutOfRange("n_nodes must be >= 8")
     grid = np.linspace(0.0, float(stretch), int(n_nodes))
     w = smoothstep5(grid / stretch)
-    vals = [a + (b - a) * w for a, b in zip(start, end)]
-    if len(dims) == 1:
-        return WarpProfile(grid=grid, values=vals[0], fiber_dim=dims[0],
-                           jet_start=(start[0], 0.0, 0.0),
-                           jet_end=(end[0], 0.0, 0.0))
-    return DoublyWarpProfile(grid=grid, values_a=vals[0], values_b=vals[1],
-                             dim_a=dims[0], dim_b=dims[1],
-                             jets_start=((start[0], 0.0, 0.0),
-                                         (start[1], 0.0, 0.0)),
-                             jets_end=((end[0], 0.0, 0.0),
-                                       (end[1], 0.0, 0.0)))
+    return make_profile(grid, [a + (b - a) * w for a, b in zip(start, end)],
+                        dims, jets_start=_flat_jets(start),
+                        jets_end=_flat_jets(end))
 
 
 def choose_stretch(start, end, dims, floor: float, base_stretch: float):
@@ -248,10 +239,9 @@ def cap_profile(base_dim: int, link_value: float, link_dim: int,
     vb = np.full(grid.size, float(link_value))
     pole = (round_closure_curvature(p, a_r)
             + link_dim * (link_dim - 1) / link_value ** 2)
-    profile = DoublyWarpProfile(
-        grid=grid, values_a=va, values_b=vb, dim_a=p, dim_b=int(link_dim),
-        closed_end=0,
-        jets_start=((a_r, 0.0, 0.0), (link_value, 0.0, 0.0)),
+    profile = make_profile(
+        grid, (va, vb), (p, int(link_dim)), closed_end=0,
+        jets_start=_flat_jets((a_r, link_value)),
         jets_end=((0.0, -1.0, 0.0), (link_value, 0.0, 0.0)))
     return profile, pole
 
@@ -456,9 +446,8 @@ def _annulus_deviation(curve: BendingCurve, piece: AssemblyPiece) -> float:
     """Max gap between the first piece and the literal ambient annulus."""
     grid = piece.profile.grid
     exact = curve.model.warp(curve.start_radius - grid)
-    values = (piece.profile.values if hasattr(piece.profile, "values")
-              else piece.profile.values_b)
-    return float(np.max(np.abs(values - exact)))
+    link_values = piece.profile.warps[-1][0]
+    return float(np.max(np.abs(link_values - exact)))
 
 
 def _cylinder_radius(model: AmbientModel, tube_radius: float,
@@ -479,31 +468,13 @@ def _cylinder_radius(model: AmbientModel, tube_radius: float,
     return a
 
 
-def _warp_tail(model: AmbientModel, curve: BendingCurve):
-    """(start warps, dims) at the curve's waist end."""
-    waist = float(model.warp(np.asarray(curve.end_radius)))
-    if model.base_dim == 0:
-        return (waist,), (model.slice_dim - 1,)
-    return (model.base_radius, waist), (model.base_dim, model.slice_dim - 1)
-
-
 def _cylinder_piece(model: AmbientModel, radius: float, length: float):
     n_nodes = PROFILE_NODES // 8
     grid = np.linspace(0.0, float(length), n_nodes)
-    m = model.slice_dim - 1
-    if model.base_dim == 0:
-        profile = WarpProfile(grid=grid, values=np.full(n_nodes, radius),
-                              fiber_dim=m,
-                              jet_start=(radius, 0.0, 0.0),
-                              jet_end=(radius, 0.0, 0.0))
-    else:
-        rho = model.base_radius
-        profile = DoublyWarpProfile(
-            grid=grid, values_a=np.full(n_nodes, rho),
-            values_b=np.full(n_nodes, radius),
-            dim_a=model.base_dim, dim_b=m,
-            jets_start=((rho, 0.0, 0.0), (radius, 0.0, 0.0)),
-            jets_end=((rho, 0.0, 0.0), (radius, 0.0, 0.0)))
+    warps, dims = model.fiber(radius)
+    flat = _flat_jets(warps)
+    profile = make_profile(grid, [np.full(n_nodes, v) for v in warps], dims,
+                           jets_start=flat, jets_end=flat)
     return _sampled_piece("cylinder", "cylinder", profile)
 
 
@@ -529,7 +500,8 @@ def _neck(params: CurveDesignParams, end: tuple, floor: float,
     """
     curve = design_bending_curve(params)
     pieces = _curve_pieces(curve, prefix)
-    start, dims = _warp_tail(params.model, curve)
+    start, dims = params.model.fiber(
+        float(params.model.warp(curve.end_radius)))
     for j, (leg, bound) in enumerate(boundary_homotopy(
             start, end, dims, floor, 0.25 * params.tube_radius)):
         pieces.append(AssemblyPiece(
@@ -545,9 +517,8 @@ def _tunnel_side(model: AmbientModel, tube_radius: float, budget: float,
     """Pieces from the ambient annulus down to the cylinder mouth."""
     params = CurveDesignParams(model=model, tube_radius=tube_radius,
                                budget=budget, grid_density=grid_density)
-    base = (model.base_radius,) if model.base_dim else ()
-    curve, pieces = _neck(params, base + (cylinder_radius,), collar_floor,
-                          prefix, f"{prefix}collar")
+    curve, pieces = _neck(params, model.fiber(cylinder_radius)[0],
+                          collar_floor, prefix, f"{prefix}collar")
     check = curve.check
     side_stats = {
         "curve_length": curve.length,
@@ -577,7 +548,7 @@ def build_tunnel(model: AmbientModel, tube_radius: float, length: float = 0.0,
     """
     if not sharpness >= 1.0:
         raise ParameterOutOfRange("sharpness must be >= 1")
-    if length < 0.0:
+    if not length >= 0.0:
         raise ParameterOutOfRange("length must be >= 0")
     kappa = model.scalar_curvature
     floor = kappa - 1.0 / sharpness
@@ -621,6 +592,8 @@ def build_tunnel_between(model_a: AmbientModel, model_b: AmbientModel,
     base factors of the two models must agree in dimension (and the base
     factor in radius) for the cylinder to glue to both collars.
     """
+    if not length >= 0.0:
+        raise ParameterOutOfRange("length must be >= 0")
     if (model_a.slice_dim != model_b.slice_dim
             or model_a.base_dim != model_b.base_dim
             or model_a.base_radius != model_b.base_radius):
@@ -702,9 +675,9 @@ def perform_surgery(base_dim: int, slice_dim: int, tube_radius: float, *,
     grid = np.linspace(0.0, span, 2 * PROFILE_NODES)
     vb = slice_radius * np.sin((pole_dist - grid) / slice_radius)
     vb[0] = 0.0
-    remnant_profile = DoublyWarpProfile(
-        grid=grid, values_a=np.full(grid.size, base_radius), values_b=vb,
-        dim_a=p, dim_b=q - 1, closed_start=1,
+    remnant_profile = make_profile(
+        grid, (np.full(grid.size, base_radius), vb), (p, q - 1),
+        closed_start=1,
         jets_start=((base_radius, 0.0, 0.0), (0.0, 1.0, 0.0)),
         jets_end=((base_radius, 0.0, 0.0), curve._boundary_jet(0.0)))
     remnant = _sampled_piece("body_remnant", "body_remnant", remnant_profile,

@@ -64,7 +64,7 @@ from .errors import (
 )
 from .models import AmbientModel
 from .numerics import cubic_rows, gauss_legendre_rule, smoothstep5, smoothstep7
-from .profiles import DoublyWarpProfile, WarpProfile
+from .profiles import make_profile
 
 __all__ = [
     "CurveDesignParams",
@@ -380,29 +380,22 @@ class BendingCurve:
     def segment_profile(self, s_lo: float, s_hi: float, n_nodes: int = 1024):
         """Resample [s_lo, s_hi] of the swept metric as a profile piece.
 
-        Emits a WarpProfile for base_dim 0 models and a DoublyWarpProfile
-        (constant first warp) otherwise. Boundary jets are stored exactly
-        from the curve, so adjacent segments share interface data to
-        roundoff.
+        The link warp follows the curve, and a base sphere, when the
+        model has one, is a constant first warp. Boundary jets are stored
+        exactly from the curve, so adjacent segments share interface data
+        to roundoff.
         """
         if not (0.0 <= s_lo < s_hi <= self.length + 1e-12):
             raise ParameterOutOfRange("segment must satisfy 0 <= s_lo < s_hi <= length")
         grid = np.linspace(0.0, s_hi - s_lo, n_nodes)
-        vb = self.model.warp(self.radius_at(grid + s_lo))
-        jet_lo = self._boundary_jet(s_lo)
-        jet_hi = self._boundary_jet(s_hi)
-        p = self.model.base_dim
-        if p == 0:
-            return WarpProfile(grid=grid, values=vb,
-                               fiber_dim=self.model.slice_dim - 1,
-                               jet_start=jet_lo, jet_end=jet_hi)
-        rho = self.model.base_radius
-        flat = (rho, 0.0, 0.0)
-        return DoublyWarpProfile(grid=grid, values_a=np.full(n_nodes, rho),
-                                 values_b=vb, dim_a=p,
-                                 dim_b=self.model.slice_dim - 1,
-                                 jets_start=(flat, jet_lo),
-                                 jets_end=(flat, jet_hi))
+        warps, dims = self.model.fiber(
+            self.model.warp(self.radius_at(grid + s_lo)))
+        *base, link = warps
+        flat = tuple((rho, 0.0, 0.0) for rho in base)
+        return make_profile(
+            grid, [np.full(n_nodes, rho) for rho in base] + [link], dims,
+            jets_start=flat + (self._boundary_jet(s_lo),),
+            jets_end=flat + (self._boundary_jet(s_hi),))
 
 
 def save_curve_csv(curve: BendingCurve, path) -> None:

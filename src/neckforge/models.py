@@ -13,9 +13,10 @@ quantity of tubes and bent hypersurfaces closed-form; that exactness is
 what the numerical certificates lean on.
 
 Everything a construction needs from the ambient geometry lives here:
-scalar curvature, the radial warp, principal curvatures of distance tubes
-(computed with the inner normal, the one pointing toward the axis), and
-reference volumes.
+scalar curvature, the radial warp, the warps of the fiber over a slice
+radius, the distance spheres of the slice factor (principal curvatures
+with the inner normal, the one pointing toward the axis) and the volume
+of the unit sphere.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterOutOfRange, RadiusExceedsModel
-from .numerics import gauss_legendre_panels
 
 __all__ = [
     "AmbientModel",
@@ -82,9 +82,13 @@ class AmbientModel:
         """Dimension n of hypersurfaces swept by a curve in the (t, r) plane."""
         return self.base_dim + self.slice_dim
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.surface_dim + 1
+    def fiber(self, slice_warp) -> tuple[tuple, tuple]:
+        """(warps, sphere dims) of the fiber S^p(rho) x S^(q-1)(slice_warp):
+        the base sphere's radius first, and no base sphere when p = 0."""
+        if self.base_dim == 0:
+            return (slice_warp,), (self.slice_dim - 1,)
+        return ((self.base_radius, slice_warp),
+                (self.base_dim, self.slice_dim - 1))
 
     @property
     def scalar_curvature(self) -> float:
@@ -137,7 +141,7 @@ class AmbientModel:
             raise RadiusExceedsModel("radial slope needs 0 < r <= equator")
         return self.warp_d1(r) / w
 
-    # -- tubes and spheres -----------------------------------------------------
+    # -- distance spheres -----------------------------------------------------
 
     def geodesic_sphere_data(self, radius: float) -> GeodesicSphereData:
         """The distance sphere of the slice factor at the given radius.
@@ -158,42 +162,6 @@ class AmbientModel:
         return GeodesicSphereData(radius=float(radius), warp_value=w,
                                   principal_curvatures=lam,
                                   metric_deviation=deviation)
-
-    def tube_principal_curvatures(self, radius: float) -> np.ndarray:
-        """Second fundamental form spectrum of the distance tube {r = const}.
-
-        The tube is S^p(rho) x R_t x S^{q-1}(sn(r)); with the inner normal
-        its principal curvatures are 0 along t, 0 along the base sphere,
-        and -sn'/sn along each of the q-1 link directions.
-        """
-        slope = float(self.radial_log_slope(radius))
-        lam = np.zeros(self.surface_dim)
-        lam[1 + self.base_dim:] = -slope
-        return lam
-
-    # -- reference volumes -----------------------------------------------------
-
-    def base_factor_volume(self) -> float:
-        """Volume of the S^p(rho) factor; 1 when the factor is absent."""
-        if self.base_dim == 0:
-            return 1.0
-        return unit_sphere_volume(self.base_dim) * self.base_radius**self.base_dim
-
-    def slice_ball_volume(self, radius: float) -> float:
-        """Volume of a geodesic ball of the slice factor."""
-        self._check_radius(radius)
-        if radius == 0.0:
-            return 0.0
-        omega = unit_sphere_volume(self.slice_dim - 1)
-        panels = np.linspace(0.0, radius, 65)
-        return omega * gauss_legendre_panels(
-            lambda r: self.warp(r) ** (self.slice_dim - 1), panels)
-
-    def tube_volume(self, radius: float, axial_length: float) -> float:
-        """Volume of {r <= radius, 0 <= t <= axial_length}."""
-        if axial_length < 0.0:
-            raise ParameterOutOfRange("axial_length must be >= 0")
-        return self.base_factor_volume() * axial_length * self.slice_ball_volume(radius)
 
 
 def flat_space(dim: int) -> AmbientModel:

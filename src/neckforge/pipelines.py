@@ -431,7 +431,7 @@ def _attachment(name: str, ingredient: IngredientMetric,
     if hemisphere.dim != n:
         raise ParameterOutOfRange(
             f"hemisphere dimension {hemisphere.dim} != ingredient dimension {n}")
-    if diameter_target < 0.0:
+    if not diameter_target >= 0.0:
         raise ParameterOutOfRange("diameter target must be nonnegative")
     _require_floor("ingredient", ingredient, target)
     _require_floor("hemisphere", hemisphere, target)
@@ -754,6 +754,8 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
     if hemisphere.dim != n:
         raise ParameterOutOfRange(
             f"hemisphere dimension {hemisphere.dim} != {n}")
+    if not diameter_target >= 0.0:
+        raise ParameterOutOfRange("diameter target must be nonnegative")
     _require_floor("hemisphere", hemisphere, target)
     delta = 0.8 * eps if ball_radius is None else float(ball_radius)
     if not 0.0 < delta < eps:

@@ -1,20 +1,28 @@
 """Sampled warped-product metric pieces and their serialization.
 
 A profile is one interval's worth of metric data: a uniform sample grid in
-the arclength coordinate plus one warp (WarpProfile, metric
-ds^2 + v^2 g_{S^m}) or two warps (DoublyWarpProfile, metric
-ds^2 + va^2 g_{S^p} + vb^2 g_{S^f}). Values are interpolated with
-not-a-knot cubic splines; all curvature and volume evaluation downstream
-goes through the spline, so a profile file stores only what defines the
-piece (header, grid and warp values; derivatives are the spline's) and a
-reloaded profile reproduces its numbers exactly. The splines are built
-here (CubicSpline) with scipy's arithmetic, bit for bit, but without its
-validation passes, which the profile's own grid and warp checks make
-redundant; samples must therefore be finite. A constant warp (the round base factor of
-a surgery neck, a cylinder, the fixed factor of a collar leg or cap) is
-its own closed form: it evaluates to the same floats as its spline
-without building one. A reversed piece remembers the piece it reverses
-(reversed_from), so the bounds of one serve both.
+the arclength coordinate plus its warps, one per round sphere factor of
+the fiber. A tunnel piece has one warp (metric ds^2 + v^2 g_{S^m}), a
+surgery piece two (ds^2 + va^2 g_{S^p} + vb^2 g_{S^f}). One body,
+_Profile, derives everything from a profile's list of warps: validation,
+splines, curvature, jets, bounds and the file rendering. Two public
+classes front it, WarpProfile for one warp and DoublyWarpProfile for two,
+and make_profile picks between them by warp count. Both names stay
+because each writes its own header format (kind=warped, kind=doubly_warped)
+and because the benchmark tracer patches methods of each class by name.
+
+Values are interpolated with not-a-knot cubic splines; all curvature and
+volume evaluation downstream goes through the spline, so a profile file
+stores only what defines the piece (header, grid and warp values;
+derivatives are the spline's) and a reloaded profile reproduces its
+numbers exactly. The splines are built here (CubicSpline) with scipy's
+arithmetic, bit for bit, but without its validation passes, which the
+profile's own grid and warp checks make redundant; samples must therefore
+be finite. A constant warp (the round base factor of a surgery neck, a
+cylinder, the fixed factor of a collar leg or cap) is its own closed form:
+it evaluates to the same floats as its spline without building one. A
+reversed piece remembers the piece it reverses (reversed_from), so the
+bounds of one serve both.
 
 Warps must stay positive except at a declared closed end, where exactly one
 warp vanishes with unit slope and the metric closes smoothly over a pole
@@ -45,7 +53,8 @@ from .errors import (
 )
 from .numerics import cubic_bounds
 
-__all__ = ["WarpProfile", "DoublyWarpProfile", "load_profile_csv", "save_profile_csv"]
+__all__ = ["WarpProfile", "DoublyWarpProfile", "make_profile",
+           "load_profile_csv", "save_profile_csv"]
 
 FORMAT_VERSION = 2
 
@@ -172,18 +181,6 @@ def _warp_spline(grid: np.ndarray, values: np.ndarray):
     return CubicSpline(grid, values)
 
 
-def _cubic_bounds(warp_splines) -> tuple[tuple[bool, float], ...]:
-    return tuple(cubic_bounds(spline.c, spline.x, closed_start, closed_end)
-                 for spline, closed_start, closed_end in warp_splines)
-
-
-def _reversed(source, profile):
-    """profile, recorded as the reversal of source (or of its own source)."""
-    root = source if source.reversed_from is None else source.reversed_from
-    object.__setattr__(profile, "reversed_from", root)
-    return profile
-
-
 def _spline_jet(spline, s: float) -> tuple[float, float, float]:
     return (float(spline(s)), float(spline(s, 1)), float(spline(s, 2)))
 
@@ -204,8 +201,125 @@ def _render(header: list[str], columns) -> bytes:
     return ("\n".join(header) + "\n" + body + "\n").encode()
 
 
+class _Profile:
+    """The body of both profile classes, derived from their warps.
+
+    A class lists its warps as (values, sphere dim, closed at start,
+    closed at end), names its kind and header lines (_header) and has a
+    grid and a reversed_from field. Its __post_init__ normalises its own
+    fields, then calls _init_body with the jets it stores per end (one per
+    warp, or None where the spline's own serve).
+    """
+
+    def _init_body(self, jets_start, jets_end) -> None:
+        grid = np.ascontiguousarray(self.grid, dtype=float)
+        object.__setattr__(self, "grid", grid)
+        _validate_uniform_grid(grid)
+        warps = self.warps
+        names = ("warp",) if len(warps) == 1 else ("first warp", "second warp")
+        for (values, dim, closed_start, closed_end), name in zip(warps, names):
+            if values.shape != grid.shape:
+                raise DegenerateGrid("warp samples must match the grid shape")
+            if dim < 1:
+                raise ParameterOutOfRange("sphere dimensions must be >= 1")
+            _validate_warp(values, grid, closed_start, closed_end, name)
+        jets = tuple(None if js is None else tuple(_as_jet(j) for j in js)
+                     for js in (jets_start, jets_end))
+        if any(js is not None and len(js) != len(warps) for js in jets):
+            raise ParameterOutOfRange("stored jets need one jet per warp")
+        object.__setattr__(self, "_jets", jets)
+
+    @cached_property
+    def _splines(self) -> tuple:
+        return tuple(_warp_spline(self.grid, values)
+                     for values, _, _, _ in self.warps)
+
+    @property
+    def component_dims(self) -> tuple[int, ...]:
+        return tuple(dim for _, dim, _, _ in self.warps)
+
+    @property
+    def closed_ends(self) -> tuple[bool, bool]:
+        """Whether some warp closes over a pole at the start, at the end."""
+        return (any(start for _, _, start, _ in self.warps),
+                any(end for _, _, _, end in self.warps))
+
+    @property
+    def length(self) -> float:
+        return float(self.grid[-1] - self.grid[0])
+
+    def component_values(self, s) -> tuple[np.ndarray, ...]:
+        return tuple(np.asarray(spline(s), dtype=float)
+                     for spline in self._splines)
+
+    @property
+    def warp_splines(self) -> tuple:
+        """(spline, closed at start, closed at end) for each warp."""
+        return tuple((spline, start, end) for spline, (_, _, start, end)
+                     in zip(self._splines, self.warps))
+
+    @cached_property
+    def cubic_bounds(self) -> tuple[tuple[bool, float], ...]:
+        """numerics.cubic_bounds of each warp: whether its cubics are >= 0
+        and a bound of its |value|."""
+        return tuple(cubic_bounds(spline.c, spline.x, start, end)
+                     for spline, start, end in self.warp_splines)
+
+    def scalar_curvature(self, s):
+        jets = [d for spline in self._splines
+                for d in (spline(s), spline(s, 1), spline(s, 2))]
+        formula = (scalar_curvature_warped if len(self._splines) == 1
+                   else scalar_curvature_doubly_warped)
+        return formula(*jets, *self.component_dims)
+
+    def curvature_samples(self):
+        """Sample points (nodes and interval midpoints) and R there.
+
+        Pole nodes of closed ends are excluded; their analytic limits live
+        with the piece that built the closure.
+        """
+        s = _curvature_sample_points(self.grid, *self.closed_ends)
+        return s, self.scalar_curvature(s)
+
+    def boundary_jets(self, end: str) -> tuple[tuple[float, float, float], ...]:
+        if end == "start":
+            stored, s = self._jets[0], self.grid[0]
+        elif end == "end":
+            stored, s = self._jets[1], self.grid[-1]
+        else:
+            raise ParameterOutOfRange("end must be 'start' or 'end'")
+        if stored is not None:
+            return stored
+        return tuple(_spline_jet(spline, s) for spline in self._splines)
+
+    def reverse(self):
+        """The same piece traversed the other way; it records the piece it
+        reverses (or that piece's own source) as reversed_from."""
+        values, dims, starts, ends = zip(*self.warps)
+        closing = lambda flags: next(
+            (i for i, closed in enumerate(flags) if closed), None)
+        flip = lambda jets: (None if jets is None else
+                             tuple((v, -d1, d2) for v, d1, d2 in jets))
+        profile = make_profile(
+            self.grid[0] + (self.grid[-1] - self.grid[::-1]),
+            [v[::-1] for v in values], dims,
+            closed_start=closing(ends), closed_end=closing(starts),
+            jets_start=flip(self._jets[1]), jets_end=flip(self._jets[0]))
+        root = self if self.reversed_from is None else self.reversed_from
+        object.__setattr__(profile, "reversed_from", root)
+        return profile
+
+    def canonical_bytes(self) -> bytes:
+        header = [f"# neckforge-profile-version={FORMAT_VERSION}",
+                  f"# kind={self.kind}", *self._header()]
+        return _render(header, (self.grid, *(v for v, _, _, _ in self.warps)))
+
+    def fingerprint(self) -> str:
+        return hashlib.sha256(self.canonical_bytes()).hexdigest()
+
+
 @dataclass(frozen=True, eq=False)
-class WarpProfile:
+class WarpProfile(_Profile):
     """One warp over a uniform grid: metric ds^2 + value(s)^2 g_{S^m}."""
 
     grid: np.ndarray
@@ -220,122 +334,48 @@ class WarpProfile:
     reversed_from: "WarpProfile | None" = field(default=None, init=False,
                                                 repr=False)
 
+    kind = "warped"
+    # perfbench/tracer.py wraps these in each class's own __dict__
+    curvature_samples = _Profile.curvature_samples
+    fingerprint = _Profile.fingerprint
+
     def __post_init__(self) -> None:
-        grid = np.ascontiguousarray(self.grid, dtype=float)
-        values = np.ascontiguousarray(self.values, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        _validate_uniform_grid(grid)
-        if values.shape != grid.shape:
-            raise DegenerateGrid("warp samples must match the grid shape")
-        if int(self.fiber_dim) < 1:
-            raise ParameterOutOfRange("fiber_dim must be >= 1")
+        object.__setattr__(self, "values",
+                           np.ascontiguousarray(self.values, dtype=float))
         object.__setattr__(self, "fiber_dim", int(self.fiber_dim))
-        _validate_warp(values, grid, self.closed_start, self.closed_end, "warp")
-        if self.jet_start is None and self.closed_start:
-            object.__setattr__(self, "jet_start", (0.0, 1.0, 0.0))
-        elif self.jet_start is not None:
-            object.__setattr__(self, "jet_start", _as_jet(self.jet_start))
-        if self.jet_end is None and self.closed_end:
-            object.__setattr__(self, "jet_end", (0.0, -1.0, 0.0))
-        elif self.jet_end is not None:
-            object.__setattr__(self, "jet_end", _as_jet(self.jet_end))
-
-    # -- evaluation ------------------------------------------------------
-
-    @cached_property
-    def _spline(self):
-        return _warp_spline(self.grid, self.values)
+        # a closed end stores the round pole's jet unless given one
+        jets = [(0.0, 1.0, 0.0) if self.jet_start is None and self.closed_start
+                else self.jet_start,
+                (0.0, -1.0, 0.0) if self.jet_end is None and self.closed_end
+                else self.jet_end]
+        self._init_body(*(None if jet is None else (jet,) for jet in jets))
+        for name, stored in zip(("jet_start", "jet_end"), self._jets):
+            object.__setattr__(self, name,
+                               None if stored is None else stored[0])
 
     @property
-    def kind(self) -> str:
-        return "warped"
-
-    @property
-    def component_dims(self) -> tuple[int, ...]:
-        return (self.fiber_dim,)
-
-    @property
-    def length(self) -> float:
-        return float(self.grid[-1] - self.grid[0])
+    def warps(self) -> tuple:
+        return ((self.values, self.fiber_dim, self.closed_start,
+                 self.closed_end),)
 
     def value(self, s):
-        return np.asarray(self._spline(s), dtype=float)
+        return np.asarray(self._splines[0](s), dtype=float)
 
     def derivative(self, s, order: int = 1):
-        return np.asarray(self._spline(s, order), dtype=float)
+        return np.asarray(self._splines[0](s, order), dtype=float)
 
-    def component_values(self, s) -> tuple[np.ndarray, ...]:
-        return (self.value(s),)
-
-    @property
-    def warp_splines(self) -> tuple:
-        """(spline, closed at start, closed at end) for each warp."""
-        return ((self._spline, self.closed_start, self.closed_end),)
-
-    @cached_property
-    def cubic_bounds(self) -> tuple[tuple[bool, float], ...]:
-        """numerics.cubic_bounds of each warp: whether its cubics are >= 0
-        and a bound of its |value|."""
-        return _cubic_bounds(self.warp_splines)
-
-    def scalar_curvature(self, s):
-        sp = self._spline
-        return scalar_curvature_warped(sp(s), sp(s, 1), sp(s, 2), self.fiber_dim)
-
-    def curvature_samples(self):
-        """Sample points (nodes and interval midpoints) and R there.
-
-        Pole nodes of closed ends are excluded; their analytic limits live
-        with the piece that built the closure.
-        """
-        s = _curvature_sample_points(self.grid, self.closed_start,
-                                     self.closed_end)
-        return s, self.scalar_curvature(s)
-
-    def boundary_jets(self, end: str) -> tuple[tuple[float, float, float], ...]:
-        if end == "start":
-            return ((self.jet_start if self.jet_start is not None
-                     else _spline_jet(self._spline, self.grid[0])),)
-        if end == "end":
-            return ((self.jet_end if self.jet_end is not None
-                     else _spline_jet(self._spline, self.grid[-1])),)
-        raise ParameterOutOfRange("end must be 'start' or 'end'")
-
-    def reverse(self) -> "WarpProfile":
-        """The same piece traversed the other way."""
-        flip = lambda jet: (jet[0], -jet[1], jet[2]) if jet is not None else None
-        return _reversed(self, WarpProfile(
-            grid=self.grid[0] + (self.grid[-1] - self.grid[::-1]),
-            values=self.values[::-1],
-            fiber_dim=self.fiber_dim,
-            closed_start=self.closed_end,
-            closed_end=self.closed_start,
-            jet_start=flip(self.jet_end),
-            jet_end=flip(self.jet_start),
-        ))
-
-    # -- serialization ---------------------------------------------------
-
-    def canonical_bytes(self) -> bytes:
-        lines = [
-            f"# neckforge-profile-version={FORMAT_VERSION}",
-            "# kind=warped",
-            f"# fiber_dim={self.fiber_dim}",
-            f"# closed_start={int(self.closed_start)}",
-            f"# closed_end={int(self.closed_end)}",
-            f"# jet_start={_format_jet(self.jet_start) if self.jet_start else 'spline'}",
-            f"# jet_end={_format_jet(self.jet_end) if self.jet_end else 'spline'}",
-            "# columns=s,phi",
-        ]
-        return _render(lines, (self.grid, self.values))
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
+    def _header(self) -> list[str]:
+        jet = lambda j: _format_jet(j) if j else "spline"
+        return [f"# fiber_dim={self.fiber_dim}",
+                f"# closed_start={int(self.closed_start)}",
+                f"# closed_end={int(self.closed_end)}",
+                f"# jet_start={jet(self.jet_start)}",
+                f"# jet_end={jet(self.jet_end)}",
+                "# columns=s,phi"]
 
 
 @dataclass(frozen=True, eq=False)
-class DoublyWarpProfile:
+class DoublyWarpProfile(_Profile):
     """Two warps over one grid: ds^2 + va^2 g_{S^p} + vb^2 g_{S^f}.
 
     closed_start / closed_end give the index (0 for va, 1 for vb) of the
@@ -355,135 +395,69 @@ class DoublyWarpProfile:
     reversed_from: "DoublyWarpProfile | None" = field(default=None,
                                                       init=False, repr=False)
 
+    kind = "doubly_warped"
+    # perfbench/tracer.py wraps these in each class's own __dict__
+    curvature_samples = _Profile.curvature_samples
+    fingerprint = _Profile.fingerprint
+
     def __post_init__(self) -> None:
-        grid = np.ascontiguousarray(self.grid, dtype=float)
-        va = np.ascontiguousarray(self.values_a, dtype=float)
-        vb = np.ascontiguousarray(self.values_b, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values_a", va)
-        object.__setattr__(self, "values_b", vb)
-        _validate_uniform_grid(grid)
-        if va.shape != grid.shape or vb.shape != grid.shape:
-            raise DegenerateGrid("warp samples must match the grid shape")
-        if int(self.dim_a) < 1 or int(self.dim_b) < 1:
-            raise ParameterOutOfRange(
-                "both factor dimensions must be >= 1; use WarpProfile for one warp")
+        for name in ("values_a", "values_b"):
+            object.__setattr__(self, name, np.ascontiguousarray(
+                getattr(self, name), dtype=float))
         object.__setattr__(self, "dim_a", int(self.dim_a))
         object.__setattr__(self, "dim_b", int(self.dim_b))
         for end_name, flag in (("closed_start", self.closed_start),
                                ("closed_end", self.closed_end)):
             if flag is not None and flag not in (0, 1):
                 raise ParameterOutOfRange(f"{end_name} must be None, 0 or 1")
-        _validate_warp(va, grid, self.closed_start == 0, self.closed_end == 0,
-                       "first warp")
-        _validate_warp(vb, grid, self.closed_start == 1, self.closed_end == 1,
-                       "second warp")
-        jets_start = self.jets_start
-        jets_end = self.jets_end
-        if jets_start is not None:
-            jets_start = tuple(_as_jet(j) for j in jets_start)
-            if len(jets_start) != 2:
-                raise ParameterOutOfRange("jets_start needs one jet per warp")
-        if jets_end is not None:
-            jets_end = tuple(_as_jet(j) for j in jets_end)
-            if len(jets_end) != 2:
-                raise ParameterOutOfRange("jets_end needs one jet per warp")
-        object.__setattr__(self, "jets_start", jets_start)
-        object.__setattr__(self, "jets_end", jets_end)
-
-    @cached_property
-    def _spline_a(self):
-        return _warp_spline(self.grid, self.values_a)
-
-    @cached_property
-    def _spline_b(self):
-        return _warp_spline(self.grid, self.values_b)
+        self._init_body(self.jets_start, self.jets_end)
+        object.__setattr__(self, "jets_start", self._jets[0])
+        object.__setattr__(self, "jets_end", self._jets[1])
 
     @property
-    def kind(self) -> str:
-        return "doubly_warped"
+    def warps(self) -> tuple:
+        return ((self.values_a, self.dim_a, self.closed_start == 0,
+                 self.closed_end == 0),
+                (self.values_b, self.dim_b, self.closed_start == 1,
+                 self.closed_end == 1))
 
-    @property
-    def component_dims(self) -> tuple[int, ...]:
-        return (self.dim_a, self.dim_b)
+    def _header(self) -> list[str]:
+        closed = lambda c: "none" if c is None else str(c)
+        jets = lambda js: ("spline" if js is None
+                           else ";".join(_format_jet(j) for j in js))
+        return [f"# dim_a={self.dim_a}",
+                f"# dim_b={self.dim_b}",
+                f"# closed_start={closed(self.closed_start)}",
+                f"# closed_end={closed(self.closed_end)}",
+                f"# jets_start={jets(self.jets_start)}",
+                f"# jets_end={jets(self.jets_end)}",
+                "# columns=s,a,b"]
 
-    @property
-    def length(self) -> float:
-        return float(self.grid[-1] - self.grid[0])
 
-    def component_values(self, s) -> tuple[np.ndarray, ...]:
-        return (np.asarray(self._spline_a(s), dtype=float),
-                np.asarray(self._spline_b(s), dtype=float))
+def make_profile(grid, values, dims, *, closed_start=None, closed_end=None,
+                 jets_start=None, jets_end=None):
+    """The profile of the warps in values over grid: a WarpProfile for one
+    warp, a DoublyWarpProfile for two.
 
-    @property
-    def warp_splines(self) -> tuple:
-        return ((self._spline_a, self.closed_start == 0, self.closed_end == 0),
-                (self._spline_b, self.closed_start == 1, self.closed_end == 1))
-
-    @cached_property
-    def cubic_bounds(self) -> tuple[tuple[bool, float], ...]:
-        return _cubic_bounds(self.warp_splines)
-
-    def scalar_curvature(self, s):
-        sa, sb = self._spline_a, self._spline_b
-        return scalar_curvature_doubly_warped(
-            sa(s), sa(s, 1), sa(s, 2),
-            sb(s), sb(s, 1), sb(s, 2),
-            self.dim_a, self.dim_b)
-
-    def curvature_samples(self):
-        s = _curvature_sample_points(self.grid,
-                                     self.closed_start is not None,
-                                     self.closed_end is not None)
-        return s, self.scalar_curvature(s)
-
-    def boundary_jets(self, end: str) -> tuple[tuple[float, float, float], ...]:
-        if end == "start":
-            if self.jets_start is not None:
-                return self.jets_start
-            s = self.grid[0]
-        elif end == "end":
-            if self.jets_end is not None:
-                return self.jets_end
-            s = self.grid[-1]
-        else:
-            raise ParameterOutOfRange("end must be 'start' or 'end'")
-        return (_spline_jet(self._spline_a, s), _spline_jet(self._spline_b, s))
-
-    def reverse(self) -> "DoublyWarpProfile":
-        flip_one = lambda jet: (jet[0], -jet[1], jet[2])
-        flip = lambda jets: tuple(flip_one(j) for j in jets) if jets is not None else None
-        return _reversed(self, DoublyWarpProfile(
-            grid=self.grid[0] + (self.grid[-1] - self.grid[::-1]),
-            values_a=self.values_a[::-1],
-            values_b=self.values_b[::-1],
-            dim_a=self.dim_a,
-            dim_b=self.dim_b,
-            closed_start=self.closed_end,
-            closed_end=self.closed_start,
-            jets_start=flip(self.jets_end),
-            jets_end=flip(self.jets_start),
-        ))
-
-    def canonical_bytes(self) -> bytes:
-        fmt_closed = lambda c: "none" if c is None else str(c)
-        fmt_jets = lambda js: ("spline" if js is None
-                               else ";".join(_format_jet(j) for j in js))
-        lines = [
-            f"# neckforge-profile-version={FORMAT_VERSION}",
-            "# kind=doubly_warped",
-            f"# dim_a={self.dim_a}",
-            f"# dim_b={self.dim_b}",
-            f"# closed_start={fmt_closed(self.closed_start)}",
-            f"# closed_end={fmt_closed(self.closed_end)}",
-            f"# jets_start={fmt_jets(self.jets_start)}",
-            f"# jets_end={fmt_jets(self.jets_end)}",
-            "# columns=s,a,b",
-        ]
-        return _render(lines, (self.grid, self.values_a, self.values_b))
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
+    dims gives each warp's sphere dimension; closed_start and closed_end
+    the index of the warp that closes at that end, or None; jets_start and
+    jets_end one stored (value, d1, d2) per warp, or None for the
+    spline's own.
+    """
+    if len(values) != len(dims) or len(dims) not in (1, 2):
+        raise ParameterOutOfRange("a profile has one or two warps, one "
+                                  "dimension each")
+    if len(values) == 1:
+        first = lambda jets: None if jets is None else jets[0]
+        return WarpProfile(grid=grid, values=values[0], fiber_dim=dims[0],
+                           closed_start=closed_start == 0,
+                           closed_end=closed_end == 0,
+                           jet_start=first(jets_start),
+                           jet_end=first(jets_end))
+    return DoublyWarpProfile(grid=grid, values_a=values[0],
+                             values_b=values[1], dim_a=dims[0], dim_b=dims[1],
+                             closed_start=closed_start, closed_end=closed_end,
+                             jets_start=jets_start, jets_end=jets_end)
 
 
 def save_profile_csv(profile, path) -> str:

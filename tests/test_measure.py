@@ -275,7 +275,7 @@ def test_mirror_pieces_take_their_source_bound(sampled, monkeypatch):
     mirrors = [p.profile for p in tunnel.pieces
                if p.profile.reversed_from is not None]
     assert len(mirrors) == 22
-    with_spline = {id(prof) for prof in mirrors if "_spline" in vars(prof)}
+    with_spline = {id(prof) for prof in mirrors if "_splines" in vars(prof)}
     assert with_spline == {id(prof) for prof in sampled
                            if prof.reversed_from is not None}
     for prof in mirrors:

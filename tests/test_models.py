@@ -1,4 +1,5 @@
-"""Ambient model constants, warp identities, tube data, volumes."""
+"""Ambient model constants, fibers, warp identities, distance spheres and
+unit sphere volumes."""
 
 import numpy as np
 import pytest
@@ -27,7 +28,11 @@ def test_scalar_curvature_constants():
 def test_dimension_bookkeeping():
     m = product_of_rounds(1, 1.0, 3, 1.0)
     assert m.surface_dim == 4
-    assert m.ambient_dim == 5
+
+
+def test_fiber_lists_the_base_sphere_first():
+    assert product_of_rounds(1, 2.0, 3, 1.0).fiber(0.5) == ((2.0, 0.5), (1, 2))
+    assert round_sphere(3, 1.0).fiber(0.5) == ((0.5,), (2,))
 
 
 def test_warp_identities_round():
@@ -66,15 +71,6 @@ def test_geodesic_sphere_round():
     assert data.metric_deviation <= eps**2
 
 
-def test_tube_principal_curvatures_layout():
-    m = product_of_rounds(2, 1.5, 3, 1.0)
-    lam = m.tube_principal_curvatures(0.2)
-    assert lam.shape == (5,)
-    assert np.all(lam[:3] == 0.0)  # t direction plus base sphere
-    slope = np.cos(0.2) / np.sin(0.2)
-    assert np.max(np.abs(lam[3:] + slope)) < 1e-12
-
-
 def test_radius_guards():
     m = round_sphere(3, 1.0)
     with pytest.raises(RadiusExceedsModel):
@@ -105,25 +101,3 @@ def test_unit_sphere_volumes():
     assert unit_sphere_volume(2) == pytest.approx(4 * np.pi, abs=1e-13)
     assert unit_sphere_volume(3) == pytest.approx(2 * np.pi**2, abs=1e-12)
     assert unit_sphere_volume(0) == pytest.approx(2.0, abs=1e-14)
-
-
-def test_ball_volume_flat():
-    m = flat_space(3)
-    r = 0.7
-    assert m.slice_ball_volume(r) == pytest.approx(4 * np.pi * r**3 / 3, rel=1e-12)
-
-
-def test_ball_volume_round():
-    m = round_sphere(3, 1.0)
-    r = 1.0
-    expected = 2 * np.pi * (r - np.sin(r) * np.cos(r))
-    assert m.slice_ball_volume(r) == pytest.approx(expected, rel=1e-12)
-
-
-def test_tube_volume_product_model():
-    m = sphere_times_flat(1, 2.0, 2)
-    # S^1(2) x [0, L] x disk(eps): 4pi * L * pi eps^2
-    vol = m.tube_volume(0.3, 5.0)
-    assert vol == pytest.approx(4 * np.pi * 5.0 * np.pi * 0.09, rel=1e-12)
-    assert m.base_factor_volume() == pytest.approx(4 * np.pi, rel=1e-13)
-    assert flat_space(3).base_factor_volume() == 1.0

@@ -21,7 +21,7 @@ def same_bits(got, want) -> bool:
 def warp_spline(values):
     grid = np.linspace(0.25, 2.75, 1024)
     u = np.linspace(0.0, 1.0, grid.size)
-    return WarpProfile(grid=grid, values=values(u), fiber_dim=2)._spline
+    return WarpProfile(grid=grid, values=values(u), fiber_dim=2)._splines[0]
 
 
 def theta_spline(model):

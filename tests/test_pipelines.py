@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neckforge import assembly
+from neckforge.assembly import build_tunnel_between
 from neckforge.certificate import certificate_bytes, recheck_certificate
 from neckforge.errors import (FloorCheckFailed, IngredientFloorTooLow,
                               MissingIngredient, ParameterOutOfRange,
@@ -311,6 +313,30 @@ def test_surgery_certificate_bands():
     assert res.quantity("global_min_scalar") > \
         res.quantity("ambient_curvature") - 0.05
 
+
+
+LENGTH_ENTRY_POINTS = {
+    "tunnel_certificate": lambda x: tunnel_certificate(3, length=x),
+    "build_tunnel_between": lambda x: build_tunnel_between(
+        round_sphere(3, 1.0), round_sphere(3, 0.5), 0.1, 0.1, 5.9, length=x),
+    "attach_hemisphere": lambda x: attach_hemisphere(
+        round_sphere_ingredient(3, 0.5), diameter_target=x),
+    "verify_volume_budget": lambda x: verify_volume_budget(
+        hemisphere_standin(3), 0.05, diameter_target=x),
+}
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("build", LENGTH_ENTRY_POINTS.values(),
+                         ids=LENGTH_ENTRY_POINTS.keys())
+def test_bad_length_is_refused_before_any_curve_is_designed(build, bad,
+                                                            monkeypatch):
+    def no_design(params):
+        raise AssertionError("a curve was designed for a bad length")
+
+    monkeypatch.setattr(assembly, "design_bending_curve", no_design)
+    with pytest.raises(ParameterOutOfRange):
+        build(bad)
 
 # ------------------------------------------------------- files and bytes
 

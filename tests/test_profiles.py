@@ -246,15 +246,15 @@ CONSTANTS = (1e-12, 0.37, 1.0, 123.0)
 
 def constant_profile(kind, n, c):
     """A profile whose first warp is the constant c, and that warp's
-    spline attribute and samples."""
+    interpolant and samples."""
     grid = np.linspace(0.25, 2.75, n)
     if kind == "warped":
         prof = WarpProfile(grid=grid, values=np.full(n, c), fiber_dim=2)
-        return prof, "_spline", prof.values
+        return prof, prof._splines[0], prof.values
     prof = DoublyWarpProfile(grid=grid, values_a=np.full(n, c),
                              values_b=c * (1.5 + 0.5 * np.sin(grid)),
                              dim_a=1, dim_b=3)
-    return prof, "_spline_a", prof.values_a
+    return prof, prof._splines[0], prof.values_a
 
 
 def probe_points(grid):
@@ -275,8 +275,7 @@ def probe_points(grid):
 @pytest.mark.parametrize("n", [8, 128, 1024, 2048])
 def test_constant_warp_evaluates_as_its_spline_bit_for_bit(kind, n):
     for c in CONSTANTS:
-        prof, attr, values = constant_profile(kind, n, c)
-        closed_form = getattr(prof, attr)
+        prof, closed_form, values = constant_profile(kind, n, c)
         assert isinstance(closed_form, profiles._ConstantWarp)
         spline = CubicSpline(prof.grid, values)
         for x in probe_points(prof.grid):
@@ -424,7 +423,7 @@ def test_builder_coefficients_are_scipys(n, warp):
                            closed_start=True, closed_end=True)
     else:
         prof = WarpProfile(grid=grid, values=values, fiber_dim=2)
-    assert same_bits(prof._spline.c, CubicSpline(grid, values).c)
+    assert same_bits(prof._splines[0].c, CubicSpline(grid, values).c)
     assert same_bits(profiles.CubicSpline(grid, values).c,
                      CubicSpline(grid, values).c)
 

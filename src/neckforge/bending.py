@@ -245,7 +245,6 @@ class BendingCurve:
     radius_nodes: np.ndarray
     axial_nodes: np.ndarray
     phase_breaks: tuple
-    freeze_curvature: float
     # the cubic Hermite spline through (s_nodes, theta_nodes) with slopes
     # curvature_nodes
     theta_spline: CubicHermiteSpline = field(repr=False)
@@ -296,10 +295,6 @@ class BendingCurve:
     def gauss_scalar(self, s):
         return sigma_scalar_gauss(self.model, self.theta_at(s),
                                   self.curvature_at(s), self.radius_at(s))
-
-    def principal_curvatures(self, s):
-        return sigma_principal_curvatures(self.model, self.theta_at(s),
-                                          self.curvature_at(s), self.radius_at(s))
 
     def verification_points(self, refine: int = 2) -> np.ndarray:
         pts = [self.s_nodes]
@@ -674,7 +669,6 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
     KK = [k * factor for k in KK]
     TH[-1] = math.pi / 2.0
     KK[-1] = 0.0
-    k_freeze *= factor
 
     # phase 7: exact horizontal margin
     breaks.append(("horizontal", s))
@@ -707,8 +701,7 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
                          theta_nodes=theta_nodes,
                          curvature_nodes=curvature_nodes,
                          radius_nodes=radius_nodes, axial_nodes=axial_nodes,
-                         phase_breaks=tuple(breaks),
-                         freeze_curvature=k_freeze, theta_spline=spline)
+                         phase_breaks=tuple(breaks), theta_spline=spline)
     check = curve.check
     if not check.passed:
         raise FloorCheckFailed(

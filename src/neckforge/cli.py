@@ -80,8 +80,12 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     pipe.add_argument("--n", type=int, default=3, help="manifold dimension")
     pipe.add_argument("--d", type=float, default=None,
                       help="diameter target (default 10 for cor-d, else 0)")
-    pipe.add_argument("--j", type=float, default=100.0)
-    pipe.add_argument("--tube", type=float, default=0.1)
+    pipe.add_argument("--j", type=float, default=100.0,
+                      help="main-a, cor-d, cor-t, cor-v: curvature budget "
+                           "is 1/j per gluing")
+    pipe.add_argument("--tube", type=float, default=None,
+                      help="main-a, cor-d, cor-t, cor-v: tube radius "
+                           "(default 0.05 for cor-t, else 0.1)")
     pipe.add_argument("--ingredient-radius", type=float, default=0.5,
                       help="main-a: radius of the round ingredient sphere")
     pipe.add_argument("--p", type=int, default=1, help="cor-t: base factor")
@@ -129,26 +133,28 @@ def _run_pipeline(args) -> PipelineResult:
     common = dict(grid_density=args.grid_density, tolerance=args.tolerance,
                   certificate_path=args.out, profiles_dir=args.profiles_dir)
     diameter = args.d
+    # each gluing pipeline keeps its own default tube radius unless given one
+    gluing = {"sharpness": args.j, **common}
+    if args.tube is not None:
+        gluing["tube_radius"] = args.tube
     if args.name == "main-a":
         ingredient = round_sphere_ingredient(args.n, args.ingredient_radius)
-        return attach_hemisphere(ingredient, sharpness=args.j,
-                                 tube_radius=args.tube,
-                                 diameter_target=diameter or 0.0, **common)
+        return attach_hemisphere(ingredient, diameter_target=diameter or 0.0,
+                                 **gluing)
     if args.name == "cor-d":
         ingredient = round_sphere_ingredient(args.n, 0.5)
         return attach_hemisphere(
-            ingredient, sharpness=args.j, tube_radius=args.tube,
-            diameter_target=10.0 if diameter is None else diameter, **common)
+            ingredient,
+            diameter_target=10.0 if diameter is None else diameter, **gluing)
     if args.name == "cor-t":
         return attach_product_ingredient(
             args.p, args.q, factor_radius=args.factor_radius,
-            sharpness=args.j, diameter_target=diameter or 0.0, **common)
+            diameter_target=diameter or 0.0, **gluing)
     if args.name == "cor-v":
         volume = args.volume
         if volume is None:
             volume = 3.0 * unit_sphere_volume(args.n)
-        return sphere_chain_certificate(volume, args.n, sharpness=args.j,
-                                        tube_radius=args.tube, **common)
+        return sphere_chain_certificate(volume, args.n, **gluing)
     hemisphere = hemisphere_standin(
         args.n, declared_volume=(0.5 * unit_sphere_volume(args.n)
                                  if args.hemisphere_volume is None

@@ -12,7 +12,8 @@ exact ambient model and its remnant enters the assembly as a real
 profile piece; anything else is summarized by its certified floor and
 volume, the tunnel attaches to a round local stand-in of matching
 curvature, and the certificate records attachment_model =
-"round-standin" so the substitution is visible.
+"round-standin" so the substitution is visible.  Every pipeline builds
+its hemisphere slot through one hemisphere end, _hemisphere_end.
 """
 
 from __future__ import annotations
@@ -220,16 +221,14 @@ def hemisphere_standin(dim: int, headroom: float = STANDIN_HEADROOM,
     curv = (1.0 + headroom) * n * (n - 1)
     model = AmbientModel(0, n, 1.0, curv / (n * (n - 1)))
     rho = model.slice_curv ** -0.5
-    model_volume = 0.5 * unit_sphere_volume(n) * rho ** n
     trust = "closed-form" if declared_volume is None else "external-trusted"
-    volume = model_volume if declared_volume is None else float(declared_volume)
+    volume = (0.5 * unit_sphere_volume(n) * rho ** n if declared_volume is None
+              else float(declared_volume))
     return IngredientMetric(
         name=f"hemisphere_standin_{n}d", dim=n,
         certified_floor=curv, volume=volume, trust=trust, model=model,
         boundary_totally_geodesic=True,
-        detail={"kind": "round", "radius": rho, "half": True,
-                "model_volume": model_volume,
-                "boundary_jet": (rho, 0.0, -1.0 / rho),
+        detail={"kind": "round", "half": True,
                 "do_not_glue": "boundary annulus"})
 
 
@@ -315,20 +314,6 @@ def _compose(name: str, spec, provenance: dict, fiber_dim: int):
     return _chain(name, pieces, provenance)
 
 
-def _hemisphere_body(hemisphere: IngredientMetric, rho: float):
-    """The hemisphere's chain body and the volume of its round model.
-
-    Both default to the round hemisphere of radius rho when the
-    ingredient does not record its own boundary jet and model volume.
-    """
-    n = hemisphere.dim
-    jet = hemisphere.detail.get("boundary_jet", (rho, 0.0, -1.0 / rho))
-    model_volume = hemisphere.detail.get(
-        "model_volume", 0.5 * unit_sphere_volume(n) * rho ** n)
-    body = _Body("hemisphere_remnant", rho, ("boundary", tuple(jet)))
-    return body, model_volume
-
-
 def _require_floor(what: str, ingredient: IngredientMetric,
                    target: float) -> None:
     if not ingredient.certified_floor > target:
@@ -352,6 +337,24 @@ def _attachment_model(
     n = ingredient.dim
     model = AmbientModel(0, n, 1.0, ingredient.certified_floor / (n * (n - 1)))
     return model, "round-standin"
+
+
+def _hemisphere_end(hemisphere: IngredientMetric, n: int, target: float):
+    """A hemisphere of dimension n with floor above target, as a chain end.
+
+    Returns its attachment model and tag, its remnant body, which stops
+    on the totally geodesic boundary jet (rho, 0, -1/rho), and the round
+    hemisphere volume omega_n rho^n / 2, with rho = slice_curv ** -0.5.
+    """
+    if hemisphere.dim != n:
+        raise ParameterOutOfRange(
+            f"hemisphere dimension {hemisphere.dim} != chain dimension {n}")
+    _require_floor("hemisphere", hemisphere, target)
+    model, tag = _attachment_model(hemisphere)
+    rho = model.slice_curv ** -0.5
+    body = _Body("hemisphere_remnant", rho,
+                 ("boundary", (rho, 0.0, -1.0 / rho)))
+    return model, tag, body, 0.5 * unit_sphere_volume(n) * rho ** n
 
 
 def _boundary_deviation(profile: WarpProfile, jet) -> float:
@@ -428,16 +431,12 @@ def _attachment(name: str, ingredient: IngredientMetric,
     target = float(n * (n - 1))
     if hemisphere is None:
         hemisphere = hemisphere_standin(n)
-    if hemisphere.dim != n:
-        raise ParameterOutOfRange(
-            f"hemisphere dimension {hemisphere.dim} != ingredient dimension {n}")
     if not diameter_target >= 0.0:
         raise ParameterOutOfRange("diameter target must be nonnegative")
     _require_floor("ingredient", ingredient, target)
-    _require_floor("hemisphere", hemisphere, target)
-
+    model_b, attach_b, hemi_body, hemi_model_volume = _hemisphere_end(
+        hemisphere, n, target)
     model_a, attach_a = _attachment_model(ingredient)
-    model_b, attach_b = _attachment_model(hemisphere)
     floor = max(target, min(model_a.scalar_curvature,
                             model_b.scalar_curvature) - 1.0 / sharpness)
     tunnel = build_tunnel_between(
@@ -445,10 +444,8 @@ def _attachment(name: str, ingredient: IngredientMetric,
         length=diameter_target, grid_density=grid_density)
     r0_a, r0_b = _mouth_radii(tunnel)
     rho_a = model_a.slice_curv ** -0.5
-    rho_b = model_b.slice_curv ** -0.5
     ball_a = round_ball_volume(n, rho_a, r0_a)
-    ball_b = round_ball_volume(n, rho_b, r0_b)
-    hemi_body, hemi_model_volume = _hemisphere_body(hemisphere, rho_b)
+    ball_b = round_ball_volume(n, hemi_body.rho, r0_b)
     boundary_jet = hemi_body.far[1]
 
     spec = [(None, tunnel), hemi_body]
@@ -463,7 +460,7 @@ def _attachment(name: str, ingredient: IngredientMetric,
         "hemisphere": hemisphere.summary(),
         "attachment_model_a": attach_a,
         "attachment_model_b": attach_b,
-        "glue_site_clearance": 0.5 * math.pi * rho_b - r0_b,
+        "glue_site_clearance": 0.5 * math.pi * hemi_body.rho - r0_b,
         "boundary_policy": "glued at an interior pole only; the totally "
                            "geodesic boundary annulus is never modified",
         "tunnel": tunnel.provenance,
@@ -571,30 +568,18 @@ def attach_product_ingredient(base_dim: int, slice_dim: int, *,
     object is the round product; a connected-sum reading of the factors
     is not what is certified here.
     """
-    p, q = int(base_dim), int(slice_dim)
-    if p < 1 or q < 1:
-        raise ParameterOutOfRange("product factor dimensions must be >= 1")
-    n = p + q
-    if n < 3:
-        raise ParameterOutOfRange("product attachment needs dimension >= 3")
-    target = float(n * (n - 1))
-    scale = (1.0 / math.sqrt(2.0 * target) if factor_radius is None
-             else float(factor_radius))
-    if not scale > 0.0:
-        raise ParameterOutOfRange("factor radius must be positive")
-    base_curv = float(p * (p - 1) + q * (q - 1))
-    if base_curv == 0.0:
-        raise FloorCheckFailed(
-            "product of two circles is flat; no rescaling clears the target")
+    ingredient = product_ingredient(base_dim, slice_dim, factor_radius)
+    p, q = ingredient.detail["factor_dims"]
+    target = float(ingredient.dim * (ingredient.dim - 1))
     swept = 0
-    while not base_curv / scale ** 2 > target and swept < MAX_RESCALINGS:
-        scale *= 0.5
+    while not ingredient.certified_floor > target and swept < MAX_RESCALINGS:
+        ingredient = product_ingredient(
+            p, q, ingredient.detail["factor_radius"] / 2)
         swept += 1
-    if not base_curv / scale ** 2 > target:
+    if not ingredient.certified_floor > target:
         raise FloorCheckFailed(
-            f"product floor {base_curv / scale ** 2:.6g} never cleared "
+            f"product floor {ingredient.certified_floor:.6g} never cleared "
             f"{target:.6g} within {MAX_RESCALINGS} rescalings")
-    ingredient = product_ingredient(p, q, scale)
     note = ("certified object is the round product of the two sphere "
             "factors; a connected-sum reading of the same factors is a "
             "different space and is not certified here")
@@ -603,7 +588,7 @@ def attach_product_ingredient(base_dim: int, slice_dim: int, *,
         sharpness, tube_radius, grid_density)
     parameters.update(factor_dims=[p, q], rescalings=swept)
     quantities.update(product_floor_recomputed=ingredient.recomputed_floor(),
-                      factor_radius=scale)
+                      factor_radius=ingredient.detail["factor_radius"])
     claims.append(("product_floor_strict", "product_floor_recomputed",
                    ">", "curvature_target"))
     provenance.update(construction_note=note,
@@ -640,19 +625,17 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
     m = 2 * (int(volume_target / omega) + 1)
     if hemisphere is None:
         hemisphere = hemisphere_standin(n)
-    _require_floor("hemisphere", hemisphere, target)
+    model_b, attach_b, hemi_body, hemi_model_volume = _hemisphere_end(
+        hemisphere, n, target)
 
     unit = round_sphere(n, 1.0)
     link = build_tunnel(unit, tube_radius, length=0.0, sharpness=sharpness,
                         grid_density=grid_density)
-    model_b, attach_b = _attachment_model(hemisphere)
     attach = build_tunnel_between(
         unit, model_b, tube_radius, tube_radius, target - 1.0 / sharpness,
         length=0.0, grid_density=grid_density)
     r0 = _mouth_radii(link)[0]
     r0_aa, r0_ab = _mouth_radii(attach)
-    rho_b = model_b.slice_curv ** -0.5
-    hemi_body, hemi_model_volume = _hemisphere_body(hemisphere, rho_b)
 
     spec = [_Body("sphere_01", 1.0, ("pole", target))]
     for i in range(1, m):
@@ -671,7 +654,7 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
 
     cap = round_ball_volume(n, 1.0, r0)
     cap_aa = round_ball_volume(n, 1.0, r0_aa)
-    cap_b = round_ball_volume(n, rho_b, r0_ab)
+    cap_b = round_ball_volume(n, hemi_body.rho, r0_ab)
     # caps of radius r0 removed: one from each end sphere, two from each
     # of the m-2 middles, so 2(m-1) in total, plus the attachment caps
     route_closed = (m * omega - 2.0 * (m - 1) * cap - cap_aa - cap_b
@@ -751,12 +734,10 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
         raise ParameterOutOfRange(
             "excess scale must lie in (0, 0.08]; beyond that the small "
             "sphere cannot keep its curvature above the target")
-    if hemisphere.dim != n:
-        raise ParameterOutOfRange(
-            f"hemisphere dimension {hemisphere.dim} != {n}")
     if not diameter_target >= 0.0:
         raise ParameterOutOfRange("diameter target must be nonnegative")
-    _require_floor("hemisphere", hemisphere, target)
+    model_a, attach_a, hemi_body, hemi_model_volume = _hemisphere_end(
+        hemisphere, n, target)
     delta = 0.8 * eps if ball_radius is None else float(ball_radius)
     if not 0.0 < delta < eps:
         raise ParameterOutOfRange(
@@ -765,7 +746,6 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
 
     eta = 10.0 * eps
     eta_model = round_sphere(n, eta)
-    model_a, attach_a = _attachment_model(hemisphere)
     floor = target + 0.5 * min(hemisphere.certified_floor - target,
                                eta_model.scalar_curvature - target)
     tube = delta / 1.98
@@ -773,11 +753,9 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
         model_a, eta_model, tube, tube, floor, length=diameter_target,
         grid_density=grid_density)
     r0_a, r0_b = _mouth_radii(tunnel)
-    rho_a = model_a.slice_curv ** -0.5
-    ball_a = round_ball_volume(n, rho_a, r0_a)
+    ball_a = round_ball_volume(n, hemi_body.rho, r0_a)
     cap_eta = round_ball_volume(n, eta, r0_b)
 
-    hemi_body, _ = _hemisphere_body(hemisphere, rho_a)
     spec = [hemi_body, (None, tunnel),
             _Body("small_sphere_remnant", eta,
                   ("pole", eta_model.scalar_curvature))]
@@ -799,7 +777,7 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
     vol_tunnel = tunnel.total_volume
     vol_eta = omega * eta ** n - cap_eta
     volume_total = vol_remnant + vol_tunnel + vol_eta
-    hemi_model_closed = 0.5 * omega * rho_a ** n - ball_a
+    hemi_model_closed = hemi_model_volume - ball_a
     additivity_gap = (abs(hemi_piece.volume - hemi_model_closed)
                       + abs(eta_piece.volume - vol_eta))
     # a-priori, eps-free: lateral tube area times stretched length, plus

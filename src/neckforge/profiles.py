@@ -105,6 +105,18 @@ def _validate_warp(values: np.ndarray, grid: np.ndarray,
         raise NonPositiveWarp(f"{name} must be positive away from closed poles")
 
 
+def _check_closing(closed_start, closed_end, warp_count: int) -> None:
+    # a closed end names the int index of the warp closing there; a bool
+    # is refused, since False == 0 and True == 1 would read as indices
+    for end_name, flag in (("closed_start", closed_start),
+                           ("closed_end", closed_end)):
+        if flag is not None and (type(flag) is not int
+                                 or not 0 <= flag < warp_count):
+            raise ParameterOutOfRange(
+                f"{end_name} must be None or a warp index below "
+                f"{warp_count}, got {flag!r}")
+
+
 def _curvature_sample_points(grid: np.ndarray, trim_start: bool,
                              trim_end: bool) -> np.ndarray:
     h = (grid[-1] - grid[0]) / (grid.size - 1)
@@ -406,10 +418,7 @@ class DoublyWarpProfile(_Profile):
                 getattr(self, name), dtype=float))
         object.__setattr__(self, "dim_a", int(self.dim_a))
         object.__setattr__(self, "dim_b", int(self.dim_b))
-        for end_name, flag in (("closed_start", self.closed_start),
-                               ("closed_end", self.closed_end)):
-            if flag is not None and flag not in (0, 1):
-                raise ParameterOutOfRange(f"{end_name} must be None, 0 or 1")
+        _check_closing(self.closed_start, self.closed_end, 2)
         self._init_body(self.jets_start, self.jets_end)
         object.__setattr__(self, "jets_start", self._jets[0])
         object.__setattr__(self, "jets_end", self._jets[1])
@@ -447,6 +456,7 @@ def make_profile(grid, values, dims, *, closed_start=None, closed_end=None,
     if len(values) != len(dims) or len(dims) not in (1, 2):
         raise ParameterOutOfRange("a profile has one or two warps, one "
                                   "dimension each")
+    _check_closing(closed_start, closed_end, len(values))
     if len(values) == 1:
         first = lambda jets: None if jets is None else jets[0]
         return WarpProfile(grid=grid, values=values[0], fiber_dim=dims[0],

@@ -120,3 +120,17 @@ def test_seed_option_is_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["--seed", "7", "build-tunnel"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name, tube, recorded", [
+    ("cor-t", "0.03", 0.03), ("cor-t", None, 0.05), ("main-a", None, 0.1)])
+def test_tube_option_reaches_every_gluing_pipeline(tmp_path, name, tube,
+                                                   recorded):
+    # without --tube each pipeline keeps its own default tube radius
+    cert = tmp_path / "cert.json"
+    args = ["pipeline", name, "--out", str(cert)]
+    if tube is not None:
+        args += ["--tube", tube]
+    assert main(args) == 0
+    doc = json.loads(cert.read_text())
+    assert doc["parameters"]["tube_radius"] == recorded

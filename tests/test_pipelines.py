@@ -338,6 +338,34 @@ def test_bad_length_is_refused_before_any_curve_is_designed(build, bad,
     with pytest.raises(ParameterOutOfRange):
         build(bad)
 
+
+WRONG_DIMENSION_HEMISPHERE = {
+    "attach_hemisphere": lambda hemi: attach_hemisphere(
+        round_sphere_ingredient(3, 0.5), hemisphere=hemi),
+    "sphere_chain_certificate": lambda hemi: sphere_chain_certificate(
+        unit_sphere_volume(3), 3, hemisphere=hemi),
+    "verify_volume_budget": lambda hemi: verify_volume_budget(
+        hemi, 0.05, dim=3),
+}
+
+
+@pytest.mark.parametrize("build", WRONG_DIMENSION_HEMISPHERE.values(),
+                         ids=WRONG_DIMENSION_HEMISPHERE)
+def test_wrong_dimension_hemisphere_is_refused_before_any_curve_is_designed(
+        build, monkeypatch):
+    def no_design(params):
+        raise AssertionError("a curve was designed for a mismatched hemisphere")
+
+    monkeypatch.setattr(assembly, "design_bending_curve", no_design)
+    with pytest.raises(ParameterOutOfRange):
+        build(hemisphere_standin(4))
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (0, 3)])
+def test_product_attachment_refuses_bad_factor_dimensions(dims):
+    with pytest.raises(ParameterOutOfRange):
+        attach_product_ingredient(*dims)
+
 # ------------------------------------------------------- files and bytes
 
 def test_pipeline_certificates_recheck_from_disk(tmp_path):

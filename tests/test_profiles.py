@@ -303,6 +303,25 @@ def test_no_constant_warp_builds_a_spline(monkeypatch):
     assert constant and not any(constant)
 
 
+CLOSING_GRID = np.linspace(0.0, 1.0, 16)
+BAD_CLOSINGS = {
+    f"{end}={flag}": lambda end=end, flag=flag: DoublyWarpProfile(
+        grid=CLOSING_GRID, values_a=np.ones(16), values_b=np.ones(16),
+        dim_a=1, dim_b=2, **{end: flag})
+    for end in ("closed_start", "closed_end") for flag in (False, True)
+}
+# one warp has no index 1 to close
+BAD_CLOSINGS["one-warp index 1"] = lambda: profiles.make_profile(
+    CLOSING_GRID, [np.ones(16)], (2,), closed_start=1)
+
+
+@pytest.mark.parametrize("build", BAD_CLOSINGS.values(), ids=BAD_CLOSINGS)
+def test_closed_end_is_a_warp_index_not_a_bool(build):
+    # False == 0 and True == 1, so a bool once read as a warp index
+    with pytest.raises(ParameterOutOfRange, match="warp index below"):
+        build()
+
+
 # -- non-finite input ----------------------------------------------------------
 
 NON_FINITE = (np.nan, np.inf, -np.inf)

@@ -2,8 +2,12 @@
 
 Exit code 0 means every claim in the emitted or rechecked certificate
 passed; 1 means at least one claim failed or came back inconclusive;
-2 means the construction itself refused to run.  A plain key = value
-config file can preset any long option, with explicit flags winning.
+2 means the command line was refused (argparse usage error) or the
+construction itself refused to run.  Each build command accepts only
+the options its build reads, as _COMMANDS lists them.  A plain
+key = value config file can preset any long option, with explicit flags
+winning: a key applies to the commands that read it and is ignored by
+the others, and a key that no command reads exits.
 """
 
 from __future__ import annotations
@@ -12,14 +16,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .certificate import recheck_certificate
+from .certificate import DEFAULT_TOLERANCE, recheck_certificate
 from .errors import NeckforgeError, ParameterOutOfRange
 from .models import unit_sphere_volume
-from .pipelines import (PipelineResult, attach_hemisphere,
-                        attach_product_ingredient, hemisphere_standin,
-                        round_sphere_ingredient, sphere_chain_certificate,
-                        surgery_certificate, tunnel_certificate,
-                        verify_volume_budget)
+from .pipelines import (attach_hemisphere, attach_product_ingredient,
+                        hemisphere_standin, round_sphere_ingredient,
+                        sphere_chain_certificate, surgery_certificate,
+                        tunnel_certificate, verify_volume_budget)
 
 __all__ = ["main"]
 
@@ -38,133 +41,6 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _parser() -> tuple[argparse.ArgumentParser, dict]:
-    top = argparse.ArgumentParser(
-        prog="neckforge",
-        description="curvature-controlled tunnels, surgeries and their "
-                    "numerical certificates")
-    top.add_argument("--config", metavar="FILE",
-                     help="key = value defaults; explicit flags win")
-    top.add_argument("--grid-density", type=float, default=1.0,
-                     help="multiplier on curvature sampling resolution")
-    top.add_argument("--tolerance", type=float, default=1e-9,
-                     help="claim margin below this is inconclusive")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    tun = sub.add_parser("build-tunnel",
-                         help="tunnel inside one round model")
-    tun.add_argument("--n", type=int, default=3, help="manifold dimension")
-    tun.add_argument("--kappa", type=float, default=6.0,
-                     help="ambient scalar curvature")
-    tun.add_argument("--delta", type=float, default=0.1, help="tube radius")
-    tun.add_argument("--length", type=float, default=2.0)
-    tun.add_argument("--j", type=float, default=100.0,
-                     help="curvature budget is 1/j")
-    tun.add_argument("--out", metavar="CERT", default=None)
-    tun.add_argument("--profiles-dir", metavar="DIR", default=None)
-
-    sur = sub.add_parser("surgery",
-                         help="codimension >= 3 surgery on a sphere product")
-    sur.add_argument("--p", type=int, required=True, help="base dimension")
-    sur.add_argument("--q", type=int, required=True, help="slice dimension")
-    sur.add_argument("--delta", type=float, default=0.05,
-                     help="tube radius and certified allowance")
-    sur.add_argument("--body", metavar="RHO_P,RHO_Q", default="1,1",
-                     help="radii of the two round factors")
-    sur.add_argument("--out", metavar="CERT", default=None)
-    sur.add_argument("--profiles-dir", metavar="DIR", default=None)
-
-    pipe = sub.add_parser("pipeline", help="headline constructions")
-    pipe.add_argument("name", choices=["main-a", "cor-d", "cor-t", "cor-v",
-                                       "main-b-budget"])
-    pipe.add_argument("--n", type=int, default=3, help="manifold dimension")
-    pipe.add_argument("--d", type=float, default=None,
-                      help="diameter target (default 10 for cor-d, else 0)")
-    pipe.add_argument("--j", type=float, default=100.0,
-                      help="main-a, cor-d, cor-t, cor-v: curvature budget "
-                           "is 1/j per gluing")
-    pipe.add_argument("--tube", type=float, default=None,
-                      help="main-a, cor-d, cor-t, cor-v: tube radius "
-                           "(default 0.05 for cor-t, else 0.1)")
-    pipe.add_argument("--ingredient-radius", type=float, default=0.5,
-                      help="main-a: radius of the round ingredient sphere")
-    pipe.add_argument("--p", type=int, default=1, help="cor-t: base factor")
-    pipe.add_argument("--q", type=int, default=2, help="cor-t: other factor")
-    pipe.add_argument("--factor-radius", type=float, default=None,
-                      help="cor-t: product factor radius before sweeping")
-    pipe.add_argument("--volume", type=float, default=None,
-                      help="cor-v: volume target (default 3 unit spheres)")
-    pipe.add_argument("--eps", type=float, default=0.05,
-                      help="main-b-budget: excess scale")
-    pipe.add_argument("--hemisphere-volume", type=float, default=None,
-                      help="main-b-budget: externally certified volume "
-                           "(default: exact half reference)")
-    pipe.add_argument("--out", metavar="CERT", default=None)
-    pipe.add_argument("--profiles-dir", metavar="DIR", default=None)
-
-    chk = sub.add_parser("recheck", help="revalidate a stored certificate")
-    chk.add_argument("certificate", metavar="CERT")
-    chk.add_argument("--profiles-dir", metavar="DIR", default=None,
-                     help="where artifact files live (default: beside CERT)")
-    return top, {"build-tunnel": tun, "surgery": sur, "pipeline": pipe,
-                 "recheck": chk}
-
-
-def _apply_config(config: dict, top, subparsers) -> None:
-    """Install config values as parser defaults, so flags still win.
-
-    argparse converts only command line strings through each action's
-    type, so the conversion is applied here by hand.
-    """
-    actions = {}
-    for parser in [top, *subparsers.values()]:
-        for action in parser._actions:
-            actions.setdefault(action.dest, []).append(action)
-    unknown = set(config) - set(actions)
-    if unknown:
-        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-    for key, raw in config.items():
-        for action in actions[key]:
-            value = action.type(raw) if action.type is not None else raw
-            action.default = value
-
-
-def _run_pipeline(args) -> PipelineResult:
-    common = dict(grid_density=args.grid_density, tolerance=args.tolerance,
-                  certificate_path=args.out, profiles_dir=args.profiles_dir)
-    diameter = args.d
-    # each gluing pipeline keeps its own default tube radius unless given one
-    gluing = {"sharpness": args.j, **common}
-    if args.tube is not None:
-        gluing["tube_radius"] = args.tube
-    if args.name == "main-a":
-        ingredient = round_sphere_ingredient(args.n, args.ingredient_radius)
-        return attach_hemisphere(ingredient, diameter_target=diameter or 0.0,
-                                 **gluing)
-    if args.name == "cor-d":
-        ingredient = round_sphere_ingredient(args.n, 0.5)
-        return attach_hemisphere(
-            ingredient,
-            diameter_target=10.0 if diameter is None else diameter, **gluing)
-    if args.name == "cor-t":
-        return attach_product_ingredient(
-            args.p, args.q, factor_radius=args.factor_radius,
-            diameter_target=diameter or 0.0, **gluing)
-    if args.name == "cor-v":
-        volume = args.volume
-        if volume is None:
-            volume = 3.0 * unit_sphere_volume(args.n)
-        return sphere_chain_certificate(volume, args.n, **gluing)
-    hemisphere = hemisphere_standin(
-        args.n, declared_volume=(0.5 * unit_sphere_volume(args.n)
-                                 if args.hemisphere_volume is None
-                                 else args.hemisphere_volume))
-    return verify_volume_budget(
-        hemisphere, args.eps,
-        diameter_target=10.0 if diameter is None else diameter,
-        dim=args.n, **common)
-
-
 def _body_radii(text) -> tuple[float, float]:
     """--body RHO_P,RHO_Q as two floats."""
     try:
@@ -173,6 +49,137 @@ def _body_radii(text) -> tuple[float, float]:
         raise ParameterOutOfRange(
             f"--body wants two radii RHO_P,RHO_Q, got {text!r}") from None
     return base_radius, slice_radius
+
+
+def _surgery(a, **common):
+    base_radius, slice_radius = _body_radii(a.body)
+    return surgery_certificate(a.p, a.q, a.delta, base_radius=base_radius,
+                               slice_radius=slice_radius, **common)
+
+
+def _main_a(a, **common):
+    return attach_hemisphere(round_sphere_ingredient(a.n, a.ingredient_radius),
+                             diameter_target=a.d, sharpness=a.j,
+                             tube_radius=a.tube, **common)
+
+
+def _cor_v(a, **common):
+    volume = 3.0 * unit_sphere_volume(a.n) if a.volume is None else a.volume
+    return sphere_chain_certificate(volume, a.n, sharpness=a.j,
+                                    tube_radius=a.tube, **common)
+
+
+def _main_b_budget(a, **common):
+    volume = (0.5 * unit_sphere_volume(a.n) if a.hemisphere_volume is None
+              else a.hemisphere_volume)
+    return verify_volume_budget(hemisphere_standin(a.n, declared_volume=volume),
+                                a.eps, diameter_target=a.d, dim=a.n, **common)
+
+
+def _opt(flag: str, type_, default, help_: str | None = None, **extra):
+    return flag, dict(type=type_, default=default, help=help_, **extra)
+
+
+_N = _opt("--n", int, 3, "manifold dimension")
+_J = _opt("--j", float, 100.0, "curvature budget is 1/j per tunnel")
+_D0 = _opt("--d", float, 0.0, "diameter target")
+_D10 = _opt("--d", float, 10.0, "diameter target")
+_TUBE = _opt("--tube", float, 0.1, "tube radius")
+
+# (group, command): its help, the options its build reads, and the parser
+# defaults, build included; every build also reads --out and --profiles-dir
+_COMMANDS = {
+    (None, "build-tunnel"): ("tunnel inside one round model", [
+        _N, _opt("--kappa", float, 6.0, "ambient scalar curvature"),
+        _opt("--delta", float, 0.1, "tube radius"),
+        _opt("--length", float, 2.0, "length of the waist cylinder"), _J],
+        dict(build=lambda a, **common: tunnel_certificate(
+            a.n, a.kappa, a.delta, a.length, a.j, **common))),
+    (None, "surgery"): ("codimension >= 3 surgery on a sphere product", [
+        _opt("--p", int, None, "base dimension", required=True),
+        _opt("--q", int, None, "slice dimension", required=True),
+        _opt("--delta", float, 0.05, "tube radius and certified allowance"),
+        _opt("--body", str, "1,1", "radii of the two round factors",
+             metavar="RHO_P,RHO_Q")], dict(build=_surgery)),
+    ("pipeline", "main-a"): (
+        "round sphere ingredient glued to a hemisphere",
+        [_N, _D0, _J, _TUBE, _opt("--ingredient-radius", float, 0.5,
+                                  "ingredient sphere radius")],
+        dict(build=_main_a)),
+    ("pipeline", "cor-d"): (
+        "main-a at ingredient radius 0.5, diameter target 10",
+        [_N, _D10, _J, _TUBE], dict(build=_main_a, ingredient_radius=0.5)),
+    ("pipeline", "cor-t"): (
+        "round product S^p x S^q glued to a hemisphere",
+        [_opt("--p", int, 1, "base factor dimension"),
+         _opt("--q", int, 2, "other factor dimension"),
+         _opt("--factor-radius", float, None, "factor radius before "
+              "halving (default: 1/sqrt(2 n(n-1)), n = p + q)"),
+         _D0, _J, _opt("--tube", float, 0.05, "tube radius")],
+        dict(build=lambda a, **common: attach_product_ingredient(
+            a.p, a.q, factor_radius=a.factor_radius, diameter_target=a.d,
+            sharpness=a.j, tube_radius=a.tube, **common))),
+    ("pipeline", "cor-v"): (
+        "chain of unit spheres ending in a hemisphere",
+        [_N, _opt("--volume", float, None, "volume target (default: 3 "
+                  "unit spheres)"), _J, _TUBE], dict(build=_cor_v)),
+    ("pipeline", "main-b-budget"): (
+        "hemisphere, long thin tunnel and small sphere in a volume budget",
+        [_N, _opt("--eps", float, 0.05, "excess scale"), _D10,
+         _opt("--hemisphere-volume", float, None, "externally certified "
+              "hemisphere volume (default: exact half reference)")],
+        dict(build=_main_b_budget)),
+}
+_FILES = [_opt("--out", str, None, metavar="CERT"),
+          _opt("--profiles-dir", str, None, metavar="DIR")]
+
+
+def _parser() -> tuple[argparse.ArgumentParser, list]:
+    """The top parser and every parser that holds options."""
+    top = argparse.ArgumentParser(
+        prog="neckforge",
+        description="curvature-controlled tunnels, surgeries and their "
+                    "numerical certificates")
+    top.add_argument("--config", metavar="FILE",
+                     help="key = value defaults; explicit flags win")
+    top.add_argument("--grid-density", type=float, default=1.0,
+                     help="multiplier on curvature sampling resolution")
+    top.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                     help="claim margin below this is inconclusive")
+    groups = {None: top.add_subparsers(dest="command", required=True)}
+    parsers = [top]
+    for (group, name), (help_, options, defaults) in _COMMANDS.items():
+        if group not in groups:
+            groups[group] = groups[None].add_parser(
+                group, help="headline constructions").add_subparsers(
+                dest="name", required=True)
+        # no abbreviations in a pipeline: its options differ from those of
+        # the next one, so --p would read as --profiles-dir on main-a
+        cmd = groups[group].add_parser(name, help=help_,
+                                       allow_abbrev=group is None)
+        for flag, kwargs in options + _FILES:
+            cmd.add_argument(flag, **kwargs)
+        cmd.set_defaults(**defaults)
+        parsers.append(cmd)
+    chk = groups[None].add_parser("recheck",
+                                  help="revalidate a stored certificate")
+    chk.add_argument("certificate", metavar="CERT")
+    chk.add_argument("--profiles-dir", metavar="DIR", default=None,
+                     help="where artifact files live (default: beside CERT)")
+    return top, parsers + [chk]
+
+
+def _apply_config(config: dict, parsers) -> None:
+    """Install config values as parser defaults, so flags still win;
+    argparse converts a string default through its option's type."""
+    known = set()
+    for parser in parsers:
+        dests = {action.dest for action in parser._actions}
+        parser.set_defaults(**{k: v for k, v in config.items() if k in dests})
+        known |= dests
+    unknown = set(config) - known
+    if unknown:
+        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
 
 
 def _print_certificate(doc: dict) -> None:
@@ -185,10 +192,10 @@ def _print_certificate(doc: dict) -> None:
 
 
 def main(argv=None) -> int:
-    parser, subparsers = _parser()
+    parser, parsers = _parser()
     probe, _ = parser.parse_known_args(argv)
-    if getattr(probe, "config", None):
-        _apply_config(_read_config(probe.config), parser, subparsers)
+    if probe.config:
+        _apply_config(_read_config(probe.config), parsers)
     args = parser.parse_args(argv)
 
     try:
@@ -199,21 +206,9 @@ def main(argv=None) -> int:
                 print(f"artifacts missing: {report['artifacts_missing']}")
             _print_certificate(report)
             return 0 if report["status"] == "PASS" else 1
-
-        if args.command == "build-tunnel":
-            result = tunnel_certificate(
-                args.n, args.kappa, args.delta, args.length, args.j,
-                grid_density=args.grid_density, tolerance=args.tolerance,
-                certificate_path=args.out, profiles_dir=args.profiles_dir)
-        elif args.command == "surgery":
-            base_radius, slice_radius = _body_radii(args.body)
-            result = surgery_certificate(
-                args.p, args.q, args.delta, base_radius=base_radius,
-                slice_radius=slice_radius, grid_density=args.grid_density,
-                tolerance=args.tolerance, certificate_path=args.out,
-                profiles_dir=args.profiles_dir)
-        else:
-            result = _run_pipeline(args)
+        result = args.build(
+            args, grid_density=args.grid_density, tolerance=args.tolerance,
+            certificate_path=args.out, profiles_dir=args.profiles_dir)
     except NeckforgeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -28,10 +28,12 @@ from pathlib import Path
 import numpy as np
 from scipy import special
 
-from .assembly import (PROFILE_NODES, _chain, _sampled_piece, build_tunnel,
-                       build_tunnel_between, certified_min_scalar,
-                       perform_surgery)
-from .certificate import make_certificate, write_certificate
+from .assembly import (DEFAULT_INTERFACE_TOL, PROFILE_NODES, _chain,
+                       _sampled_piece, build_tunnel, build_tunnel_between,
+                       certified_min_scalar, perform_surgery)
+from .bending import START_RADIUS_FACTOR
+from .certificate import (DEFAULT_TOLERANCE, make_certificate,
+                          write_certificate)
 from .errors import (FloorCheckFailed, IngredientFloorTooLow,
                      MissingIngredient, ParameterOutOfRange)
 from .measure import profile_volume
@@ -159,7 +161,7 @@ def round_sphere_ingredient(dim: int, radius: float) -> IngredientMetric:
         name=f"round_sphere_{dim}d_r{radius:g}", dim=dim,
         certified_floor=model.scalar_curvature,
         volume=unit_sphere_volume(dim) * radius ** dim,
-        model=model, detail={"kind": "round", "radius": float(radius)})
+        model=model, detail={"kind": "round"})
 
 
 def product_ingredient(base_dim: int, slice_dim: int,
@@ -248,29 +250,23 @@ class _Body:
     far: tuple = (None, None)
 
 
-def _mouth_radii(tunnel) -> tuple[float, float]:
-    # distance from each glue site to the tunnel's left and right mouth
-    prov = tunnel.provenance
-    if "side" in prov:
-        return prov["side"]["start_radius"], prov["side"]["start_radius"]
-    return prov["side_a"]["start_radius"], prov["side_b"]["start_radius"]
-
-
 def _rename(pieces, prefix: str):
     return [dataclasses.replace(p, name=f"{prefix}_{p.name}") for p in pieces]
 
 
-def _compose(name: str, spec, provenance: dict, fiber_dim: int):
+def _compose(name: str, spec, provenance: dict, fiber_dim: int,
+             mouth: float):
     """Glue round bodies and tunnels, listed in chain order, into one chain.
 
     spec mixes _Body entries with (prefix, tunnel) pairs; a tunnel's
-    pieces are renamed prefix_<name> unless prefix is None.  A body is
-    the arc at distance u from a pole of its sphere: from the left
-    tunnel's mouth radius to pi*rho less the right mouth radius, or out
-    to its far end (pi*rho at a pole, pi*rho/2 at a boundary) when no
-    tunnel follows; a first body runs from its far end down to the right
-    mouth radius.  Seam jets are copied verbatim from the neighbouring
-    tunnel pieces, so glued interfaces close with gap exactly zero.
+    pieces are renamed prefix_<name> unless prefix is None.  The tunnels
+    of one chain share one tube radius, so each tunnel mouth lies at the
+    distance mouth from its glue site.  A body is the arc at distance u
+    from a pole of its sphere: from mouth to pi*rho - mouth, or out to
+    its far end (pi*rho at a pole, pi*rho/2 at a boundary) when no
+    tunnel follows; a first body runs from its far end down to mouth.
+    Seam jets are copied verbatim from the neighbouring tunnel pieces,
+    so glued interfaces close with gap exactly zero.
     """
     pieces = []
     for i, item in enumerate(spec):
@@ -285,12 +281,11 @@ def _compose(name: str, spec, provenance: dict, fiber_dim: int):
         rho = item.rho
         far = math.pi * rho if kind == "pole" else 0.5 * math.pi * rho
         if left is None:
-            u_start, u_stop = far, _mouth_radii(right)[0]
+            u_start, u_stop = far, mouth
         elif right is None:
-            u_start, u_stop = _mouth_radii(left)[1], far
+            u_start, u_stop = mouth, far
         else:
-            u_start = _mouth_radii(left)[1]
-            u_stop = math.pi * rho - _mouth_radii(right)[0]
+            u_start, u_stop = mouth, math.pi * rho - mouth
         boundary = end if kind == "boundary" else None
         closed_start = left is None and kind == "pole"
         closed_end = right is None and kind == "pole"
@@ -442,10 +437,10 @@ def _attachment(name: str, ingredient: IngredientMetric,
     tunnel = build_tunnel_between(
         model_a, model_b, tube_radius, tube_radius, floor,
         length=diameter_target, grid_density=grid_density)
-    r0_a, r0_b = _mouth_radii(tunnel)
+    mouth = START_RADIUS_FACTOR * tube_radius
     rho_a = model_a.slice_curv ** -0.5
-    ball_a = round_ball_volume(n, rho_a, r0_a)
-    ball_b = round_ball_volume(n, hemi_body.rho, r0_b)
+    ball_a = round_ball_volume(n, rho_a, mouth)
+    ball_b = round_ball_volume(n, hemi_body.rho, mouth)
     boundary_jet = hemi_body.far[1]
 
     spec = [(None, tunnel), hemi_body]
@@ -460,12 +455,12 @@ def _attachment(name: str, ingredient: IngredientMetric,
         "hemisphere": hemisphere.summary(),
         "attachment_model_a": attach_a,
         "attachment_model_b": attach_b,
-        "glue_site_clearance": 0.5 * math.pi * hemi_body.rho - r0_b,
+        "glue_site_clearance": 0.5 * math.pi * hemi_body.rho - mouth,
         "boundary_policy": "glued at an interior pole only; the totally "
                            "geodesic boundary annulus is never modified",
         "tunnel": tunnel.provenance,
     }
-    assembly = _compose(name, spec, provenance, n - 1)
+    assembly = _compose(name, spec, provenance, n - 1, mouth)
     hemi_arc = assembly.pieces[-1].profile
 
     # dual route over the profile-backed pieces only: quadrature on one
@@ -504,7 +499,7 @@ def _attachment(name: str, ingredient: IngredientMetric,
         ("hemisphere_floor_strict", "hemisphere_floor", ">", "curvature_target"),
         ("scalar_floor", "global_min_scalar", ">", "curvature_target"),
         ("diameter_reached", "diameter_lower", ">=", "diameter_target"),
-        ("interfaces_glued", "max_interface_gap", "<=", 1e-8),
+        ("interfaces_glued", "max_interface_gap", "<=", DEFAULT_INTERFACE_TOL),
         ("boundary_unchanged", "boundary_jet_gap", "<=", 1e-8),
         ("boundary_profile_consistent", "boundary_profile_deviation", "<=", 1e-4),
         ("volume_additivity", "volume_accounting_gap", "<=", 1e-6),
@@ -527,7 +522,7 @@ def attach_hemisphere(ingredient: IngredientMetric,
                       sharpness: float = 100.0,
                       tube_radius: float = 0.1,
                       grid_density: float = 1.0,
-                      tolerance: float = 1e-9,
+                      tolerance: float = DEFAULT_TOLERANCE,
                       certificate_path=None,
                       profiles_dir=None) -> PipelineResult:
     """Join an ingredient to a hemisphere through a curvature-safe tunnel.
@@ -555,8 +550,8 @@ def attach_product_ingredient(base_dim: int, slice_dim: int, *,
                               sharpness: float = 100.0,
                               tube_radius: float = 0.05,
                               grid_density: float = 1.0,
-                              tolerance: float = 1e-9,
-                                     certificate_path=None,
+                              tolerance: float = DEFAULT_TOLERANCE,
+                              certificate_path=None,
                               profiles_dir=None) -> PipelineResult:
     """Hemisphere attachment whose ingredient is a round product of spheres.
 
@@ -603,8 +598,8 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
                              sharpness: float = 100.0,
                              tube_radius: float = 0.1,
                              grid_density: float = 1.0,
-                             tolerance: float = 1e-9,
-                                   certificate_path=None,
+                             tolerance: float = DEFAULT_TOLERANCE,
+                             certificate_path=None,
                              profiles_dir=None) -> PipelineResult:
     """Beat a volume target by chaining unit round spheres.
 
@@ -634,8 +629,7 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
     attach = build_tunnel_between(
         unit, model_b, tube_radius, tube_radius, target - 1.0 / sharpness,
         length=0.0, grid_density=grid_density)
-    r0 = _mouth_radii(link)[0]
-    r0_aa, r0_ab = _mouth_radii(attach)
+    mouth = START_RADIUS_FACTOR * tube_radius
 
     spec = [_Body("sphere_01", 1.0, ("pole", target))]
     for i in range(1, m):
@@ -650,14 +644,14 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
         "link_note": "all inter-sphere tunnels reuse one built profile "
                      "chain; links differ only by name",
     }
-    assembly = _compose("sphere_chain", spec, provenance, n - 1)
+    assembly = _compose("sphere_chain", spec, provenance, n - 1, mouth)
 
-    cap = round_ball_volume(n, 1.0, r0)
-    cap_aa = round_ball_volume(n, 1.0, r0_aa)
-    cap_b = round_ball_volume(n, hemi_body.rho, r0_ab)
-    # caps of radius r0 removed: one from each end sphere, two from each
-    # of the m-2 middles, so 2(m-1) in total, plus the attachment caps
-    route_closed = (m * omega - 2.0 * (m - 1) * cap - cap_aa - cap_b
+    cap = round_ball_volume(n, 1.0, mouth)
+    cap_b = round_ball_volume(n, hemi_body.rho, mouth)
+    # caps of radius mouth removed: one from each end sphere, two from each
+    # of the m-2 middles, so 2(m-1) in total, plus one more from the last
+    # sphere and cap_b from the hemisphere for the attachment tunnel
+    route_closed = (m * omega - 2.0 * (m - 1) * cap - cap - cap_b
                     + (m - 1) * link.total_volume + attach.total_volume
                     + hemi_model_volume)
     diameter_lower, diameter_upper = assembly.diameter_bounds()
@@ -684,7 +678,7 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
         ("volume_target_met", "volume_total", ">=", "volume_target"),
         ("scalar_floor_composed", "global_min_scalar", ">", "floor_composed"),
         ("hemisphere_floor_strict", "hemisphere_floor", ">", "curvature_target"),
-        ("interfaces_glued", "max_interface_gap", "<=", 1e-8),
+        ("interfaces_glued", "max_interface_gap", "<=", DEFAULT_INTERFACE_TOL),
         ("volume_additivity", "volume_accounting_gap", "<=", 1e-6),
     ]
     parameters = {
@@ -706,8 +700,8 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
                          dim: int = 3,
                          ball_radius: float | None = None,
                          grid_density: float = 1.0,
-                         tolerance: float = 1e-9,
-                           certificate_path=None,
+                         tolerance: float = DEFAULT_TOLERANCE,
+                         certificate_path=None,
                          profiles_dir=None) -> PipelineResult:
     """Long thin tunnel from a certified hemisphere to a small sphere.
 
@@ -748,13 +742,13 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
     eta_model = round_sphere(n, eta)
     floor = target + 0.5 * min(hemisphere.certified_floor - target,
                                eta_model.scalar_curvature - target)
-    tube = delta / 1.98
+    tube = delta / START_RADIUS_FACTOR
     tunnel = build_tunnel_between(
         model_a, eta_model, tube, tube, floor, length=diameter_target,
         grid_density=grid_density)
-    r0_a, r0_b = _mouth_radii(tunnel)
-    ball_a = round_ball_volume(n, hemi_body.rho, r0_a)
-    cap_eta = round_ball_volume(n, eta, r0_b)
+    mouth = START_RADIUS_FACTOR * tube
+    ball_a = round_ball_volume(n, hemi_body.rho, mouth)
+    cap_eta = round_ball_volume(n, eta, mouth)
 
     spec = [hemi_body, (None, tunnel),
             _Body("small_sphere_remnant", eta,
@@ -768,7 +762,7 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
         "small_sphere_radius": eta,
         "tunnel": tunnel.provenance,
     }
-    assembly = _compose("volume_budget", spec, provenance, n - 1)
+    assembly = _compose("volume_budget", spec, provenance, n - 1, mouth)
     hemi_piece, eta_piece = assembly.pieces[0], assembly.pieces[-1]
 
     pack = omega * eps ** n
@@ -827,7 +821,7 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
         ("link5_total_vs_budget", "volume_total", "<=", "bound_final"),
         ("scalar_floor", "global_min_scalar", ">", "curvature_target"),
         ("diameter_reached", "diameter_lower", ">=", "diameter_target"),
-        ("interfaces_glued", "max_interface_gap", "<=", 1e-8),
+        ("interfaces_glued", "max_interface_gap", "<=", DEFAULT_INTERFACE_TOL),
     ]
     parameters = {
         "dim": n,
@@ -848,7 +842,7 @@ def tunnel_certificate(dim: int = 3, curvature: float = 6.0,
                        tube_radius: float = 0.1, length: float = 2.0,
                        sharpness: float = 100.0, *,
                        grid_density: float = 1.0,
-                       tolerance: float = 1e-9,
+                       tolerance: float = DEFAULT_TOLERANCE,
                        certificate_path=None,
                        profiles_dir=None) -> PipelineResult:
     """Certify one tunnel within a single round ambient model.
@@ -883,7 +877,7 @@ def tunnel_certificate(dim: int = 3, curvature: float = 6.0,
     claims = [
         ("scalar_floor", "global_min_scalar", ">", "floor"),
         ("length_reached", "diameter_lower", ">=", "length_target"),
-        ("interfaces_glued", "max_interface_gap", "<=", 1e-8),
+        ("interfaces_glued", "max_interface_gap", "<=", DEFAULT_INTERFACE_TOL),
     ]
     parameters = {
         "dim": n,
@@ -902,8 +896,8 @@ def tunnel_certificate(dim: int = 3, curvature: float = 6.0,
 def surgery_certificate(base_dim: int, slice_dim: int, tube_radius: float, *,
                         base_radius: float = 1.0, slice_radius: float = 1.0,
                         grid_density: float = 1.0,
-                        tolerance: float = 1e-9,
-                         certificate_path=None,
+                        tolerance: float = DEFAULT_TOLERANCE,
+                        certificate_path=None,
                         profiles_dir=None) -> PipelineResult:
     """Certify a codimension >= 3 surgery on a product of round spheres.
 
@@ -933,7 +927,7 @@ def surgery_certificate(base_dim: int, slice_dim: int, tube_radius: float, *,
         ("scalar_floor", "global_min_scalar", ">", "floor"),
         ("volume_above_band", "volume_total", ">=", "volume_lower_band"),
         ("volume_below_band", "volume_total", "<=", "volume_upper_band"),
-        ("interfaces_glued", "max_interface_gap", "<=", 1e-8),
+        ("interfaces_glued", "max_interface_gap", "<=", DEFAULT_INTERFACE_TOL),
     ]
     parameters = {
         "base_dim": int(base_dim),

@@ -5,6 +5,11 @@ import json
 import pytest
 
 from neckforge.cli import main
+from neckforge.models import unit_sphere_volume
+from neckforge.pipelines import (attach_hemisphere, attach_product_ingredient,
+                                 hemisphere_standin, round_sphere_ingredient,
+                                 sphere_chain_certificate,
+                                 verify_volume_budget)
 
 
 def test_build_tunnel_writes_passing_certificate(tmp_path, capsys):
@@ -134,3 +139,63 @@ def test_tube_option_reaches_every_gluing_pipeline(tmp_path, name, tube,
     assert main(args) == 0
     doc = json.loads(cert.read_text())
     assert doc["parameters"]["tube_radius"] == recorded
+
+
+@pytest.mark.parametrize("argv", [
+    ["main-b-budget", "--tube", "0.03"], ["main-b-budget", "--j", "5"],
+    ["cor-d", "--ingredient-radius", "0.3"], ["cor-t", "--n", "5"],
+    ["cor-v", "--d", "3"], ["main-a", "--p", "2"]], ids=" ".join)
+def test_pipeline_refuses_options_it_does_not_read(tmp_path, monkeypatch,
+                                                   argv):
+    # main-a --p is not taken as an abbreviation of --profiles-dir either
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", *argv, "--out", "cert.json"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def _half_sphere_budget(**kw):
+    hemisphere = hemisphere_standin(
+        3, declared_volume=0.5 * unit_sphere_volume(3))
+    return verify_volume_budget(hemisphere, 0.05, diameter_target=10.0,
+                                dim=3, **kw)
+
+
+@pytest.mark.parametrize("name, build", [
+    ("main-a", lambda **kw: attach_hemisphere(
+        round_sphere_ingredient(3, 0.5), **kw)),
+    ("cor-d", lambda **kw: attach_hemisphere(
+        round_sphere_ingredient(3, 0.5), diameter_target=10.0, **kw)),
+    ("cor-t", lambda **kw: attach_product_ingredient(1, 2, **kw)),
+    ("cor-v", lambda **kw: sphere_chain_certificate(
+        3 * unit_sphere_volume(3), 3, **kw)),
+    ("main-b-budget", _half_sphere_budget)])
+def test_pipeline_without_options_builds_its_documented_preset(tmp_path,
+                                                               name, build):
+    cli_cert, library_cert = tmp_path / "cli.json", tmp_path / "library.json"
+    assert main(["pipeline", name, "--out", str(cli_cert)]) == 0
+    build(certificate_path=library_cert)
+    assert cli_cert.read_bytes() == library_cert.read_bytes()
+
+
+def test_config_key_applies_only_to_pipelines_that_read_it(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ingredient_radius = 0.3\neps = 0.04\n")
+    ingredients = {}
+    for name in ("main-a", "cor-d"):
+        cert = tmp_path / f"{name}.json"
+        assert main(["--config", str(cfg), "pipeline", name,
+                     "--out", str(cert)]) == 0
+        doc = json.loads(cert.read_text())
+        ingredients[name] = doc["parameters"]["ingredient"]
+    assert ingredients == {"main-a": "round_sphere_3d_r0.3",
+                           "cor-d": "round_sphere_3d_r0.5"}
+
+
+def test_config_value_goes_through_its_option_type(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("d = ten\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "pipeline", "cor-d"])
+    assert exc.value.code == 2

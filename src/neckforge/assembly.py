@@ -73,6 +73,8 @@ MAX_DOUBLINGS = 20
 CAP_RAMP_FRACTION = 0.3
 # neck cuts closer than this fraction of the curve length are merged
 SEGMENT_MERGE_REL = 1e-6
+# directory of the piece store, beside an assembly.json manifest
+STORE_DIR = "pieces"
 
 
 def certified_min_scalar(profile, pole_scalars: tuple = ()) -> float:
@@ -313,19 +315,44 @@ class Assembly:
         return diameter_bounds(self.profiles)
 
     def save_files(self, out_dir, certificate_ref: str | None = None) -> Path:
-        """Write piece CSVs plus an assembly.json manifest; returns its path."""
+        """Write the piece store plus an assembly.json manifest; returns
+        the manifest's path.
+
+        Pieces are stored by content, as pieces/<fingerprint>.csv beside
+        the manifest, where fingerprint is the sha256 of the file. A
+        piece whose profile reverse() made (reversed_from) lists the file
+        of the profile it reverses, with "reversed": true, and has no file
+        of its own: load_profile_csv of that file, then .reverse(), gives
+        back the piece's canonical bytes exactly. Each profile to store is
+        rendered and written once per call, under a temporary name first,
+        so an existing file of the same name is replaced, never trusted.
+        Every manifest entry keeps the piece's own name, role, length,
+        volume and curvature bound.
+        """
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        store = out / STORE_DIR
+        store.mkdir(parents=True, exist_ok=True)
+        incoming = store / ".incoming.csv"
+        fingerprints = {}  # content key of a stored profile -> fingerprint
         entries = []
-        for i, piece in enumerate(self.pieces):
-            fname = f"piece_{i:02d}_{piece.name}.csv"
+        for piece in self.pieces:
+            profile = piece.profile
+            source = (profile if profile.reversed_from is None
+                      else profile.reversed_from)
+            key = source.content_key()
+            if key not in fingerprints:
+                fingerprint = save_profile_csv(source, incoming)
+                incoming.replace(store / f"{fingerprint}.csv")
+                fingerprints[key] = fingerprint
+            fingerprint = fingerprints[key]
             entries.append({
                 "name": piece.name,
                 "role": piece.role,
-                "file": fname,
-                "fingerprint": save_profile_csv(piece.profile, out / fname),
-                "kind": piece.profile.kind,
-                "dims": list(piece.profile.component_dims),
+                "file": f"{STORE_DIR}/{fingerprint}.csv",
+                "fingerprint": fingerprint,
+                "reversed": source is not profile,
+                "kind": profile.kind,
+                "dims": list(profile.component_dims),
                 "length": piece.length,
                 "volume": piece.volume,
                 "min_scalar": piece.min_scalar,
@@ -333,7 +360,7 @@ class Assembly:
                 "pole_scalars": list(piece.pole_scalars),
             })
         doc = {
-            "format_version": 1,
+            "format_version": 2,
             "name": self.name,
             "pieces": entries,
             "interfaces": [{"left": i.left, "right": i.right,

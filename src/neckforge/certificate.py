@@ -208,13 +208,19 @@ def _manifest_pieces(data: bytes) -> list:
     """The pieces an assembly manifest lists; none for other artifacts.
 
     data has already matched its certificate hash, so a file cannot stop
-    being a manifest without failing that check first.
+    being a manifest without failing that check first. Manifests of
+    format version 1 give each piece its own file; version 2 lists files
+    of a piece store, which several pieces may share.
     """
     try:
         doc = json.loads(data)
     except (ValueError, UnicodeDecodeError):
         return []
-    pieces = doc.get("pieces", []) if isinstance(doc, dict) else []
+    if not isinstance(doc, dict) or "pieces" not in doc:
+        return []
+    _require(doc.get("format_version") in (1, 2),
+             "unsupported manifest format_version")
+    pieces = doc["pieces"]
     _require(isinstance(pieces, list) and all(
         isinstance(p, dict) and isinstance(p.get("file"), str)
         and isinstance(p.get("fingerprint"), str) for p in pieces),
@@ -230,10 +236,13 @@ def recheck_certificate(source, files_dir=None) -> dict:
     tampering is caught too, and artifact fingerprints are verified
     against files_dir (default: the certificate's own directory) when the
     referenced files are present. An artifact that is an assembly
-    manifest has each piece file it lists hashed against that piece's
-    fingerprint as well; an absent piece file is reported missing, as
-    "<artifact>/<file>". Raises SchemaViolation on any inconsistency;
-    returns a report with the verified aggregate status.
+    manifest (format version 1, one file per piece, or 2, a piece store
+    whose files several pieces share) has each distinct piece file it
+    lists read and hashed once, and that digest must equal the
+    fingerprint of every piece listing the file; an absent piece file is
+    reported missing once, as "<artifact>/<file>". Raises SchemaViolation
+    on any inconsistency; returns a report with the verified aggregate
+    status.
     """
     if isinstance(source, (str, Path)):
         raw = Path(source).read_bytes()
@@ -305,15 +314,18 @@ def recheck_certificate(source, files_dir=None) -> dict:
         data = path.read_bytes()
         _require(hashlib.sha256(data).hexdigest() == entry["sha256"],
                  f"artifact {name}: file content does not match fingerprint")
+        digests = {}  # each listed file is read and hashed once
         for piece in _manifest_pieces(data):
-            piece_path = path.parent / piece["file"]
-            if not piece_path.exists():
-                missing.append(f"{name}/{piece['file']}")
-                continue
-            digest = hashlib.sha256(piece_path.read_bytes()).hexdigest()
-            _require(digest == piece["fingerprint"],
-                     f"artifact {name}: piece {piece['file']} does not "
-                     f"match its fingerprint")
+            file = piece["file"]
+            if file not in digests:
+                piece_path = path.parent / file
+                digests[file] = (hashlib.sha256(piece_path.read_bytes())
+                                 .hexdigest() if piece_path.exists() else None)
+                if digests[file] is None:
+                    missing.append(f"{name}/{file}")
+            _require(digests[file] in (None, piece["fingerprint"]),
+                     f"artifact {name}: piece {file} does not match "
+                     f"its fingerprint")
         verified.append(name)
     return {
         "status": doc["status"],

@@ -4,7 +4,9 @@ Exit code 0 means every claim in the emitted or rechecked certificate
 passed; 1 means at least one claim failed or came back inconclusive;
 2 means the command line was refused (argparse usage error) or the
 construction itself refused to run.  Each build command accepts only
-the options its build reads, as _COMMANDS lists them.  A plain
+the options its build reads, as _COMMANDS lists them, and recheck
+refuses the top-level --grid-density and --tolerance, which only builds
+read.  A refusal prints the usage of the command refusing.  A plain
 key = value config file can preset any long option, with explicit flags
 winning: a key applies to the commands that read it and is ignored by
 the others, and a key that no command reads exits.
@@ -76,6 +78,27 @@ def _main_b_budget(a, **common):
                                 a.eps, diameter_target=a.d, dim=a.n, **common)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses what it cannot parse with its own usage line; a plain
+    subparser hands leftovers up to the top parser, whose usage names no
+    command."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
+class _BuildOption(argparse.Action):
+    """A top-level option only builds read: stores its value and notes
+    its flag, so recheck can refuse it. A config default notes nothing."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.build_flags = [*namespace.build_flags, option_string]
+
+
 def _opt(flag: str, type_, default, help_: str | None = None, **extra):
     return flag, dict(type=type_, default=default, help=help_, **extra)
 
@@ -135,17 +158,21 @@ _FILES = [_opt("--out", str, None, metavar="CERT"),
 
 
 def _parser() -> tuple[argparse.ArgumentParser, list]:
-    """The top parser and every parser that holds options."""
-    top = argparse.ArgumentParser(
+    """The top parser and every parser that holds options, recheck's
+    last."""
+    top = _Parser(
         prog="neckforge",
         description="curvature-controlled tunnels, surgeries and their "
                     "numerical certificates")
     top.add_argument("--config", metavar="FILE",
                      help="key = value defaults; explicit flags win")
     top.add_argument("--grid-density", type=float, default=1.0,
+                     action=_BuildOption,
                      help="multiplier on curvature sampling resolution")
     top.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                     action=_BuildOption,
                      help="claim margin below this is inconclusive")
+    top.set_defaults(build_flags=[])
     groups = {None: top.add_subparsers(dest="command", required=True)}
     parsers = [top]
     for (group, name), (help_, options, defaults) in _COMMANDS.items():
@@ -197,6 +224,9 @@ def main(argv=None) -> int:
     if probe.config:
         _apply_config(_read_config(probe.config), parsers)
     args = parser.parse_args(argv)
+    if args.command == "recheck" and args.build_flags:
+        parsers[-1].error(f"recheck does not read "
+                          f"{', '.join(args.build_flags)}")
 
     try:
         if args.command == "recheck":

@@ -22,7 +22,8 @@ be finite. A constant warp (the round base factor of a surgery neck, a
 cylinder, the fixed factor of a collar leg or cap) is its own closed form:
 it evaluates to the same floats as its spline without building one. A
 reversed piece remembers the piece it reverses (reversed_from), so the
-bounds of one serve both.
+bounds of one serve both, and the reversal of that piece's stored file
+gives back its bytes exactly.
 
 Warps must stay positive except at a declared closed end, where exactly one
 warp vanishes with unit slope and the metric closes smoothly over a pole
@@ -305,8 +306,10 @@ class _Profile:
         return tuple(_spline_jet(spline, s) for spline in self._splines)
 
     def reverse(self):
-        """The same piece traversed the other way; it records the piece it
-        reverses (or that piece's own source) as reversed_from."""
+        """The same piece traversed the other way; it records this piece,
+        its direct parent, as reversed_from. reverse() is a function of
+        the stored fields alone, so reversing this piece reloaded from
+        its file reproduces the returned piece's canonical_bytes()."""
         values, dims, starts, ends = zip(*self.warps)
         closing = lambda flags: next(
             (i for i, closed in enumerate(flags) if closed), None)
@@ -317,9 +320,15 @@ class _Profile:
             [v[::-1] for v in values], dims,
             closed_start=closing(ends), closed_end=closing(starts),
             jets_start=flip(self._jets[1]), jets_end=flip(self._jets[0]))
-        root = self if self.reversed_from is None else self.reversed_from
-        object.__setattr__(profile, "reversed_from", root)
+        object.__setattr__(profile, "reversed_from", self)
         return profile
+
+    def content_key(self) -> tuple:
+        """What canonical_bytes() renders, unrendered and cheap to build:
+        two profiles have equal keys exactly when they have equal bytes,
+        since %.17g tells every two floats apart."""
+        return (self.kind, *self._header(), self.grid.tobytes(),
+                *(values.tobytes() for values, _, _, _ in self.warps))
 
     def canonical_bytes(self) -> bytes:
         header = [f"# neckforge-profile-version={FORMAT_VERSION}",
@@ -341,8 +350,8 @@ class WarpProfile(_Profile):
     closed_end: bool = False
     jet_start: tuple[float, float, float] | None = None
     jet_end: tuple[float, float, float] | None = None
-    # the piece reverse() made this one from, followed back to the first;
-    # its warps are this piece's traversed the other way
+    # the piece reverse() made this one from; its warps are this piece's
+    # traversed the other way
     reversed_from: "WarpProfile | None" = field(default=None, init=False,
                                                 repr=False)
 
@@ -403,7 +412,7 @@ class DoublyWarpProfile(_Profile):
     closed_end: int | None = None
     jets_start: tuple | None = None
     jets_end: tuple | None = None
-    # the piece reverse() made this one from, followed back to the first
+    # the piece reverse() made this one from
     reversed_from: "DoublyWarpProfile | None" = field(default=None,
                                                       init=False, repr=False)
 

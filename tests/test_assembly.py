@@ -10,14 +10,15 @@ import pytest
 from neckforge.assembly import (Assembly, AssemblyPiece, boundary_homotopy,
                                 build_tunnel, build_tunnel_between,
                                 cap_profile, certified_min_scalar, _chain,
-                                choose_stretch, collar_metric,
+                                choose_stretch, collar_metric, _mirror_piece,
                                 perform_surgery, slope_deficit)
 from neckforge.errors import (CodimensionTooSmall, InfeasibleBudget,
                               InterfaceMismatch, ParameterOutOfRange)
 from neckforge.measure import profile_volume
 from neckforge.models import (AmbientModel, flat_space, round_sphere,
                               unit_sphere_volume)
-from neckforge.profiles import DoublyWarpProfile, WarpProfile
+from neckforge.profiles import (DoublyWarpProfile, WarpProfile,
+                                load_profile_csv)
 
 
 # -- transition legs ----------------------------------------------------------
@@ -339,15 +340,24 @@ def test_surgery_nonunit_base_radius():
 def test_assembly_save_files_manifest(tmp_path, tunnel):
     path = tunnel.save_files(tmp_path / "out", certificate_ref="cert.json")
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert doc["certificate_ref"] == "cert.json"
     assert len(doc["pieces"]) == len(tunnel.pieces)
     assert len(doc["interfaces"]) == len(tunnel.pieces) - 1
     assert doc["totals"]["volume"] == pytest.approx(tunnel.total_volume)
     for entry, piece in zip(doc["pieces"], tunnel.pieces):
-        assert entry["fingerprint"] == piece.profile.fingerprint()
+        # a mirror lists the stored file of the profile it reverses
+        source = piece.profile.reversed_from or piece.profile
+        assert entry["reversed"] == (source is not piece.profile)
+        assert entry["fingerprint"] == source.fingerprint()
+        assert entry["file"] == f"pieces/{entry['fingerprint']}.csv"
         written = (tmp_path / "out" / entry["file"]).read_bytes()
         assert entry["fingerprint"] == hashlib.sha256(written).hexdigest()
+        assert entry["name"] == piece.name
+        assert entry["min_scalar"] == piece.min_scalar
+    stored = list((tmp_path / "out" / "pieces").iterdir())
+    assert len(stored) == len({e["file"] for e in doc["pieces"]})
+    assert len(stored) == len(tunnel.pieces) // 2 + 1
 
 
 def test_assembly_save_files_renders_each_piece_once(tmp_path, tunnel,
@@ -362,8 +372,42 @@ def test_assembly_save_files_renders_each_piece_once(tmp_path, tunnel,
 
         monkeypatch.setattr(cls, "canonical_bytes", counted)
     tunnel.save_files(tmp_path / "out")
-    assert len(renders) == len(tunnel.pieces)
-    assert renders == [piece.profile for piece in tunnel.pieces]
+    # mirrors are stored as their sources, so only those are rendered
+    sources = [piece.profile for piece in tunnel.pieces
+               if piece.profile.reversed_from is None]
+    assert renders == sources
+    assert len(renders) == len(tunnel.pieces) // 2 + 1
+
+
+def test_assembly_save_files_writes_each_content_once(tmp_path):
+    # two links of equal content built apart, one reversed: one file
+    model = round_sphere(3, 1.0)
+    first = build_tunnel(model, 0.1, sharpness=100)
+    second = build_tunnel(model, 0.1, sharpness=100)
+    piece = first.pieces[0]
+    twin = second.pieces[0]
+    assert piece.profile is not twin.profile
+    chain = Assembly(name="three", interfaces=(), pieces=(
+        piece, twin, _mirror_piece(twin, "mirror")))
+    doc = json.loads(chain.save_files(tmp_path).read_text())
+    assert [e["reversed"] for e in doc["pieces"]] == [False, False, True]
+    assert len({e["file"] for e in doc["pieces"]}) == 1
+    assert len(list((tmp_path / "pieces").iterdir())) == 1
+
+
+def test_assembly_save_files_reverses_only_the_direct_parent(tmp_path,
+                                                             tunnel):
+    # reversing a mirror gives back its source's warps; its entry must
+    # rebuild from the mirror's own bytes, not from the source's
+    mirror = tunnel.pieces[-1]
+    chain = Assembly(name="pair", interfaces=(),
+                     pieces=(mirror, _mirror_piece(mirror, "again")))
+    doc = json.loads(chain.save_files(tmp_path).read_text())
+    for entry, piece in zip(doc["pieces"], chain.pieces):
+        assert entry["reversed"]
+        stored = load_profile_csv(tmp_path / entry["file"])
+        assert (stored.reverse().canonical_bytes()
+                == piece.profile.canonical_bytes())
 
 
 def test_assembly_save_files_deterministic(tmp_path, tunnel):

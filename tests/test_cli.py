@@ -1,6 +1,7 @@
 """The command line surface: subcommands, config file, exit codes."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -146,13 +147,63 @@ def test_tube_option_reaches_every_gluing_pipeline(tmp_path, name, tube,
     ["cor-d", "--ingredient-radius", "0.3"], ["cor-t", "--n", "5"],
     ["cor-v", "--d", "3"], ["main-a", "--p", "2"]], ids=" ".join)
 def test_pipeline_refuses_options_it_does_not_read(tmp_path, monkeypatch,
-                                                   argv):
+                                                   capsys, argv):
     # main-a --p is not taken as an abbreviation of --profiles-dir either
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["pipeline", *argv, "--out", "cert.json"])
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
+    # the refusal shows the usage of that pipeline, not of neckforge
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: neckforge pipeline {argv[0]} ")
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
+@pytest.mark.parametrize("option", [["--tolerance", "0.5"],
+                                    ["--grid-density", "7"]],
+                         ids=" ".join)
+def test_recheck_refuses_the_build_options(tmp_path, capsys, option):
+    cert = tmp_path / "cert.json"
+    assert main(["build-tunnel", "--out", str(cert)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*option, "recheck", str(cert)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: neckforge recheck ")
+    assert f"recheck does not read {option[0]}" in err
+
+
+def test_recheck_ignores_a_config_tolerance(tmp_path):
+    # a config key applies to the commands that read it, as any other
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tolerance = 1e-10\n")
+    cert = tmp_path / "cert.json"
+    assert main(["--config", str(cfg), "build-tunnel", "--out",
+                 str(cert)]) == 0
+    assert main(["--config", str(cfg), "recheck", str(cert)]) == 0
+
+
+def test_recheck_catches_an_edited_or_absent_shared_piece_file(tmp_path,
+                                                                capsys):
+    # cor-v links share piece files; one edited byte fails them all
+    cert = tmp_path / "cert.json"
+    assert main(["pipeline", "cor-v", "--volume", "60", "--out", str(cert),
+                 "--profiles-dir", str(tmp_path / "profiles")]) == 0
+    manifest = json.loads((tmp_path / "profiles" / "assembly.json").read_text())
+    [(shared, uses)] = Counter(
+        entry["file"] for entry in manifest["pieces"]).most_common(1)
+    assert uses > 2
+    piece = tmp_path / "profiles" / shared
+    piece.write_bytes(piece.read_bytes().replace(b"e-", b"e+", 1))
+    capsys.readouterr()
+    assert main(["recheck", str(cert)]) == 2
+    assert "SchemaViolation" in capsys.readouterr().err
+    piece.unlink()
+    assert main(["recheck", str(cert)]) == 0
+    out = capsys.readouterr().out
+    assert f"artifacts missing: ['chain_manifest/{shared}']" in out
 
 
 def _half_sphere_budget(**kw):

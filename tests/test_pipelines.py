@@ -1,7 +1,9 @@
 """End-to-end checks for the gluing pipelines and their certificates."""
 
 import hashlib
+import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from neckforge.pipelines import (attach_hemisphere, attach_product_ingredient,
                                  round_sphere_ingredient,
                                  sphere_chain_certificate, surgery_certificate,
                                  tunnel_certificate, verify_volume_budget)
-from neckforge.profiles import WarpProfile
+from neckforge.profiles import WarpProfile, load_profile_csv, save_profile_csv
 
 
 def claim_status(result, name):
@@ -391,7 +393,7 @@ def test_pipeline_artifact_tamper_detected(tmp_path):
     # the manifest intact, one value cell of a piece file it lists edited
     manifest.write_bytes(original)
     assert recheck_certificate(tmp_path / "cert.json")["status"] == "PASS"
-    piece = sorted((tmp_path / "files").glob("piece_*.csv"))[1]
+    piece = sorted((tmp_path / "files" / "pieces").glob("*.csv"))[1]
     lines = piece.read_text().splitlines()
     row = [i for i, ln in enumerate(lines) if not ln.startswith("#")][100]
     cells = lines[row].split(",")
@@ -403,7 +405,75 @@ def test_pipeline_artifact_tamper_detected(tmp_path):
     # an absent piece file is reported, as an absent manifest is
     piece.unlink()
     report = recheck_certificate(tmp_path / "cert.json")
-    assert report["artifacts_missing"] == [f"chain_manifest/{piece.name}"]
+    assert report["artifacts_missing"] == [
+        f"chain_manifest/pieces/{piece.name}"]
+
+
+def test_piece_store_is_flat_in_chain_length(tmp_path):
+    # cor-v chains of 4 and 20 spheres store the same 72 piece files
+    stores = []
+    for volume in (30.0, 190.0):
+        d = tmp_path / str(volume)
+        res = sphere_chain_certificate(volume, 3, certificate_path=d / "c.json",
+                                       profiles_dir=d / "files")
+        assert res.status == "PASS"
+        store = d / "files" / "pieces"
+        stores.append(sorted(f.name for f in store.iterdir()))
+    assert stores[0] == stores[1]
+    assert len(stores[0]) == 72
+
+
+def test_rebuild_overwrites_a_stale_store_file(tmp_path):
+    build = lambda: tunnel_certificate(3, sharpness=100.0,
+                                       certificate_path=tmp_path / "cert.json",
+                                       profiles_dir=tmp_path / "files")
+    build()
+    stored = sorted((tmp_path / "files" / "pieces").glob("*.csv"))[0]
+    good = stored.read_bytes()
+    stored.write_bytes(good.replace(b"e-", b"e+", 1))
+    with pytest.raises(SchemaViolation):
+        recheck_certificate(tmp_path / "cert.json")
+    build()
+    assert stored.read_bytes() == good
+    assert recheck_certificate(tmp_path / "cert.json")["status"] == "PASS"
+    # the store holds nothing but files named by their own sha256
+    for f in (tmp_path / "files" / "pieces").iterdir():
+        assert f.name == hashlib.sha256(f.read_bytes()).hexdigest() + ".csv"
+
+
+def test_format_version_1_manifest_still_rechecks(tmp_path):
+    # the layout before the piece store: one file per manifest entry
+    res = tunnel_certificate(3, sharpness=100.0, profiles_dir=tmp_path)
+    [assembly] = res.assemblies.values()
+    manifest = json.loads((tmp_path / "assembly.json").read_text())
+    manifest["format_version"] = 1
+    for i, (entry, piece) in enumerate(zip(manifest["pieces"],
+                                           assembly.pieces)):
+        del entry["reversed"]
+        entry["file"] = f"piece_{i:02d}_{piece.name}.csv"
+        entry["fingerprint"] = save_profile_csv(piece.profile,
+                                                tmp_path / entry["file"])
+    shutil.rmtree(tmp_path / "pieces")
+
+    def certificate_listing(manifest):
+        data = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
+        (tmp_path / "assembly.json").write_bytes(data)
+        digest = hashlib.sha256(data).hexdigest()
+        return dict(res.certificate, artifacts={"tunnel_manifest": {
+            "file": "assembly.json", "sha256": digest}})
+
+    doc = certificate_listing(manifest)
+    report = recheck_certificate(doc, files_dir=tmp_path)
+    assert report["artifacts_verified"] == ["tunnel_manifest"]
+    assert report["artifacts_missing"] == []
+    piece = tmp_path / manifest["pieces"][-1]["file"]
+    piece.write_bytes(piece.read_bytes()[:-3] + b"9\n")
+    with pytest.raises(SchemaViolation, match="does not match"):
+        recheck_certificate(doc, files_dir=tmp_path)
+    # a manifest version this library never wrote is refused
+    manifest["format_version"] = 3
+    with pytest.raises(SchemaViolation, match="manifest format_version"):
+        recheck_certificate(certificate_listing(manifest), files_dir=tmp_path)
 
 
 # sha256 of certificate_bytes for fixed builds: a speedup must leave every
@@ -440,36 +510,36 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
 
 
 # sha256 over the sorted (relative path, file sha256) pairs of every file a
-# build writes: certificate, manifest and each piece CSV. The certificate
-# digests above see no artifact bytes, because in-memory certificates list
-# no artifacts. Same versions as above.
+# build writes: certificate, manifest and each piece CSV of the store. The
+# certificate digests above see no artifact bytes, because in-memory
+# certificates list no artifacts. Same versions as above.
 GOLDEN_ARTIFACT_DIGESTS = [
     pytest.param(
         lambda **files: tunnel_certificate(3, sharpness=100.0, **files),
-        "8e50d6649ab2f970a775259674184a29221d55845a1b79e178f00df3eb597b0d",
+        "176b223ed5653c65d0b2618aaac9313e81e15e1ea5768e4b40857d8446875c14",
         id="tunnel"),
     pytest.param(
         lambda **files: surgery_certificate(1, 3, 0.05, **files),
-        "c778a79201aedae09041a8c0b3a89cff27275dff1a58639b30f35f8acb6b26df",
+        "2448ca10f93c7f60b3c7fd962a837ff07dc89534de6899373965e4d90c2e7b12",
         id="surgery"),
     # four spheres: three links written from one repeated profile chain
     pytest.param(
         lambda **files: sphere_chain_certificate(
             1.5 * unit_sphere_volume(3), 3, **files),
-        "9908ae6b31a4bafb88ca08ab1a530d5b3715f591012099e04e553d62302e6f8a",
+        "bb33bea32a56de1f93555e56c4821215580fd7c725773d0ee2af479dea642927",
         id="chain"),
     # round ingredient remnant from its far pole, hemisphere up to its
     # boundary, with a waist cylinder
     pytest.param(
         lambda **files: attach_hemisphere(round_sphere_ingredient(3, 0.5),
                                           diameter_target=10.0, **files),
-        "5538be3057e13cd30557af822ddee6c60ea7b31466563bfd5ca36bed85fcb697",
+        "6c4f6f41d54cc5d08fdcd55db3321b0990017f0c4ce5f13c7f5253d431882d75",
         id="hemisphere"),
     # stand-in attachment: no ingredient remnant, product entries added
     pytest.param(
         lambda **files: attach_product_ingredient(1, 2, factor_radius=10.0,
                                                   **files),
-        "5838037e24d18e7635f7e05840cfaeb1e57fdf2cadbe5edfe6b5b919dc651b59",
+        "f7086a35c977237b3d5fb89eb012a5baea6b6acac5a2b81153d2000490d438c2",
         id="product"),
     # hemisphere from its boundary down to the tunnel, small sphere out
     # to its far pole
@@ -477,7 +547,7 @@ GOLDEN_ARTIFACT_DIGESTS = [
         lambda **files: verify_volume_budget(
             hemisphere_standin(3, declared_volume=0.5 * unit_sphere_volume(3)),
             0.05, **files),
-        "61aac317c2c0b773a06285b5a2df5ef4c30dc1b8313c2292dcba52ead1e961e4",
+        "93f9bcc59bb2747307befb1b02f4303b77fc823c65b67413d9da7ea06c795364",
         id="budget"),
 ]
 
@@ -498,3 +568,28 @@ def test_written_artifacts_are_byte_identical(tmp_path, build, digest):
     assert res.status == "PASS"
     assert len(list((tmp_path / "files").rglob("*.csv"))) > 1
     assert tree_digest(tmp_path) == digest
+
+
+# every entry, mirrors included, of the golden artifact builds and of a
+# tunnel with 22 mirrors
+@pytest.mark.parametrize("build", [
+    *(pytest.param(param.values[0], id=param.id)
+      for param in GOLDEN_ARTIFACT_DIGESTS),
+    pytest.param(lambda **files: tunnel_certificate(3, sharpness=1e4,
+                                                    **files),
+                 id="tunnel-1e4")])
+def test_reversed_entries_rebuild_their_pieces_exactly(tmp_path, build):
+    res = build(profiles_dir=tmp_path)
+    [assembly] = res.assemblies.values()
+    manifest = json.loads((tmp_path / "assembly.json").read_text())
+    entries = manifest["pieces"]
+    assert [e["name"] for e in entries] == [p.name for p in assembly.pieces]
+    for entry, piece in zip(entries, assembly.pieces):
+        stored = load_profile_csv(tmp_path / entry["file"])
+        rebuilt = stored.reverse() if entry["reversed"] else stored
+        assert rebuilt.canonical_bytes() == piece.profile.canonical_bytes()
+    mirrors = sum(e["reversed"] for e in entries)
+    assert mirrors == sum(p.profile.reversed_from is not None
+                          for p in assembly.pieces)
+    files = len(list((tmp_path / "pieces").iterdir()))
+    assert files == len({e["fingerprint"] for e in entries})

@@ -111,7 +111,10 @@ class TestWarpProfile:
 
     def test_reverse_round_trip(self):
         prof = sin_profile(jet_start=(1.0, 2.0, 3.0), jet_end=(4.0, 5.0, 6.0))
-        back = prof.reverse().reverse()
+        rev = prof.reverse()
+        back = rev.reverse()
+        # each reversal records its direct parent
+        assert rev.reversed_from is prof and back.reversed_from is rev
         assert np.allclose(back.grid, prof.grid, atol=1e-12)
         assert np.array_equal(back.values, prof.values)
         assert back.jet_start == prof.jet_start

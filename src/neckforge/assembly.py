@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -252,7 +252,13 @@ def cap_profile(base_dim: int, link_value: float, link_dim: int,
 
 @dataclass(frozen=True, eq=False)
 class AssemblyPiece:
-    """One profile piece plus its certification record."""
+    """One profile piece plus its certification record.
+
+    A reversed piece traverses its profile from end to start: the mirror
+    side of a tunnel is its source pieces under new names, sharing their
+    profiles and records, since length, volume and curvature bound do not
+    depend on the direction.
+    """
 
     name: str
     role: str
@@ -261,10 +267,21 @@ class AssemblyPiece:
     scalar_method: str
     volume: float
     pole_scalars: tuple = ()
+    reversed: bool = False
 
     @property
     def length(self) -> float:
         return self.profile.length
+
+    def boundary_jets(self, end: str) -> tuple[tuple[float, float, float], ...]:
+        """The profile's jets at this piece's start or end, in the piece's
+        direction: a reversed piece reads the profile's other end, with d1
+        negated."""
+        if not self.reversed:
+            return self.profile.boundary_jets(end)
+        other = {"start": "end", "end": "start"}.get(end, end)
+        return tuple((v, -d1, d2)
+                     for v, d1, d2 in self.profile.boundary_jets(other))
 
 
 @dataclass(frozen=True)
@@ -319,15 +336,14 @@ class Assembly:
         the manifest's path.
 
         Pieces are stored by content, as pieces/<fingerprint>.csv beside
-        the manifest, where fingerprint is the sha256 of the file. A
-        piece whose profile reverse() made (reversed_from) lists the file
-        of the profile it reverses, with "reversed": true, and has no file
-        of its own: load_profile_csv of that file, then .reverse(), gives
-        back the piece's canonical bytes exactly. Each profile to store is
-        rendered and written once per call, under a temporary name first,
-        so an existing file of the same name is replaced, never trusted.
-        Every manifest entry keeps the piece's own name, role, length,
-        volume and curvature bound.
+        the manifest, where fingerprint is the sha256 of the file. The
+        file holds the piece's profile; a reversed piece lists it with
+        "reversed": true, and a reader gets that piece as load_profile_csv
+        of the file, then .reverse(). Each profile to store is rendered
+        and written once per call, under a temporary name first, so an
+        existing file of the same name is replaced, never trusted. Every
+        manifest entry keeps the piece's own name, role, length, volume
+        and curvature bound.
         """
         out = Path(out_dir)
         store = out / STORE_DIR
@@ -337,11 +353,9 @@ class Assembly:
         entries = []
         for piece in self.pieces:
             profile = piece.profile
-            source = (profile if profile.reversed_from is None
-                      else profile.reversed_from)
-            key = source.content_key()
+            key = profile.content_key()
             if key not in fingerprints:
-                fingerprint = save_profile_csv(source, incoming)
+                fingerprint = save_profile_csv(profile, incoming)
                 incoming.replace(store / f"{fingerprint}.csv")
                 fingerprints[key] = fingerprint
             fingerprint = fingerprints[key]
@@ -350,7 +364,7 @@ class Assembly:
                 "role": piece.role,
                 "file": f"{STORE_DIR}/{fingerprint}.csv",
                 "fingerprint": fingerprint,
-                "reversed": source is not profile,
+                "reversed": piece.reversed,
                 "kind": profile.kind,
                 "dims": list(profile.component_dims),
                 "length": piece.length,
@@ -396,21 +410,11 @@ def _sampled_piece(name, role, profile, pole_scalars=()):
         pole_scalars=tuple(float(x) for x in pole_scalars))
 
 
-def _mirror_piece(piece: AssemblyPiece, name: str) -> AssemblyPiece:
-    # volume and curvature bound are reversal invariants; reuse them
-    return AssemblyPiece(name=name, role=piece.role,
-                         profile=piece.profile.reverse(),
-                         min_scalar=piece.min_scalar,
-                         scalar_method=piece.scalar_method,
-                         volume=piece.volume,
-                         pole_scalars=piece.pole_scalars)
-
-
 def _chain(name: str, pieces, provenance: dict) -> Assembly:
     interfaces = []
     for left, right in zip(pieces[:-1], pieces[1:]):
-        gap = _jet_gap(left.profile.boundary_jets("end"),
-                       right.profile.boundary_jets("start"))
+        gap = _jet_gap(left.boundary_jets("end"),
+                       right.boundary_jets("start"))
         if gap > DEFAULT_INTERFACE_TOL:
             raise InterfaceMismatch(
                 f"{left.name} -> {right.name}: jet gap {gap:.3e} exceeds "
@@ -585,7 +589,8 @@ def build_tunnel(model: AmbientModel, tube_radius: float, length: float = 0.0,
     side, stats = _tunnel_side(model, tube_radius, budget, collar_floor,
                                a_cyl, "a", grid_density)
     middle = [] if length == 0.0 else [_cylinder_piece(model, a_cyl, length)]
-    mirrored = [_mirror_piece(p, "b" + p.name[1:]) for p in reversed(side)]
+    mirrored = [replace(p, name="b" + p.name[1:], reversed=True)
+                for p in reversed(side)]
     pieces = side + middle + mirrored
     cylinder_volume = middle[0].volume if middle else 0.0
     provenance = {
@@ -641,7 +646,7 @@ def build_tunnel_between(model_a: AmbientModel, model_b: AmbientModel,
     side_b, stats_b = _tunnel_side(model_b, tube_b, 0.5 * head_b,
                                    collar_floor_b, a_cyl, "b", grid_density)
     middle = [] if length == 0.0 else [_cylinder_piece(model_a, a_cyl, length)]
-    pieces = side_a + middle + [_mirror_piece(p, p.name)
+    pieces = side_a + middle + [replace(p, reversed=True)
                                 for p in reversed(side_b)]
     provenance = {
         "builder": "build_tunnel_between",

@@ -22,9 +22,8 @@ bounded above from its cubics' Bernstein coefficients, and pieces are
 sampled from the largest bound down until no remaining bound exceeds the
 running maximum, typically one or two of a tunnel's pieces. Both the
 volume check and the fiber bound read the profile's cubic_bounds, one
-Bernstein pass per warp; a reversed piece (a tunnel's mirror side) takes
-the bounds of the piece it reverses and builds no spline unless the
-sweep samples it.
+Bernstein pass per warp. A profile listed more than once (the mirror
+side of a tunnel shares its source's) is bounded and sampled once.
 """
 
 from __future__ import annotations
@@ -117,14 +116,10 @@ def _fiber_bound(profile) -> float:
     Each warp's cubics lie within their Bernstein coefficients; the slack
     of 1e-12 times the power-coefficient scale (numerics.cubic_bounds),
     and again on the result, stays far above the rounding of the
-    coefficients and of the sampled evaluation, sum and square root. It
-    also covers the few ulps by which the spline of a reversed piece
-    differs from its source's spline reversed, so a reversed piece takes
-    its source's bounds and builds no spline of its own.
+    coefficients and of the sampled evaluation, sum and square root.
     """
-    source = profile if profile.reversed_from is None else profile.reversed_from
     sq = 0.0
-    for _, top in source.cubic_bounds:
+    for _, top in profile.cubic_bounds:
         sq += top * top
     return (1.0 + 1e-12) * float(np.sqrt(sq))
 
@@ -153,12 +148,14 @@ def diameter_bounds(profiles) -> tuple[float, float]:
     traversal of the largest product fiber, pi * sqrt(sum v_i^2), with the
     fiber maximum sampled, so not a bound (ROADMAP item 3). Pieces are
     sampled in descending order of their Bernstein fiber bound until no
-    remaining bound exceeds the running maximum; max is exact, so this is
-    the float a sweep of every piece returns.
+    remaining bound exceeds the running maximum, each distinct profile
+    object once; max is exact, so this is the float a sweep of every
+    piece returns.
     """
     length = 0.0
     for prof in profiles:
         length += prof.length
+    profiles = list({id(prof): prof for prof in profiles}.values())
     bounds = [_fiber_bound(prof) for prof in profiles]
     max_fiber = 0.0
     for i in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):

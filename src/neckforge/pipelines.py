@@ -266,9 +266,12 @@ def _compose(name: str, spec, provenance: dict, fiber_dim: int,
     its far end (pi*rho at a pole, pi*rho/2 at a boundary) when no
     tunnel follows; a first body runs from its far end down to mouth.
     Seam jets are copied verbatim from the neighbouring tunnel pieces,
-    so glued interfaces close with gap exactly zero.
+    so glued interfaces close with gap exactly zero.  A body equal to an
+    earlier one, byte for byte and in its pole scalars, reuses that
+    body's certified record under its own name.
     """
     pieces = []
+    bodies = {}
     for i, item in enumerate(spec):
         if not isinstance(item, _Body):
             prefix, tunnel = item
@@ -300,12 +303,15 @@ def _compose(name: str, spec, provenance: dict, fiber_dim: int,
             values=values, fiber_dim=fiber_dim,
             closed_start=closed_start, closed_end=closed_end,
             jet_start=(boundary if left is None
-                       else left.pieces[-1].profile.boundary_jets("end")[0]),
+                       else left.pieces[-1].boundary_jets("end")[0]),
             jet_end=(boundary if right is None
-                     else right.pieces[0].profile.boundary_jets("start")[0]))
-        pieces.append(_sampled_piece(
-            item.name, "remnant", profile,
-            pole_scalars=(end,) if kind == "pole" else ()))
+                     else right.pieces[0].boundary_jets("start")[0]))
+        poles = (end,) if kind == "pole" else ()
+        key = (profile.content_key(), poles)
+        if key not in bodies:
+            bodies[key] = _sampled_piece(item.name, "remnant", profile,
+                                         pole_scalars=poles)
+        pieces.append(dataclasses.replace(bodies[key], name=item.name))
     return _chain(name, pieces, provenance)
 
 

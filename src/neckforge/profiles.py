@@ -20,10 +20,7 @@ arithmetic, bit for bit, but without its validation passes, which the
 profile's own grid and warp checks make redundant; samples must therefore
 be finite. A constant warp (the round base factor of a surgery neck, a
 cylinder, the fixed factor of a collar leg or cap) is its own closed form:
-it evaluates to the same floats as its spline without building one. A
-reversed piece remembers the piece it reverses (reversed_from), so the
-bounds of one serve both, and the reversal of that piece's stored file
-gives back its bytes exactly.
+it evaluates to the same floats as its spline without building one.
 
 Warps must stay positive except at a declared closed end, where exactly one
 warp vanishes with unit slope and the metric closes smoothly over a pole
@@ -38,7 +35,7 @@ share a boundary match to roundoff instead of to spline accuracy.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -219,9 +216,9 @@ class _Profile:
 
     A class lists its warps as (values, sphere dim, closed at start,
     closed at end), names its kind and header lines (_header) and has a
-    grid and a reversed_from field. Its __post_init__ normalises its own
-    fields, then calls _init_body with the jets it stores per end (one per
-    warp, or None where the spline's own serve).
+    grid. Its __post_init__ normalises its own fields, then calls
+    _init_body with the jets it stores per end (one per warp, or None
+    where the spline's own serve).
     """
 
     def _init_body(self, jets_start, jets_end) -> None:
@@ -306,22 +303,20 @@ class _Profile:
         return tuple(_spline_jet(spline, s) for spline in self._splines)
 
     def reverse(self):
-        """The same piece traversed the other way; it records this piece,
-        its direct parent, as reversed_from. reverse() is a function of
-        the stored fields alone, so reversing this piece reloaded from
-        its file reproduces the returned piece's canonical_bytes()."""
+        """The same piece traversed the other way: the reader step for a
+        manifest entry marked "reversed". reverse() is a function of the
+        stored fields alone, so reversing this piece reloaded from its
+        file reproduces the returned piece's canonical_bytes()."""
         values, dims, starts, ends = zip(*self.warps)
         closing = lambda flags: next(
             (i for i, closed in enumerate(flags) if closed), None)
         flip = lambda jets: (None if jets is None else
                              tuple((v, -d1, d2) for v, d1, d2 in jets))
-        profile = make_profile(
+        return make_profile(
             self.grid[0] + (self.grid[-1] - self.grid[::-1]),
             [v[::-1] for v in values], dims,
             closed_start=closing(ends), closed_end=closing(starts),
             jets_start=flip(self._jets[1]), jets_end=flip(self._jets[0]))
-        object.__setattr__(profile, "reversed_from", self)
-        return profile
 
     def content_key(self) -> tuple:
         """What canonical_bytes() renders, unrendered and cheap to build:
@@ -350,10 +345,6 @@ class WarpProfile(_Profile):
     closed_end: bool = False
     jet_start: tuple[float, float, float] | None = None
     jet_end: tuple[float, float, float] | None = None
-    # the piece reverse() made this one from; its warps are this piece's
-    # traversed the other way
-    reversed_from: "WarpProfile | None" = field(default=None, init=False,
-                                                repr=False)
 
     kind = "warped"
     # perfbench/tracer.py wraps these in each class's own __dict__
@@ -412,9 +403,6 @@ class DoublyWarpProfile(_Profile):
     closed_end: int | None = None
     jets_start: tuple | None = None
     jets_end: tuple | None = None
-    # the piece reverse() made this one from
-    reversed_from: "DoublyWarpProfile | None" = field(default=None,
-                                                      init=False, repr=False)
 
     kind = "doubly_warped"
     # perfbench/tracer.py wraps these in each class's own __dict__

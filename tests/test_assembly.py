@@ -1,5 +1,6 @@
 """Gluing, collars, caps, tunnels, and surgery assemblies."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 from neckforge.assembly import (Assembly, AssemblyPiece, boundary_homotopy,
                                 build_tunnel, build_tunnel_between,
                                 cap_profile, certified_min_scalar, _chain,
-                                choose_stretch, collar_metric, _mirror_piece,
+                                choose_stretch, collar_metric,
                                 perform_surgery, slope_deficit)
 from neckforge.errors import (CodimensionTooSmall, InfeasibleBudget,
                               InterfaceMismatch, ParameterOutOfRange)
@@ -180,8 +181,12 @@ def test_tunnel_ends_are_ambient_annuli(tunnel):
     first = tunnel.pieces[0]
     last = tunnel.pieces[-1]
     assert first.role == "ambient_annulus" and last.role == "ambient_annulus"
-    np.testing.assert_array_equal(first.profile.values,
-                                  last.profile.values[::-1])
+    # the far end is the near one traversed backwards: one profile
+    assert last.profile is first.profile and last.reversed
+    ((v, d1, d2),) = first.boundary_jets("start")
+    assert last.boundary_jets("end") == ((v, -d1, d2),)
+    with pytest.raises(ParameterOutOfRange):
+        last.boundary_jets("middle")
 
 
 def test_tunnel_piece_structure(tunnel):
@@ -191,6 +196,10 @@ def test_tunnel_piece_structure(tunnel):
     assert roles[0] == "ambient_annulus" and roles[-1] == "ambient_annulus"
     mid = roles.index("cylinder")
     assert roles[:mid][::-1] == roles[mid + 1:]  # mirror symmetry
+    # every mirror placement is its forward twin's profile object
+    for forward, mirror in zip(tunnel.pieces[:mid], tunnel.pieces[::-1]):
+        assert not forward.reversed and mirror.reversed
+        assert mirror.profile is forward.profile
 
 
 def test_tunnel_without_cylinder(tunnel):
@@ -346,10 +355,9 @@ def test_assembly_save_files_manifest(tmp_path, tunnel):
     assert len(doc["interfaces"]) == len(tunnel.pieces) - 1
     assert doc["totals"]["volume"] == pytest.approx(tunnel.total_volume)
     for entry, piece in zip(doc["pieces"], tunnel.pieces):
-        # a mirror lists the stored file of the profile it reverses
-        source = piece.profile.reversed_from or piece.profile
-        assert entry["reversed"] == (source is not piece.profile)
-        assert entry["fingerprint"] == source.fingerprint()
+        # a mirror lists the stored file of the profile it shares
+        assert entry["reversed"] == piece.reversed
+        assert entry["fingerprint"] == piece.profile.fingerprint()
         assert entry["file"] == f"pieces/{entry['fingerprint']}.csv"
         written = (tmp_path / "out" / entry["file"]).read_bytes()
         assert entry["fingerprint"] == hashlib.sha256(written).hexdigest()
@@ -372,9 +380,9 @@ def test_assembly_save_files_renders_each_piece_once(tmp_path, tunnel,
 
         monkeypatch.setattr(cls, "canonical_bytes", counted)
     tunnel.save_files(tmp_path / "out")
-    # mirrors are stored as their sources, so only those are rendered
+    # mirrors share their sources' profiles, so only those are rendered
     sources = [piece.profile for piece in tunnel.pieces
-               if piece.profile.reversed_from is None]
+               if not piece.reversed]
     assert renders == sources
     assert len(renders) == len(tunnel.pieces) // 2 + 1
 
@@ -388,7 +396,7 @@ def test_assembly_save_files_writes_each_content_once(tmp_path):
     twin = second.pieces[0]
     assert piece.profile is not twin.profile
     chain = Assembly(name="three", interfaces=(), pieces=(
-        piece, twin, _mirror_piece(twin, "mirror")))
+        piece, twin, dataclasses.replace(twin, name="mirror", reversed=True)))
     doc = json.loads(chain.save_files(tmp_path).read_text())
     assert [e["reversed"] for e in doc["pieces"]] == [False, False, True]
     assert len({e["file"] for e in doc["pieces"]}) == 1
@@ -397,17 +405,22 @@ def test_assembly_save_files_writes_each_content_once(tmp_path):
 
 def test_assembly_save_files_reverses_only_the_direct_parent(tmp_path,
                                                              tunnel):
-    # reversing a mirror gives back its source's warps; its entry must
-    # rebuild from the mirror's own bytes, not from the source's
-    mirror = tunnel.pieces[-1]
-    chain = Assembly(name="pair", interfaces=(),
-                     pieces=(mirror, _mirror_piece(mirror, "again")))
-    doc = json.loads(chain.save_files(tmp_path).read_text())
-    for entry, piece in zip(doc["pieces"], chain.pieces):
-        assert entry["reversed"]
-        stored = load_profile_csv(tmp_path / entry["file"])
-        assert (stored.reverse().canonical_bytes()
-                == piece.profile.canonical_bytes())
+    # a piece over a profile reverse() made stores that profile's own
+    # bytes; its mirror names the same file and is reversed once from it
+    source = tunnel.pieces[0]
+    flipped = dataclasses.replace(source, name="flipped",
+                                  profile=source.profile.reverse())
+    chain = Assembly(name="pair", interfaces=(), pieces=(
+        flipped, dataclasses.replace(flipped, name="again", reversed=True)))
+    first, again = json.loads(chain.save_files(tmp_path).read_text())["pieces"]
+    assert (first["reversed"], again["reversed"]) == (False, True)
+    assert first["file"] == again["file"]
+    stored = load_profile_csv(tmp_path / first["file"])
+    assert stored.canonical_bytes() == flipped.profile.canonical_bytes()
+    assert stored.canonical_bytes() != source.profile.canonical_bytes()
+    for end in ("start", "end"):
+        assert (stored.reverse().boundary_jets(end)
+                == chain.pieces[1].boundary_jets(end))
 
 
 def test_assembly_save_files_deterministic(tmp_path, tunnel):

@@ -232,6 +232,8 @@ def test_diameter_sweep_equals_the_exhaustive_sweep(build, sampled):
         assert assembly.diameter_bounds() == reference_diameter(
             assembly.profiles)
         assert 0 < len(sampled) < len(assembly.pieces)
+        # a profile listed twice, as a tunnel's mirrors are, is sampled once
+        assert len({id(prof) for prof in sampled}) == len(sampled)
 
 
 def test_diameter_maximum_in_the_second_piece(sampled):
@@ -258,26 +260,32 @@ def test_diameter_samples_a_piece_whose_bound_clears_the_maximum(sampled):
     assert sampled == [large, small]
 
 
-def test_mirror_pieces_take_their_source_bound(sampled, monkeypatch):
-    # a tunnel's mirror side reuses its source's volume and floor; its
-    # fiber bound comes from the source too, so a mirror piece builds a
-    # spline only when the sweep samples it
+def test_mirrors_share_their_source_profile(sampled, monkeypatch):
+    # a tunnel's mirror side is its source pieces, reversed: each mirror
+    # shares its forward twin's profile object, so the tunnel builds no
+    # mirror profile and no spline through a mirror's samples
     builds = []
     real_builder = profiles.CubicSpline
 
     def counting(x, y):
-        builds.append(1)
+        builds.append(y)
         return real_builder(x, y)
 
     monkeypatch.setattr(profiles, "CubicSpline", counting)
     tunnel = tunnel_certificate(3, sharpness=1e4).assemblies["tunnel"]
-    assert len(builds) <= 26
-    mirrors = [p.profile for p in tunnel.pieces
-               if p.profile.reversed_from is not None]
+    pieces = tunnel.pieces
+    mirrors = [i for i, p in enumerate(pieces) if p.reversed]
     assert len(mirrors) == 22
-    with_spline = {id(prof) for prof in mirrors if "_splines" in vars(prof)}
-    assert with_spline == {id(prof) for prof in sampled
-                           if prof.reversed_from is not None}
-    for prof in mirrors:
-        assert _fiber_bound(prof) == _fiber_bound(prof.reversed_from)
+    for i in mirrors:
+        twin = pieces[len(pieces) - 1 - i]
+        assert not twin.reversed and pieces[i].profile is twin.profile
+        assert pieces[i].min_scalar == twin.min_scalar
+        assert pieces[i].volume == twin.volume
+    distinct = {id(p.profile): p.profile for p in pieces}
+    assert len(distinct) == len(pieces) - len(mirrors)
+    assert builds and not any(
+        np.array_equal(y, prof.values[::-1])
+        for y in builds for prof in distinct.values())
+    assert len(sampled) == len({id(prof) for prof in sampled})
+    for prof in distinct.values():
         assert _fiber_bound(prof) >= measure._sampled_fiber(prof)

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neckforge import assembly
-from neckforge.assembly import build_tunnel_between
+from neckforge import assembly, pipelines
+from neckforge.assembly import (DEFAULT_INTERFACE_TOL, _jet_gap,
+                                build_tunnel_between)
 from neckforge.certificate import certificate_bytes, recheck_certificate
 from neckforge.errors import (FloorCheckFailed, IngredientFloorTooLow,
                               MissingIngredient, ParameterOutOfRange,
@@ -234,6 +235,27 @@ def test_sphere_chain_rejects_nonpositive_target():
         sphere_chain_certificate(0.0, 3)
 
 
+def test_sphere_chain_certifies_each_distinct_body_once(monkeypatch):
+    # the middle spheres of a chain are one body under many names, so a
+    # chain of 20 spheres certifies as many curvature floors as one of 4
+    calls = []
+    real = assembly.certified_min_scalar
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "certified_min_scalar", counted)
+    monkeypatch.setattr(pipelines, "certified_min_scalar", counted)
+    counts = []
+    for volume, spheres in ((30.0, 4), (190.0, 20)):
+        calls.clear()
+        res = sphere_chain_certificate(volume, 3)
+        assert res.quantity("sphere_count") == spheres
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 # --------------------------------------------------------- volume budget
 
 def unit_half_volume_hemisphere():
@@ -314,6 +336,36 @@ def test_surgery_certificate_bands():
     assert (1 - 0.05) * ref <= res.quantity("volume_total") <= (1 + 0.05) * ref
     assert res.quantity("global_min_scalar") > \
         res.quantity("ambient_curvature") - 0.05
+
+
+def spline_jets(piece, end):
+    """A piece's jets at one of its ends, evaluated from its profile's
+    splines in the piece's direction instead of read from stored jets."""
+    profile_end = end if not piece.reversed else (
+        "start" if end == "end" else "end")
+    s = piece.profile.grid[0 if profile_end == "start" else -1]
+    sign = -1.0 if piece.reversed else 1.0
+    return tuple((float(spline(s)), sign * float(spline(s, 1)),
+                  float(spline(s, 2)))
+                 for spline, _, _ in piece.profile.warp_splines)
+
+
+# ROADMAP item 1, defect 2: interfaces_glued compares the stored seam
+# jets, which close every seam exactly (max_interface_gap reads 0.0),
+# while the splines the curvature is sampled from miss each other there:
+# the v' gap is 0.84 in the sharp tunnel and 1.3e-7 in the surgery.
+# Closing the seams makes these pass, and strict then fails them until
+# the marker is removed.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="seams glue stored jets, not the splines")
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: tunnel_certificate(3, sharpness=1e6), id="tunnel"),
+    pytest.param(lambda: surgery_certificate(1, 3, 0.05), id="surgery")])
+def test_seams_close_on_the_pieces_own_splines(build):
+    [chain] = build().assemblies.values()
+    gap = max(_jet_gap(spline_jets(left, "end"), spline_jets(right, "start"))
+              for left, right in zip(chain.pieces[:-1], chain.pieces[1:]))
+    assert gap <= DEFAULT_INTERFACE_TOL
 
 
 
@@ -586,10 +638,15 @@ def test_reversed_entries_rebuild_their_pieces_exactly(tmp_path, build):
     assert [e["name"] for e in entries] == [p.name for p in assembly.pieces]
     for entry, piece in zip(entries, assembly.pieces):
         stored = load_profile_csv(tmp_path / entry["file"])
+        assert stored.canonical_bytes() == piece.profile.canonical_bytes()
+        assert entry["reversed"] == piece.reversed
+        # the reader step gives the piece's jets in the piece's direction
         rebuilt = stored.reverse() if entry["reversed"] else stored
-        assert rebuilt.canonical_bytes() == piece.profile.canonical_bytes()
-    mirrors = sum(e["reversed"] for e in entries)
-    assert mirrors == sum(p.profile.reversed_from is not None
-                          for p in assembly.pieces)
+        for end in ("start", "end"):
+            assert rebuilt.boundary_jets(end) == piece.boundary_jets(end)
+        assert rebuilt.length == piece.length
     files = len(list((tmp_path / "pieces").iterdir()))
     assert files == len({e["fingerprint"] for e in entries})
+    if res.certificate["kind"] == "tunnel":
+        # one profile object per stored file
+        assert files == len({id(p.profile) for p in assembly.pieces})

@@ -43,7 +43,8 @@ integrands. The designer hands its spline to the curve, and the
 quadrature reads it on each abscissa's known knot interval.
 Verification evaluates the closed form above and, as an independent
 route, the Gauss equation with the explicit principal curvature
-spectrum and ambient sectional curvature table, on nodes and midpoints.
+spectrum and ambient sectional curvature table, on nodes and midpoints,
+whose knot intervals are known, from one evaluation of theta, k and r.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import (
     CodimensionTooSmall,
@@ -63,7 +63,9 @@ from .errors import (
     RadiusExceedsModel,
 )
 from .models import AmbientModel
-from .numerics import cubic_rows, gauss_legendre_rule, smoothstep5, smoothstep7
+from .numerics import (PiecewiseCubic, cubic_rows, gauss_legendre_rule,
+                       hermite_cubic, knot_intervals, smoothstep5,
+                       smoothstep7, with_midpoints)
 from .profiles import make_profile
 
 __all__ = [
@@ -247,7 +249,7 @@ class BendingCurve:
     phase_breaks: tuple
     # the cubic Hermite spline through (s_nodes, theta_nodes) with slopes
     # curvature_nodes
-    theta_spline: CubicHermiteSpline = field(repr=False)
+    theta_spline: PiecewiseCubic = field(repr=False)
     _jets: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -275,26 +277,39 @@ class BendingCurve:
 
     def radius_at(self, s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        idx = np.clip(np.searchsorted(self.s_nodes, s_arr, side="right") - 1,
-                      0, self.s_nodes.size - 2)
+        out = self._radius(s_arr, knot_intervals(self.s_nodes, s_arr))
+        return out if s_arr.shape == np.shape(s) else out.reshape(np.shape(s))
+
+    def _radius(self, s, idx):
+        """r at the points s (1d) in knot intervals idx: the node radius
+        less the quadrature of cos theta from the interval's start."""
         a = self.s_nodes[idx]
-        half = 0.5 * (s_arr - a)
-        mid = 0.5 * (s_arr + a)
+        half = 0.5 * (s - a)
+        mid = 0.5 * (s + a)
         nodes, weights = gauss_legendre_rule()
         xs = mid[:, None] + half[:, None] * nodes[None, :]
         sp = self.theta_spline
         th = cubic_rows(sp.c, sp.x, xs, idx)
         cos_i = np.sum(half[:, None] * weights[None, :] * np.cos(th), axis=1)
-        out = self.radius_nodes[idx] - cos_i
-        return out if s_arr.shape == np.shape(s) else out.reshape(np.shape(s))
+        return self.radius_nodes[idx] - cos_i
+
+    def _state(self, s, idx=None):
+        """theta, k and r at s, each shaped as s; idx gives the knot
+        interval of each point of s.ravel(), searched when None."""
+        s = np.asarray(s, dtype=float)
+        flat = s.ravel()
+        if idx is None:
+            idx = knot_intervals(self.s_nodes, flat)
+        sp = self.theta_spline
+        return tuple(v.reshape(s.shape) for v in (
+            cubic_rows(sp.c, sp.x, flat, idx),
+            cubic_rows(sp.c, sp.x, flat, idx, 1), self._radius(flat, idx)))
 
     def scalar_curvature(self, s):
-        return sigma_scalar_closed_form(self.model, self.theta_at(s),
-                                        self.curvature_at(s), self.radius_at(s))
+        return sigma_scalar_closed_form(self.model, *self._state(s))
 
     def gauss_scalar(self, s):
-        return sigma_scalar_gauss(self.model, self.theta_at(s),
-                                  self.curvature_at(s), self.radius_at(s))
+        return sigma_scalar_gauss(self.model, *self._state(s))
 
     def verification_points(self, refine: int = 2) -> np.ndarray:
         pts = [self.s_nodes]
@@ -305,20 +320,25 @@ class BendingCurve:
 
     @cached_property
     def _floor_samples(self):
-        """Refine-2 verification points and the closed-form scalar
-        curvature on them, shared by check and min_scalar_on."""
-        s = self.verification_points(2)
-        return s, self.scalar_curvature(s)
+        """Refine-2 verification points, theta, k and r there, and the
+        closed-form scalar curvature, shared by check and min_scalar_on.
+        Node i and midpoint i lie in knot interval i, so nothing is
+        searched."""
+        nodes = self.s_nodes
+        s, idx = with_midpoints(nodes, nodes[:-1] + 0.5 * np.diff(nodes))
+        state = self._state(s, idx)
+        return s, sigma_scalar_closed_form(self.model, *state), state
 
     def verify_floor(self, refine: int = 2) -> CurveCheck:
         """Evaluate both scalar curvature routes on nodes and midpoints and
         compare the minimum against the design floor."""
         if refine == 2:
-            s, closed = self._floor_samples
+            s, closed, state = self._floor_samples
         else:
             s = self.verification_points(refine)
-            closed = self.scalar_curvature(s)
-        gauss = self.gauss_scalar(s)
+            state = self._state(s)
+            closed = sigma_scalar_closed_form(self.model, *state)
+        gauss = sigma_scalar_gauss(self.model, *state)
         scale = np.maximum(1.0, np.abs(closed))
         cross = float(np.max(np.abs(closed - gauss) / scale))
         i = int(np.argmin(closed))
@@ -337,7 +357,7 @@ class BendingCurve:
     def min_scalar_on(self, s_lo: float, s_hi: float) -> float:
         """Minimum of the refine-2 closed-form samples inside [s_lo, s_hi];
         nine fresh samples when the window holds none."""
-        s, closed = self._floor_samples
+        s, closed, _ = self._floor_samples
         inside = (s >= s_lo - 1e-15) & (s <= s_hi + 1e-15)
         if not np.any(inside):
             return float(np.min(self.scalar_curvature(
@@ -682,7 +702,7 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
     s_nodes = np.asarray(S)
     theta_nodes = np.asarray(TH)
     curvature_nodes = np.asarray(KK)
-    spline = CubicHermiteSpline(s_nodes, theta_nodes, curvature_nodes)
+    spline = hermite_cubic(s_nodes, theta_nodes, curvature_nodes)
     a = s_nodes[:-1]
     b = s_nodes[1:]
     half = 0.5 * (b - a)

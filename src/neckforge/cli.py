@@ -10,6 +10,9 @@ read.  A refusal prints the usage of the command refusing.  A plain
 key = value config file can preset any long option, with explicit flags
 winning: a key applies to the commands that read it and is ignored by
 the others, and a key that no command reads exits.
+
+A build command imports the build modules when it runs, so `recheck`
+loads only the standard library.
 """
 
 from __future__ import annotations
@@ -20,11 +23,6 @@ from pathlib import Path
 
 from .certificate import DEFAULT_TOLERANCE, recheck_certificate
 from .errors import NeckforgeError, ParameterOutOfRange
-from .models import unit_sphere_volume
-from .pipelines import (attach_hemisphere, attach_product_ingredient,
-                        hemisphere_standin, round_sphere_ingredient,
-                        sphere_chain_certificate, surgery_certificate,
-                        tunnel_certificate, verify_volume_budget)
 
 __all__ = ["main"]
 
@@ -53,25 +51,43 @@ def _body_radii(text) -> tuple[float, float]:
     return base_radius, slice_radius
 
 
+def _build_tunnel(a, **common):
+    from .pipelines import tunnel_certificate
+    return tunnel_certificate(a.n, a.kappa, a.delta, a.length, a.j, **common)
+
+
 def _surgery(a, **common):
+    from .pipelines import surgery_certificate
     base_radius, slice_radius = _body_radii(a.body)
     return surgery_certificate(a.p, a.q, a.delta, base_radius=base_radius,
                                slice_radius=slice_radius, **common)
 
 
 def _main_a(a, **common):
+    from .pipelines import attach_hemisphere, round_sphere_ingredient
     return attach_hemisphere(round_sphere_ingredient(a.n, a.ingredient_radius),
                              diameter_target=a.d, sharpness=a.j,
                              tube_radius=a.tube, **common)
 
 
+def _cor_t(a, **common):
+    from .pipelines import attach_product_ingredient
+    return attach_product_ingredient(
+        a.p, a.q, factor_radius=a.factor_radius, diameter_target=a.d,
+        sharpness=a.j, tube_radius=a.tube, **common)
+
+
 def _cor_v(a, **common):
+    from .models import unit_sphere_volume
+    from .pipelines import sphere_chain_certificate
     volume = 3.0 * unit_sphere_volume(a.n) if a.volume is None else a.volume
     return sphere_chain_certificate(volume, a.n, sharpness=a.j,
                                     tube_radius=a.tube, **common)
 
 
 def _main_b_budget(a, **common):
+    from .models import unit_sphere_volume
+    from .pipelines import hemisphere_standin, verify_volume_budget
     volume = (0.5 * unit_sphere_volume(a.n) if a.hemisphere_volume is None
               else a.hemisphere_volume)
     return verify_volume_budget(hemisphere_standin(a.n, declared_volume=volume),
@@ -116,8 +132,7 @@ _COMMANDS = {
         _N, _opt("--kappa", float, 6.0, "ambient scalar curvature"),
         _opt("--delta", float, 0.1, "tube radius"),
         _opt("--length", float, 2.0, "length of the waist cylinder"), _J],
-        dict(build=lambda a, **common: tunnel_certificate(
-            a.n, a.kappa, a.delta, a.length, a.j, **common))),
+        dict(build=_build_tunnel)),
     (None, "surgery"): ("codimension >= 3 surgery on a sphere product", [
         _opt("--p", int, None, "base dimension", required=True),
         _opt("--q", int, None, "slice dimension", required=True),
@@ -139,9 +154,7 @@ _COMMANDS = {
          _opt("--factor-radius", float, None, "factor radius before "
               "halving (default: 1/sqrt(2 n(n-1)), n = p + q)"),
          _D0, _J, _opt("--tube", float, 0.05, "tube radius")],
-        dict(build=lambda a, **common: attach_product_ingredient(
-            a.p, a.q, factor_radius=a.factor_radius, diameter_target=a.d,
-            sharpness=a.j, tube_radius=a.tube, **common))),
+        dict(build=_cor_t)),
     ("pipeline", "cor-v"): (
         "chain of unit spheres ending in a hemisphere",
         [_N, _opt("--volume", float, None, "volume target (default: 3 "

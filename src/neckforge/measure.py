@@ -8,7 +8,7 @@ four Bernstein coefficients with a rounding margin (a declared closed end
 may touch zero; the profile's cubic_bounds). Such a piece takes one pass
 on the halved panels, the float the halving check returns after its
 first refinement; the pass reads each warp's cubic on the knot interval
-that every abscissa is known to lie in (numerics.cubic_rows), with the
+that every abscissa is known to lie in (the profile's warp_rows), with the
 floats of the spline's own evaluation. Any other piece falls back to the
 halving check to rel_tol 1e-10, so volumes of anything less tame fail
 loudly instead of silently drifting.
@@ -29,11 +29,10 @@ side of a tunnel shares its source's) is bounded and sampled once.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import PPoly
 
 from .errors import QuadratureNonConvergence
 from .models import unit_sphere_volume
-from .numerics import GL_POINTS, cubic_rows, gauss_legendre_panels
+from .numerics import GL_POINTS, gauss_legendre_panels
 
 __all__ = [
     "adaptive_panel_integral",
@@ -89,22 +88,13 @@ def _volume_integrand(profile, warp_values=None):
     return integrand
 
 
-def _knot_rows(spline, X):
-    """The warp at X, row r in knot interval r, without interval search."""
-    if isinstance(spline, PPoly):
-        return cubic_rows(spline.c, spline.x, X)
-    return spline(X)  # a closed form
-
-
 def profile_volume(profile) -> float:
     """Riemannian volume of one profile piece."""
     if 3 * sum(profile.component_dims) < 2 * GL_POINTS and all(
             nonnegative for nonnegative, _ in profile.cubic_bounds):
         grid = profile.grid
-        warps = [spline for spline, _, _ in profile.warp_splines]
         # the halved panels' abscissae, 2 * GL_POINTS per knot interval
-        rows = lambda s: [_knot_rows(spline, s.reshape(grid.size - 1, -1))
-                          for spline in warps]
+        rows = lambda s: profile.warp_rows(s.reshape(grid.size - 1, -1))
         return gauss_legendre_panels(_volume_integrand(profile, rows),
                                      _halved(grid))
     return adaptive_panel_integral(_volume_integrand(profile), profile.grid)

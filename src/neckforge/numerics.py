@@ -1,9 +1,10 @@
 """Small numerical building blocks shared across modules.
 
 Polynomial blend windows (the C^2 and C^3 flavors used by collars, fades and
-caps), panelized Gauss-Legendre quadrature, and two tools for piecewise
-cubics: evaluation at abscissae whose knot interval the caller already
-knows, and bounds from their Bernstein coefficients.
+caps), panelized Gauss-Legendre quadrature, and the package's piecewise cubics:
+PiecewiseCubic, with scipy PPoly's layout and floats, evaluation at
+abscissae whose knot interval the caller already knows, the cubic
+Hermite interpolant, and bounds from Bernstein coefficients.
 Everything here is elementary and vectorized; a window clamps a Python
 float without numpy, to the same bits, for the designer's RK4 loop.
 Nothing imports from the rest of the package except the error types.
@@ -23,7 +24,11 @@ __all__ = [
     "smoothstep7",
     "gauss_legendre_rule",
     "gauss_legendre_panels",
+    "knot_intervals",
+    "with_midpoints",
     "cubic_rows",
+    "PiecewiseCubic",
+    "hermite_cubic",
     "bernstein",
     "cubic_bounds",
 ]
@@ -94,31 +99,140 @@ def gauss_legendre_panels(f, breakpoints) -> float:
     return float(np.sum(half[:, None] * weights[None, :] * vals))
 
 
-def cubic_rows(c, x, X, idx=None) -> np.ndarray:
-    """A piecewise cubic at rows whose knot interval is known.
+def knot_intervals(x, s) -> np.ndarray:
+    """The knot interval of each point of s as PPoly picks it: the last
+    knot at or before the point, clipped to the first and last interval,
+    so points out of range extrapolate and the last knot belongs to the
+    last interval."""
+    idx = np.searchsorted(x, s, side="right")
+    idx -= 1
+    np.maximum(idx, 0, out=idx)
+    return np.minimum(idx, x.size - 2, out=idx)
+
+
+def with_midpoints(x, mids) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(np.concatenate([x, mids])) for strictly increasing knots
+    x and one point mids[i] per knot interval, and the knot interval of
+    every point (knot_intervals). When each mids[i] lies strictly inside
+    its interval, the points interleave and their intervals are known:
+    knot i and midpoint i lie in interval i, the last knot in the last
+    one. Otherwise they are sorted and searched."""
+    if np.all(mids > x[:-1]) and np.all(mids < x[1:]):
+        s = np.empty(2 * x.size - 1)
+        s[0::2] = x
+        s[1::2] = mids
+        idx = np.arange(s.size) // 2
+        idx[-1] = x.size - 2
+        return s, idx
+    s = np.unique(np.concatenate([x, mids]))
+    return s, knot_intervals(x, s)
+
+
+def cubic_rows(c, x, X, idx=None, nu: int = 0) -> np.ndarray:
+    """A piecewise cubic's nu-th derivative at points whose knot interval
+    is known.
 
     c (4, intervals) and x (knots) are laid out as scipy's PPoly. Row r of
-    the 2d array X lies in knot interval idx[r], or in interval r when idx
-    is None, so no interval search is made. The floats are PPoly's: with
-    s = X - x[interval] and a_k the coefficient of s^k, its evaluate_poly1
-    sums ((0 + a0) + a1 s) + a2 (s s) + a3 ((s s) s), where PPoly picks
-    the interval itself; out of range, it extrapolates with the first or
-    the last one.
+    X (its first axis) lies in knot interval idx[r], or in interval r when
+    idx is None, so no interval search is made. The floats are PPoly's:
+    with s = X - x[interval] and a_k the coefficient of s^k, its
+    evaluate_poly1 sums
+      nu = 0: ((0 + a0) + a1 s) + a2 (s s) + a3 ((s s) s),
+      nu = 1: ((0 + a1) + (a2 s) 2) + (a3 (s s)) 3,
+      nu = 2: (0 + a2 2) + (a3 s) 6,
+      nu = 3: 0 + a3 6, and 0 above,
+    where PPoly picks the interval itself (knot_intervals); a NaN point
+    gives NaN for every nu.
     """
-    lo = x[:-1] if idx is None else x[idx]
-    a3, a2, a1, a0 = (c if idx is None else c[:, idx])[:, :, None]
-    s = X - lo[:, None]
+    if nu < 0:
+        raise ValueError("cubic_rows evaluates derivatives, nu >= 0")
+    lo = x[:-1] if idx is None else x.take(idx)
+    tail = (1,) * (np.ndim(X) - 1)
+    # take, not fancy indexing: the same gather, several times faster
+    a3, a2, a1, a0 = (c if idx is None else c.take(idx, axis=1)).reshape(
+        4, -1, *tail)
+    s = X - lo.reshape(-1, *tail)
     # in place, one commuted operand at a time: the same floats with
     # three temporaries instead of ten
-    out = a1 * s
-    out += 0.0 + a0
-    ss = s * s
-    s *= ss
-    ss *= a2
-    out += ss
-    s *= a3
-    out += s
+    if nu == 0:
+        out = a1 * s
+        out += 0.0 + a0
+        ss = s * s
+        s *= ss
+        ss *= a2
+        out += ss
+        s *= a3
+        out += s
+    elif nu == 1:
+        out = a2 * s
+        out *= 2.0
+        out += 0.0 + a1
+        s *= s
+        s *= a3
+        s *= 3.0
+        out += s
+    elif nu == 2:
+        out = a3 * s
+        out *= 6.0
+        out += 0.0 + a2 * 2.0
+    else:
+        out = np.where(s != s, s, 0.0 + a3 * 6.0 if nu == 3 else 0.0)
     return out
+
+
+def _cubic_at(a3, a2, a1, a0, s, nu):
+    """cubic_rows at one point, on Python floats: the same operations."""
+    if nu == 0:
+        return ((0.0 + a0) + a1 * s) + a2 * (s * s) + a3 * (s * s * s)
+    if nu == 1:
+        return ((0.0 + a1) + a2 * s * 2.0) + a3 * (s * s) * 3.0
+    if nu == 2:
+        return (0.0 + a2 * 2.0) + a3 * s * 6.0
+    if nu < 0:
+        raise ValueError("cubic_rows evaluates derivatives, nu >= 0")
+    return s if s != s else (0.0 + a3 * 6.0 if nu == 3 else 0.0)
+
+
+class PiecewiseCubic:
+    """A piecewise cubic: power coefficients c (4, intervals) over knots x,
+    laid out as scipy's PPoly, with PPoly's floats.
+
+    Calling it at s (any shape) finds each point's knot interval
+    (knot_intervals) and evaluates the nu-th derivative there
+    (cubic_rows); a Python float takes a scalar path with the same
+    operations. Where the intervals are known, call cubic_rows.
+    """
+
+    __slots__ = ("c", "x")
+
+    def __init__(self, c: np.ndarray, x: np.ndarray) -> None:
+        self.c = c
+        self.x = x
+
+    def __call__(self, s, nu: int = 0):
+        if isinstance(s, float):
+            i = min(max(int(np.searchsorted(self.x, s, side="right")) - 1,
+                        0), self.x.size - 2)
+            return np.float64(_cubic_at(*self.c[:, i].tolist(),
+                                        s - float(self.x[i]), nu))
+        s = np.asarray(s, dtype=float)
+        flat = s.ravel()
+        return cubic_rows(self.c, self.x, flat, knot_intervals(self.x, flat),
+                          nu).reshape(s.shape)
+
+
+def hermite_cubic(x, y, dydx) -> PiecewiseCubic:
+    """The cubic Hermite interpolant of values y and slopes dydx at knots x.
+
+    Its coefficients are scipy CubicHermiteSpline(x, y, dydx).c: the same
+    formulas in the same order, without its validation passes. The caller
+    supplies strictly increasing knots and finite data.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+    return PiecewiseCubic(c, x)
 
 
 def bernstein(c, x) -> tuple[np.ndarray, np.ndarray]:

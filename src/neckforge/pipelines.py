@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from .assembly import (DEFAULT_INTERFACE_TOL, PROFILE_NODES, _chain,
                        _sampled_piece, build_tunnel, build_tunnel_between,
@@ -65,6 +64,9 @@ MAX_RESCALINGS = 40
 
 def _sin_power_integral(power: int, theta: float) -> float:
     """integral of sin(u)^power over [0, theta] for integer power >= 0."""
+    # imported here: only ball volumes need it, and it loads slowly
+    from scipy import special
+
     if theta < 0.0:
         raise ParameterOutOfRange(f"angle {theta:.6g} must be nonnegative")
     theta = min(theta, math.pi)

@@ -18,7 +18,10 @@ derivatives are the spline's) and a reloaded profile reproduces its
 numbers exactly. The splines are built here (CubicSpline) with scipy's
 arithmetic, bit for bit, but without its validation passes, which the
 profile's own grid and warp checks make redundant; samples must therefore
-be finite. A constant warp (the round base factor of a surgery neck, a
+be finite. A spline is a numerics.PiecewiseCubic, evaluated with the
+floats of scipy's PPoly; curvature samples sit at nodes and interval
+midpoints, whose knot intervals are known, so they are read without an
+interval search. A constant warp (the round base factor of a surgery neck, a
 cylinder, the fixed factor of a collar leg or cap) is its own closed form:
 it evaluates to the same floats as its spline without building one.
 
@@ -39,7 +42,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PPoly
 from scipy.linalg import solve_banded
 
 from .curvature import scalar_curvature_doubly_warped, scalar_curvature_warped
@@ -49,7 +51,8 @@ from .errors import (
     ParameterOutOfRange,
     SchemaViolation,
 )
-from .numerics import cubic_bounds
+from .numerics import (PiecewiseCubic, cubic_bounds, cubic_rows,
+                       hermite_cubic, knot_intervals, with_midpoints)
 
 __all__ = ["WarpProfile", "DoublyWarpProfile", "make_profile",
            "load_profile_csv", "save_profile_csv"]
@@ -116,15 +119,18 @@ def _check_closing(closed_start, closed_end, warp_count: int) -> None:
 
 
 def _curvature_sample_points(grid: np.ndarray, trim_start: bool,
-                             trim_end: bool) -> np.ndarray:
+                             trim_end: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and interval midpoints, less a trimmed pole, and the knot
+    interval of each."""
     h = (grid[-1] - grid[0]) / (grid.size - 1)
-    s = np.unique(np.concatenate([grid, grid[:-1] + 0.5 * h]))
+    s, idx = with_midpoints(grid, grid[:-1] + 0.5 * h)
     margin = _POLE_TRIM * (grid[-1] - grid[0])
+    keep = np.ones(s.size, dtype=bool)
     if trim_start:
-        s = s[s > grid[0] + margin]
+        keep &= s > grid[0] + margin
     if trim_end:
-        s = s[s < grid[-1] - margin]
-    return s
+        keep &= s < grid[-1] - margin
+    return s[keep], idx[keep]
 
 
 class _ConstantWarp:
@@ -151,14 +157,14 @@ class _ConstantWarp:
         return c
 
 
-def CubicSpline(x: np.ndarray, y: np.ndarray) -> PPoly:
-    """The not-a-knot cubic spline through (x, y), as a PPoly.
+def CubicSpline(x: np.ndarray, y: np.ndarray) -> PiecewiseCubic:
+    """The not-a-knot cubic spline through (x, y), as a PiecewiseCubic.
 
     The floats of scipy.interpolate.CubicSpline(x, y) (scipy 1.17): its
     banded system for the knot slopes, the same solve_banded call, and
-    CubicHermiteSpline's coefficient formulas, without their validation
-    passes. x and y are a validated profile grid (uniform, at least 8
-    nodes) and finite samples on it.
+    CubicHermiteSpline's coefficient formulas (numerics.hermite_cubic),
+    without CubicSpline's validation passes. x and y are a validated
+    profile grid (uniform, at least 8 nodes) and finite samples on it.
     """
     dx = np.diff(x)
     slope = np.diff(y) / dx
@@ -179,9 +185,7 @@ def CubicSpline(x: np.ndarray, y: np.ndarray) -> PPoly:
     b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
     s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
                      overwrite_b=True, check_finite=False).reshape(n)
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
-    return PPoly.construct_fast(c, x)
+    return hermite_cubic(x, y, s)
 
 
 def _warp_spline(grid: np.ndarray, values: np.ndarray):
@@ -189,6 +193,15 @@ def _warp_spline(grid: np.ndarray, values: np.ndarray):
     if np.all(values == values[0]):
         return _ConstantWarp(grid, float(values[0]))
     return CubicSpline(grid, values)
+
+
+def _rows(spline, X, idx=None, nu: int = 0) -> np.ndarray:
+    """A warp's nu-th derivative at rows of X whose knot interval is
+    known: row r in interval idx[r], or in interval r when idx is None
+    (numerics.cubic_rows). A constant warp is its closed form."""
+    if isinstance(spline, _ConstantWarp):
+        return spline(X, nu)
+    return cubic_rows(spline.c, spline.x, X, idx, nu)
 
 
 def _spline_jet(spline, s: float) -> tuple[float, float, float]:
@@ -262,6 +275,10 @@ class _Profile:
         return tuple(np.asarray(spline(s), dtype=float)
                      for spline in self._splines)
 
+    def warp_rows(self, X) -> list[np.ndarray]:
+        """Each warp at the rows of X, row r in knot interval r."""
+        return [_rows(spline, X) for spline in self._splines]
+
     @property
     def warp_splines(self) -> tuple:
         """(spline, closed at start, closed at end) for each warp."""
@@ -276,8 +293,15 @@ class _Profile:
                      for spline, start, end in self.warp_splines)
 
     def scalar_curvature(self, s):
-        jets = [d for spline in self._splines
-                for d in (spline(s), spline(s, 1), spline(s, 2))]
+        s = np.asarray(s, dtype=float)
+        flat = s.ravel()
+        return self._curvature_at(
+            flat, knot_intervals(self.grid, flat)).reshape(s.shape)
+
+    def _curvature_at(self, s, idx):
+        """R at the points s (1d) in knot intervals idx."""
+        jets = [_rows(spline, s, idx, nu) for spline in self._splines
+                for nu in (0, 1, 2)]
         formula = (scalar_curvature_warped if len(self._splines) == 1
                    else scalar_curvature_doubly_warped)
         return formula(*jets, *self.component_dims)
@@ -288,8 +312,8 @@ class _Profile:
         Pole nodes of closed ends are excluded; their analytic limits live
         with the piece that built the closure.
         """
-        s = _curvature_sample_points(self.grid, *self.closed_ends)
-        return s, self.scalar_curvature(s)
+        s, idx = _curvature_sample_points(self.grid, *self.closed_ends)
+        return s, self._curvature_at(s, idx)
 
     def boundary_jets(self, end: str) -> tuple[tuple[float, float, float], ...]:
         if end == "start":

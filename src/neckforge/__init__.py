@@ -38,19 +38,7 @@ _SUBMODULES = {"assembly", "bending", "certificate", "cli", "curvature",
                "errors", "measure", "models", "numerics", "oracle",
                "pipelines", "profiles"}
 
-__all__ = [
-    "AmbientModel", "Assembly", "AssemblyPiece", "DoublyWarpProfile",
-    "IngredientMetric", "PipelineResult", "WarpProfile",
-    "attach_hemisphere", "attach_product_ingredient", "build_tunnel",
-    "build_tunnel_between", "certificate_bytes", "certified_min_scalar",
-    "flat_space", "hemisphere_standin", "load_certificate",
-    "make_certificate", "perform_surgery", "product_ingredient",
-    "product_of_rounds", "profile_ingredient", "recheck_certificate",
-    "round_ball_volume", "round_sphere", "round_sphere_ingredient",
-    "sphere_chain_certificate", "sphere_times_flat", "surgery_certificate",
-    "tunnel_certificate", "unit_sphere_volume", "verify_volume_budget",
-    "write_certificate",
-]
+__all__ = sorted(_SOURCE)
 
 
 def __getattr__(name: str):

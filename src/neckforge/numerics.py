@@ -180,27 +180,13 @@ def cubic_rows(c, x, X, idx=None, nu: int = 0) -> np.ndarray:
     return out
 
 
-def _cubic_at(a3, a2, a1, a0, s, nu):
-    """cubic_rows at one point, on Python floats: the same operations."""
-    if nu == 0:
-        return ((0.0 + a0) + a1 * s) + a2 * (s * s) + a3 * (s * s * s)
-    if nu == 1:
-        return ((0.0 + a1) + a2 * s * 2.0) + a3 * (s * s) * 3.0
-    if nu == 2:
-        return (0.0 + a2 * 2.0) + a3 * s * 6.0
-    if nu < 0:
-        raise ValueError("cubic_rows evaluates derivatives, nu >= 0")
-    return s if s != s else (0.0 + a3 * 6.0 if nu == 3 else 0.0)
-
-
 class PiecewiseCubic:
     """A piecewise cubic: power coefficients c (4, intervals) over knots x,
     laid out as scipy's PPoly, with PPoly's floats.
 
     Calling it at s (any shape) finds each point's knot interval
     (knot_intervals) and evaluates the nu-th derivative there
-    (cubic_rows); a Python float takes a scalar path with the same
-    operations. Where the intervals are known, call cubic_rows.
+    (cubic_rows). Where the intervals are known, call cubic_rows.
     """
 
     __slots__ = ("c", "x")
@@ -210,11 +196,6 @@ class PiecewiseCubic:
         self.x = x
 
     def __call__(self, s, nu: int = 0):
-        if isinstance(s, float):
-            i = min(max(int(np.searchsorted(self.x, s, side="right")) - 1,
-                        0), self.x.size - 2)
-            return np.float64(_cubic_at(*self.c[:, i].tolist(),
-                                        s - float(self.x[i]), nu))
         s = np.asarray(s, dtype=float)
         flat = s.ravel()
         return cubic_rows(self.c, self.x, flat, knot_intervals(self.x, flat),

@@ -112,8 +112,8 @@ def test_piecewise_cubic_is_ppoly_on_every_input_shape(make):
         grid = s[: s.size // 4 * 4].reshape(-1, 4)
         assert same_bits(spline(grid, nu), reference(grid, nu))
         for point in s[::7]:
-            # a Python float takes the scalar path, a 0-d array the array
-            # path; both are PPoly's float, PPoly returns a 0-d array
+            # a Python float and a 0-d array both give PPoly's float as a
+            # 0-d array, as PPoly does
             assert same_bits(spline(float(point), nu),
                              reference(float(point), nu))
             assert same_bits(spline(np.array(point), nu),

@@ -41,6 +41,10 @@ data k); radius and axial position are recovered from it by per-interval
 Gauss-Legendre quadrature, which is exact to roundoff for these
 integrands. The designer hands its spline to the curve, and the
 quadrature reads it on each abscissa's known knot interval.
+BendingCurve._state reads theta, k and r together, on known or searched
+knot intervals: the verification samples, the scalar curvature at
+arbitrary points and the boundary jets of the emitted segments all come
+from it, and radius_at reads r alone the same way.
 Verification evaluates the closed form above and, as an independent
 route, the Gauss equation with the explicit principal curvature
 spectrum and ambient sectional curvature table, on nodes and midpoints,
@@ -269,12 +273,6 @@ class BendingCurve:
     def design_floor(self) -> float:
         return self.model.scalar_curvature - self.params.resolved_budget
 
-    def theta_at(self, s):
-        return np.asarray(self.theta_spline(s), dtype=float)
-
-    def curvature_at(self, s):
-        return np.asarray(self.theta_spline(s, 1), dtype=float)
-
     def radius_at(self, s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         out = self._radius(s_arr, knot_intervals(self.s_nodes, s_arr))
@@ -311,33 +309,21 @@ class BendingCurve:
     def gauss_scalar(self, s):
         return sigma_scalar_gauss(self.model, *self._state(s))
 
-    def verification_points(self, refine: int = 2) -> np.ndarray:
-        pts = [self.s_nodes]
-        widths = np.diff(self.s_nodes)
-        for k in range(1, refine):
-            pts.append(self.s_nodes[:-1] + (k / refine) * widths)
-        return np.unique(np.concatenate(pts))
-
     @cached_property
     def _floor_samples(self):
-        """Refine-2 verification points, theta, k and r there, and the
-        closed-form scalar curvature, shared by check and min_scalar_on.
-        Node i and midpoint i lie in knot interval i, so nothing is
-        searched."""
+        """The verification points (nodes and interval midpoints), theta,
+        k and r there, and the closed-form scalar curvature, shared by
+        check and min_scalar_on. Node i and midpoint i lie in knot
+        interval i, so nothing is searched."""
         nodes = self.s_nodes
         s, idx = with_midpoints(nodes, nodes[:-1] + 0.5 * np.diff(nodes))
         state = self._state(s, idx)
         return s, sigma_scalar_closed_form(self.model, *state), state
 
-    def verify_floor(self, refine: int = 2) -> CurveCheck:
+    def verify_floor(self) -> CurveCheck:
         """Evaluate both scalar curvature routes on nodes and midpoints and
         compare the minimum against the design floor."""
-        if refine == 2:
-            s, closed, state = self._floor_samples
-        else:
-            s = self.verification_points(refine)
-            state = self._state(s)
-            closed = sigma_scalar_closed_form(self.model, *state)
+        s, closed, state = self._floor_samples
         gauss = sigma_scalar_gauss(self.model, *state)
         scale = np.maximum(1.0, np.abs(closed))
         cross = float(np.max(np.abs(closed - gauss) / scale))
@@ -351,11 +337,11 @@ class BendingCurve:
 
     @cached_property
     def check(self) -> CurveCheck:
-        """verify_floor(refine=2), run once per curve."""
-        return self.verify_floor(refine=2)
+        """verify_floor(), run once per curve."""
+        return self.verify_floor()
 
     def min_scalar_on(self, s_lo: float, s_hi: float) -> float:
-        """Minimum of the refine-2 closed-form samples inside [s_lo, s_hi];
+        """Minimum of the verification samples inside [s_lo, s_hi];
         nine fresh samples when the window holds none."""
         s, closed, _ = self._floor_samples
         inside = (s >= s_lo - 1e-15) & (s <= s_hi + 1e-15)
@@ -377,9 +363,7 @@ class BendingCurve:
         jet = self._jets.get(s)
         if jet is not None:
             return jet
-        th = float(self.theta_at(s))
-        k = float(self.curvature_at(s))
-        r = float(self.radius_at(np.array([s]))[0])
+        th, k, r = (float(v) for v in self._state(s))
         sn = float(self.model.warp(r))
         dsn = float(self.model.warp_d1(r))
         c = self.model.slice_curv

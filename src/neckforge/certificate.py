@@ -26,7 +26,7 @@ import hashlib
 import json
 import math
 import numbers
-from pathlib import Path
+from pathlib import Path, PurePath
 
 from . import __version__
 from .errors import ParameterOutOfRange, SchemaViolation
@@ -204,6 +204,15 @@ def _check_number(value, where: str) -> float:
     return value
 
 
+def _read_regular(path: Path, what: str) -> bytes | None:
+    """The bytes of the regular file at path, None when nothing is there;
+    anything else there (a directory, a device) is refused."""
+    if not path.exists():
+        return None
+    _require(path.is_file(), f"{what}: {path} is not a regular file")
+    return path.read_bytes()
+
+
 def _manifest_pieces(data: bytes) -> list:
     """The pieces an assembly manifest lists; none for other artifacts.
 
@@ -240,9 +249,11 @@ def recheck_certificate(source, files_dir=None) -> dict:
     whose files several pieces share) has each distinct piece file it
     lists read and hashed once, and that digest must equal the
     fingerprint of every piece listing the file; an absent piece file is
-    reported missing once, as "<artifact>/<file>". Raises SchemaViolation
-    on any inconsistency; returns a report with the verified aggregate
-    status.
+    reported missing once, as "<artifact>/<file>". Only regular files are
+    read: an artifact path must be relative (the writer's relpath, which
+    may climb out with ".."), a piece path relative and free of "..".
+    Raises SchemaViolation on any inconsistency, a mistyped reference or
+    path included; returns a report with the verified aggregate status.
     """
     if isinstance(source, (str, Path)):
         raw = Path(source).read_bytes()
@@ -275,16 +286,19 @@ def recheck_certificate(source, files_dir=None) -> dict:
         _require(isinstance(claim["name"], str), f"{where} name must be a string")
         _require(claim["op"] in _OPS, f"{where} has unsupported op")
         _require(claim["status"] in _STATUSES, f"{where} has unknown status")
-        lhs_ref = claim["lhs_ref"]
+        lhs_ref, rhs_ref = claim["lhs_ref"], claim["rhs_ref"]
+        _require(isinstance(lhs_ref, str), f"{where} lhs_ref must be a string")
+        _require(rhs_ref is None or isinstance(rhs_ref, str),
+                 f"{where} rhs_ref must be a string or null")
         _require(lhs_ref in quantities, f"{where} references unknown {lhs_ref!r}")
         lhs = _check_number(claim["lhs_value"], f"{where} lhs_value")
         _require(lhs == quantities[lhs_ref],
                  f"{where}: lhs_value disagrees with quantities[{lhs_ref!r}]")
         rhs = _check_number(claim["rhs_value"], f"{where} rhs_value")
-        if claim["rhs_ref"] is not None:
-            _require(claim["rhs_ref"] in quantities,
-                     f"{where} references unknown {claim['rhs_ref']!r}")
-            _require(rhs == quantities[claim["rhs_ref"]],
+        if rhs_ref is not None:
+            _require(rhs_ref in quantities,
+                     f"{where} references unknown {rhs_ref!r}")
+            _require(rhs == quantities[rhs_ref],
                      f"{where}: rhs_value disagrees with its reference")
         tol = _check_number(claim["tolerance"], f"{where} tolerance")
         _require(tol > 0.0, f"{where} tolerance must be positive")
@@ -302,25 +316,33 @@ def recheck_certificate(source, files_dir=None) -> dict:
              "aggregate status does not match the claims")
     verified, missing = [], []
     for name, entry in doc["artifacts"].items():
-        _require(isinstance(entry, dict) and set(entry) == {"file", "sha256"},
-                 f"artifact {name} must be {{file, sha256}}")
+        _require(isinstance(entry, dict) and set(entry) == {"file", "sha256"}
+                 and isinstance(entry["file"], str),
+                 f"artifact {name} must be {{file, sha256}} with a file path")
+        _require(not PurePath(entry["file"]).is_absolute(),
+                 f"artifact {name}: file path must be relative")
         if files_dir is None:
             missing.append(name)
             continue
         path = Path(files_dir) / entry["file"]
-        if not path.exists():
+        data = _read_regular(path, f"artifact {name}")
+        if data is None:
             missing.append(name)
             continue
-        data = path.read_bytes()
         _require(hashlib.sha256(data).hexdigest() == entry["sha256"],
                  f"artifact {name}: file content does not match fingerprint")
         digests = {}  # each listed file is read and hashed once
         for piece in _manifest_pieces(data):
             file = piece["file"]
             if file not in digests:
-                piece_path = path.parent / file
-                digests[file] = (hashlib.sha256(piece_path.read_bytes())
-                                 .hexdigest() if piece_path.exists() else None)
+                _require(not PurePath(file).is_absolute()
+                         and ".." not in PurePath(file).parts,
+                         f"artifact {name}: piece path {file!r} leaves the "
+                         f"manifest's directory")
+                piece_data = _read_regular(path.parent / file,
+                                           f"artifact {name}: piece {file}")
+                digests[file] = (None if piece_data is None
+                                 else hashlib.sha256(piece_data).hexdigest())
                 if digests[file] is None:
                     missing.append(f"{name}/{file}")
             _require(digests[file] in (None, piece["fingerprint"]),

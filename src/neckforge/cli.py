@@ -2,14 +2,17 @@
 
 Exit code 0 means every claim in the emitted or rechecked certificate
 passed; 1 means at least one claim failed or came back inconclusive;
-2 means the command line was refused (argparse usage error) or the
-construction itself refused to run.  Each build command accepts only
+2 means the command line was refused with a usage error (an unknown
+option; a config file that cannot be read, holds a line without '=' or
+a key no command reads; a recheck of a path that cannot be read) or the
+build or recheck stopped on a typed NeckforgeError, such as a
+certificate that fails its schema.  Each build command accepts only
 the options its build reads, as _COMMANDS lists them, and recheck
 refuses the top-level --grid-density and --tolerance, which only builds
 read.  A refusal prints the usage of the command refusing.  A plain
 key = value config file can preset any long option, with explicit flags
 winning: a key applies to the commands that read it and is ignored by
-the others, and a key that no command reads exits.
+the others.
 
 A build command imports the build modules when it runs, so `recheck`
 loads only the standard library.
@@ -25,20 +28,6 @@ from .certificate import DEFAULT_TOLERANCE, recheck_certificate
 from .errors import NeckforgeError, ParameterOutOfRange
 
 __all__ = ["main"]
-
-
-def _read_config(path: str) -> dict:
-    """key = value lines; '#' starts a comment; values stay strings."""
-    out = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise SystemExit(f"config line not key = value: {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
 
 
 def _body_radii(text) -> tuple[float, float]:
@@ -209,9 +198,25 @@ def _parser() -> tuple[argparse.ArgumentParser, list]:
     return top, parsers + [chk]
 
 
-def _apply_config(config: dict, parsers) -> None:
-    """Install config values as parser defaults, so flags still win;
-    argparse converts a string default through its option's type."""
+def _apply_config(path: str, parsers) -> None:
+    """Install a config file's key = value lines ('#' starts a comment) as
+    parser defaults, so flags still win; argparse converts a string
+    default through its option's type. An unreadable file, a line without
+    '=' and a key no command reads are refused with the top usage."""
+    top = parsers[0]
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        top.error(f"cannot read config file: {exc}")
+    config = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            top.error(f"config line not key = value: {raw!r}")
+        key, value = line.split("=", 1)
+        config[key.strip().replace("-", "_")] = value.strip()
     known = set()
     for parser in parsers:
         dests = {action.dest for action in parser._actions}
@@ -219,7 +224,7 @@ def _apply_config(config: dict, parsers) -> None:
         known |= dests
     unknown = set(config) - known
     if unknown:
-        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+        top.error(f"unknown config keys: {sorted(unknown)}")
 
 
 def _print_certificate(doc: dict) -> None:
@@ -235,7 +240,7 @@ def main(argv=None) -> int:
     parser, parsers = _parser()
     probe, _ = parser.parse_known_args(argv)
     if probe.config:
-        _apply_config(_read_config(probe.config), parsers)
+        _apply_config(probe.config, parsers)
     args = parser.parse_args(argv)
     if args.command == "recheck" and args.build_flags:
         parsers[-1].error(f"recheck does not read "
@@ -243,8 +248,12 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "recheck":
-            report = recheck_certificate(args.certificate,
-                                         files_dir=args.profiles_dir)
+            try:
+                report = recheck_certificate(args.certificate,
+                                             files_dir=args.profiles_dir)
+            except OSError as exc:
+                parsers[-1].error(f"cannot read {exc.filename}: "
+                                  f"{exc.strerror}")
             if report["artifacts_missing"]:
                 print(f"artifacts missing: {report['artifacts_missing']}")
             _print_certificate(report)

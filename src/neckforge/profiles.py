@@ -18,12 +18,12 @@ derivatives are the spline's) and a reloaded profile reproduces its
 numbers exactly. The splines are built here (CubicSpline) with scipy's
 arithmetic, bit for bit, but without its validation passes, which the
 profile's own grid and warp checks make redundant; samples must therefore
-be finite. A spline is a numerics.PiecewiseCubic, evaluated with the
-floats of scipy's PPoly; curvature samples sit at nodes and interval
-midpoints, whose knot intervals are known, so they are read without an
-interval search. A constant warp (the round base factor of a surgery neck, a
-cylinder, the fixed factor of a collar leg or cap) is its own closed form:
-it evaluates to the same floats as its spline without building one.
+be finite. Every warp is a numerics.PiecewiseCubic, read through
+numerics.cubic_rows with the floats of scipy's PPoly; curvature samples
+sit at nodes and interval midpoints, whose knot intervals are known, so
+they are read without an interval search. A constant warp (the round base
+factor of a surgery neck, a cylinder, the fixed factor of a collar leg or
+cap) gets its spline's coefficients (0, 0, 0, v) without the banded solve.
 
 Warps must stay positive except at a declared closed end, where exactly one
 warp vanishes with unit slope and the metric closes smoothly over a pole
@@ -133,30 +133,6 @@ def _curvature_sample_points(grid: np.ndarray, trim_start: bool,
     return s[keep], idx[keep]
 
 
-class _ConstantWarp:
-    """The not-a-knot spline through equal samples, in closed form.
-
-    For constant data every slope of CubicSpline's banded solve is exactly
-    +0.0, so the spline is the constant for nu = 0 and +0.0 for nu >= 1,
-    bit for bit wherever its extrapolation does not overflow. This returns
-    those floats without the solve or any per-point polynomial evaluation.
-    """
-
-    def __init__(self, grid: np.ndarray, value: float) -> None:
-        self.x = grid
-        self.value = value
-
-    def __call__(self, s, nu: int = 0) -> np.ndarray:
-        return np.full(np.shape(s), self.value if nu == 0 else 0.0)
-
-    @property
-    def c(self) -> np.ndarray:
-        """Power coefficients per knot interval, laid out as CubicSpline.c."""
-        c = np.zeros((4, self.x.size - 1))
-        c[3] = self.value
-        return c
-
-
 def CubicSpline(x: np.ndarray, y: np.ndarray) -> PiecewiseCubic:
     """The not-a-knot cubic spline through (x, y), as a PiecewiseCubic.
 
@@ -188,24 +164,16 @@ def CubicSpline(x: np.ndarray, y: np.ndarray) -> PiecewiseCubic:
     return hermite_cubic(x, y, s)
 
 
-def _warp_spline(grid: np.ndarray, values: np.ndarray):
-    """The interpolant of one warp: closed form for constant samples."""
+def _warp_spline(grid: np.ndarray, values: np.ndarray) -> PiecewiseCubic:
+    """The interpolant of one warp. For equal samples every slope of the
+    banded solve is exactly +0.0, so the spline's coefficients are
+    (0, 0, 0, v) on every interval; they are written down without the
+    solve."""
     if np.all(values == values[0]):
-        return _ConstantWarp(grid, float(values[0]))
+        c = np.zeros((4, grid.size - 1))
+        c[3] = values[0]
+        return PiecewiseCubic(c, grid)
     return CubicSpline(grid, values)
-
-
-def _rows(spline, X, idx=None, nu: int = 0) -> np.ndarray:
-    """A warp's nu-th derivative at rows of X whose knot interval is
-    known: row r in interval idx[r], or in interval r when idx is None
-    (numerics.cubic_rows). A constant warp is its closed form."""
-    if isinstance(spline, _ConstantWarp):
-        return spline(X, nu)
-    return cubic_rows(spline.c, spline.x, X, idx, nu)
-
-
-def _spline_jet(spline, s: float) -> tuple[float, float, float]:
-    return (float(spline(s)), float(spline(s, 1)), float(spline(s, 2)))
 
 
 def _format_jet(jet) -> str:
@@ -272,12 +240,11 @@ class _Profile:
         return float(self.grid[-1] - self.grid[0])
 
     def component_values(self, s) -> tuple[np.ndarray, ...]:
-        return tuple(np.asarray(spline(s), dtype=float)
-                     for spline in self._splines)
+        return tuple(spline(s) for spline in self._splines)
 
     def warp_rows(self, X) -> list[np.ndarray]:
         """Each warp at the rows of X, row r in knot interval r."""
-        return [_rows(spline, X) for spline in self._splines]
+        return [cubic_rows(sp.c, sp.x, X) for sp in self._splines]
 
     @property
     def warp_splines(self) -> tuple:
@@ -300,7 +267,7 @@ class _Profile:
 
     def _curvature_at(self, s, idx):
         """R at the points s (1d) in knot intervals idx."""
-        jets = [_rows(spline, s, idx, nu) for spline in self._splines
+        jets = [cubic_rows(sp.c, sp.x, s, idx, nu) for sp in self._splines
                 for nu in (0, 1, 2)]
         formula = (scalar_curvature_warped if len(self._splines) == 1
                    else scalar_curvature_doubly_warped)
@@ -324,7 +291,8 @@ class _Profile:
             raise ParameterOutOfRange("end must be 'start' or 'end'")
         if stored is not None:
             return stored
-        return tuple(_spline_jet(spline, s) for spline in self._splines)
+        return tuple((float(sp(s)), float(sp(s, 1)), float(sp(s, 2)))
+                     for sp in self._splines)
 
     def reverse(self):
         """The same piece traversed the other way: the reader step for a

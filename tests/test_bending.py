@@ -160,12 +160,19 @@ def check_designed_curve(curve: BendingCurve):
     model = curve.model
     params = curve.params
     b = params.resolved_budget
-    check = curve.verify_floor(refine=3)
-    assert check.passed
+    assert curve.check.passed
+    # the closed form clears the floor between the verification points
+    # too: nodes and the thirds of every interval
+    nodes = curve.s_nodes
+    s = np.concatenate([nodes] + [nodes[:-1] + (k / 3) * np.diff(nodes)
+                                  for k in (1, 2)])
+    closed = curve.scalar_curvature(s)
+    gauss = curve.gauss_scalar(s)
+    cross = np.max(np.abs(closed - gauss) / np.maximum(1.0, np.abs(closed)))
+    assert cross <= 1e-9
     # the spend margin leaves half the budget unspent
-    assert check.min_scalar > model.scalar_curvature - b
-    assert check.min_scalar >= model.scalar_curvature - 0.6 * b
-    assert check.cross_check_error <= 1e-9
+    assert np.min(closed) > model.scalar_curvature - b
+    assert np.min(closed) >= model.scalar_curvature - 0.6 * b
     # exact closure of the angle
     assert curve.theta_nodes[-1] == math.pi / 2
     assert curve.curvature_nodes[-1] == 0.0
@@ -338,13 +345,13 @@ def test_one_jet_per_cut(monkeypatch):
     curve = design_bending_curve(
         CurveDesignParams(model=round_sphere(3, 1.0), tube_radius=0.1))
     calls = [0]
-    original = BendingCurve.curvature_at
+    original = BendingCurve._state
 
-    def counting(self, s):
+    def counting(self, *args):
         calls[0] += 1
-        return original(self, s)
+        return original(self, *args)
 
-    monkeypatch.setattr(BendingCurve, "curvature_at", counting)
+    monkeypatch.setattr(BendingCurve, "_state", counting)
     segments = _neck_segments(curve)
     for _, s0, s1 in segments:
         curve.segment_profile(s0, s1, n_nodes=64)
@@ -408,7 +415,7 @@ def test_axial_and_radius_are_consistent(tunnel_curve):
 
 def test_piece_floors_equal_fresh_minima(tunnel_curve):
     curve = tunnel_curve
-    s_all = curve.verification_points(2)
+    s_all, _, _ = curve._floor_samples
     for _, s0, s1 in _neck_segments(curve):
         s = s_all[(s_all >= s0 - 1e-15) & (s_all <= s1 + 1e-15)]
         assert s.size > 0

@@ -1,10 +1,12 @@
 """The command line surface: subcommands, config file, exit codes."""
 
 import json
+import shutil
 from collections import Counter
 
 import pytest
 
+from neckforge.certificate import write_certificate
 from neckforge.cli import main
 from neckforge.models import unit_sphere_volume
 from neckforge.pipelines import (attach_hemisphere, attach_product_ingredient,
@@ -104,8 +106,31 @@ def test_config_file_presets_defaults_flags_win(tmp_path):
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("sharpnes = 100\n")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg), "pipeline", "cor-d"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", "bad.cfg", "build-tunnel"],
+    ["--config", "unknown.cfg", "build-tunnel"],
+    ["--config", "absent.cfg", "build-tunnel"],
+    ["recheck", "absent.cert.json"],
+    ["recheck", "adir"]], ids=" ".join)
+def test_unreadable_inputs_exit_two_with_one_error_line(tmp_path, monkeypatch,
+                                                        capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("bogus\n")
+    (tmp_path / "unknown.cfg").write_text("sharpnes = 100\n")
+    (tmp_path / "adir").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: neckforge")
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        err.splitlines()[-1]]
+    assert "Traceback" not in err
 
 
 def test_infeasible_construction_exits_two(capsys):
@@ -250,3 +275,59 @@ def test_config_value_goes_through_its_option_type(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg), "pipeline", "cor-d"])
     assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def written_tunnel(tmp_path_factory):
+    """A default build-tunnel certificate with its profile files."""
+    root = tmp_path_factory.mktemp("tunnel")
+    assert main(["build-tunnel", "--out", str(root / "t.cert.json"),
+                 "--profiles-dir", str(root / "profiles")]) == 0
+    return root
+
+
+def _point_first_piece_at(doc, root, path):
+    """Rewrite the manifest so its first piece names path, and the
+    certificate so the manifest still matches its fingerprint."""
+    manifest = root / "profiles" / "assembly.json"
+    listing = json.loads(manifest.read_text())
+    listing["pieces"][0]["file"] = path(listing["pieces"][0]["file"])
+    entry = doc["artifacts"]["tunnel_manifest"]
+    entry["sha256"] = write_certificate(listing, manifest)
+
+
+REFUSED_EDITS = {
+    "lhs_ref list": lambda doc, root: doc["claims"][0].update(lhs_ref=["x"]),
+    "rhs_ref object": lambda doc, root: doc["claims"][0].update(
+        rhs_ref={"x": 1}),
+    "artifact file number": lambda doc, root: doc["artifacts"][
+        "tunnel_manifest"].update(file=7),
+    "absolute artifact": lambda doc, root: doc["artifacts"][
+        "tunnel_manifest"].update(
+            file=str((root / "profiles" / "assembly.json").resolve())),
+    "directory artifact": lambda doc, root: doc["artifacts"][
+        "tunnel_manifest"].update(file="profiles/pieces"),
+    "piece path with ..": lambda doc, root: _point_first_piece_at(
+        doc, root, lambda file: "../profiles/" + file),
+    "absolute piece path": lambda doc, root: _point_first_piece_at(
+        doc, root, lambda file: str((root / "profiles" / file).resolve())),
+}
+
+
+@pytest.mark.parametrize("edit", REFUSED_EDITS.values(),
+                         ids=REFUSED_EDITS.keys())
+def test_recheck_refuses_mistyped_or_escaping_references(
+        written_tunnel, tmp_path, capsys, edit):
+    # every edit keeps the certificate canonical, so only the edited
+    # field can refuse it; each path edit names a file that exists
+    shutil.copytree(written_tunnel, tmp_path, dirs_exist_ok=True)
+    cert = tmp_path / "t.cert.json"
+    assert main(["recheck", str(cert)]) == 0
+    doc = json.loads(cert.read_text())
+    edit(doc, tmp_path)
+    write_certificate(doc, cert)
+    capsys.readouterr()
+    assert main(["recheck", str(cert)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaViolation: ")
+    assert err.count("\n") == 1

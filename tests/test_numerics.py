@@ -20,7 +20,7 @@ from neckforge.numerics import (GL_POINTS, PiecewiseCubic, cubic_rows,
 from neckforge.pipelines import (attach_hemisphere, round_sphere_ingredient,
                                  sphere_chain_certificate, surgery_certificate,
                                  tunnel_certificate)
-from neckforge.profiles import WarpProfile, _ConstantWarp
+from neckforge.profiles import WarpProfile
 
 
 def same_bits(got, want) -> bool:
@@ -195,17 +195,21 @@ def test_curve_floor_samples_read_the_searched_floats(model):
     curve = design_bending_curve(CurveDesignParams(
         model=model, tube_radius=0.05, budget=0.1))
     s, closed, (theta, k, r) = curve._floor_samples
-    assert same_bits(s, curve.verification_points(2))
+    nodes = curve.s_nodes
+    assert same_bits(s, np.unique(np.concatenate(
+        [nodes, nodes[:-1] + 0.5 * np.diff(nodes)])))
     reference = ppoly(curve.theta_spline)
     assert same_bits(theta, reference(s))
     assert same_bits(k, reference(s, 1))
     assert same_bits(r, reference_radius(curve, s))
     assert same_bits(closed, bending.sigma_scalar_closed_form(
         model, reference(s), reference(s, 1), reference_radius(curve, s)))
-    # and the scalar jet of a cut point is the array path's float
+    # and theta, k and r at one cut point are the array path's floats
     for point in s[::97]:
-        assert curve.theta_at(float(point)) == reference(point)
-        assert curve.curvature_at(float(point)) == reference(point, 1)
+        theta, k, r = curve._state(float(point))
+        assert same_bits(theta, reference(point))
+        assert same_bits(k, reference(point, 1))
+        assert same_bits(r, reference_radius(curve, np.array([point]))[0])
 
 
 # the builds whose certificate and artifact digests tests/test_pipelines.py
@@ -234,10 +238,9 @@ def test_every_golden_piece_reads_ppolys_floats(build):
             s, R = prof.curvature_samples()
             idx = knot_intervals(prof.grid, s)
             jets = []
+            # constant warps too: their coefficients are written down, not
+            # solved for, and read like every other warp's
             for spline, _, _ in prof.warp_splines:
-                if isinstance(spline, _ConstantWarp):
-                    jets += [spline(s, nu) for nu in (0, 1, 2)]
-                    continue
                 reference = ppoly(spline)
                 for nu in (0, 1, 2):
                     assert same_bits(cubic_rows(spline.c, spline.x, s, idx, nu),

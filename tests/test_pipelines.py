@@ -533,10 +533,10 @@ def test_format_version_1_manifest_still_rechecks(tmp_path):
 # Python 3.11; other versions may move the last bits of the quadratures.
 GOLDEN_CERTIFICATE_DIGESTS = [
     (lambda: tunnel_certificate(3, sharpness=100.0, grid_density=1.0),
-     "03546acaa0a3edfbd18a6559733b4a5a3cb1cd2746e9d56dfe8c239a9f2eb082"),
+     "42f733a05d8c3d9c45cb07d95f2987851e77256a0ba9541465c26064c820436c"),
     (lambda: tunnel_certificate(4, sharpness=1e4, grid_density=2.0,
                                 length=0.0),
-     "aed8aabcb38ea5830b0c4f8052bc0d417097eb48bc73d78cc888da7f6e00ac3b"),
+     "cb086f14a183bd877707dc656eb086162e59f06a8469f887ba83e4e0613d59af"),
     (lambda: surgery_certificate(1, 3, 0.05),
      "4e3975f1b7a2252fb564df1eb36b854503dcfa570d3ea1f750e1de29e590aff3"),
     (lambda: surgery_certificate(2, 4, 0.05),
@@ -568,7 +568,7 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
 GOLDEN_ARTIFACT_DIGESTS = [
     pytest.param(
         lambda **files: tunnel_certificate(3, sharpness=100.0, **files),
-        "176b223ed5653c65d0b2618aaac9313e81e15e1ea5768e4b40857d8446875c14",
+        "cafbabe7853feade4a0578b69d53460636e68c5aa137dedcee79e8c4d61f33af",
         id="tunnel"),
     pytest.param(
         lambda **files: surgery_certificate(1, 3, 0.05, **files),
@@ -578,20 +578,20 @@ GOLDEN_ARTIFACT_DIGESTS = [
     pytest.param(
         lambda **files: sphere_chain_certificate(
             1.5 * unit_sphere_volume(3), 3, **files),
-        "bb33bea32a56de1f93555e56c4821215580fd7c725773d0ee2af479dea642927",
+        "c47620a71140b651abfb9498c65c8ebf919a3761b64a683341188e699f598278",
         id="chain"),
     # round ingredient remnant from its far pole, hemisphere up to its
     # boundary, with a waist cylinder
     pytest.param(
         lambda **files: attach_hemisphere(round_sphere_ingredient(3, 0.5),
                                           diameter_target=10.0, **files),
-        "6c4f6f41d54cc5d08fdcd55db3321b0990017f0c4ce5f13c7f5253d431882d75",
+        "821c3f2a36504656d2b1cb8c9b06b99eba6f31a28a202f9c348193400a7bafa5",
         id="hemisphere"),
     # stand-in attachment: no ingredient remnant, product entries added
     pytest.param(
         lambda **files: attach_product_ingredient(1, 2, factor_radius=10.0,
                                                   **files),
-        "f7086a35c977237b3d5fb89eb012a5baea6b6acac5a2b81153d2000490d438c2",
+        "1af781dcf2ee5911eb4797c576e643bf5a880799022c7047c717ed74f678362f",
         id="product"),
     # hemisphere from its boundary down to the tunnel, small sphere out
     # to its far pole
@@ -599,7 +599,7 @@ GOLDEN_ARTIFACT_DIGESTS = [
         lambda **files: verify_volume_budget(
             hemisphere_standin(3, declared_volume=0.5 * unit_sphere_volume(3)),
             0.05, **files),
-        "93f9bcc59bb2747307befb1b02f4303b77fc823c65b67413d9da7ea06c795364",
+        "416836fe4a4c6e16faec6263d09e5426d00c63d5350f498b2b2747870f2e54d5",
         id="budget"),
 ]
 

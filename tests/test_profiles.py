@@ -13,7 +13,7 @@ from neckforge.errors import (
     SchemaViolation,
 )
 from neckforge.measure import _halved
-from neckforge.numerics import gauss_legendre_rule
+from neckforge.numerics import PiecewiseCubic, gauss_legendre_rule
 from neckforge.pipelines import surgery_certificate, tunnel_certificate
 from neckforge.profiles import (
     DoublyWarpProfile,
@@ -277,7 +277,8 @@ def probe_points(grid):
 def test_constant_warp_evaluates_as_its_spline_bit_for_bit(kind, n):
     for c in CONSTANTS:
         prof, closed_form, values = constant_profile(kind, n, c)
-        assert isinstance(closed_form, profiles._ConstantWarp)
+        assert isinstance(closed_form, PiecewiseCubic)
+        assert not closed_form.c[:3].any() and (closed_form.c[3] == c).all()
         spline = CubicSpline(prof.grid, values)
         for x in probe_points(prof.grid):
             for nu in (0, 1, 2):
@@ -299,7 +300,7 @@ def test_no_constant_warp_builds_a_spline(monkeypatch):
     closed_forms = [warp for assembly in result.assemblies.values()
                     for piece in assembly.pieces
                     for warp, _, _ in piece.profile.warp_splines
-                    if isinstance(warp, profiles._ConstantWarp)]
+                    if not warp.c[:3].any()]
     assert closed_forms
     assert constant and not any(constant)
 

@@ -18,6 +18,16 @@ float equality, leaving no wiggle room in any digit. Verdicts are three
 valued: PASS needs the margin to clear the tolerance (default 1e-9),
 FAIL needs it to miss by the tolerance, and anything closer is
 INCONCLUSIVE; too close to call is never rounded up to a pass.
+
+The serializer renders the exact built-in types float, str, dict, list,
+tuple, int, bool and None without an abstract type test; numpy scalars,
+subclasses and anything it refuses (np.bool_ among them) take the
+numbers.Integral / numbers.Real chain, with the same bytes and the same
+errors. Non-string keys, non-finite numbers and nesting deeper than the
+interpreter's recursion limit are SchemaViolation, in the serializer and
+in the parse. A certificate file is read once, through one descriptor
+opened without blocking, and must be a regular file: a FIFO or a device
+is refused, never waited on or read without end.
 """
 
 from __future__ import annotations
@@ -26,6 +36,9 @@ import hashlib
 import json
 import math
 import numbers
+import os
+import stat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path, PurePath
 
 from . import __version__
@@ -50,42 +63,67 @@ _CLAIM_KEYS = {"name", "lhs_ref", "lhs_value", "op", "rhs_ref", "rhs_value",
                "margin", "tolerance", "status"}
 
 
-def _canon(value, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(value, dict):
+def _canon(value, pad: str) -> str:
+    """The canonical text of value, nested under the indentation pad.
+
+    The exact built-in types a certificate is made of (float, str, dict,
+    list, tuple, int, bool and None) are rendered first, with no abstract
+    type test; keys and strings are quoted by json's C encoder, which is
+    what json.dumps calls for a str. Anything else (numpy scalars,
+    subclasses) takes the abstract-type chain at the end, which refuses
+    what it cannot render.
+    """
+    kind = type(value)
+    if kind is float:
+        if not math.isfinite(value):
+            raise SchemaViolation(
+                "certificates must not contain non-finite numbers")
+        return format(value, ".12e")
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict:
         if not value:
             return "{}"
-        items = []
-        for key in sorted(value):
+        for key in value:
             if not isinstance(key, str):
                 raise SchemaViolation("certificate object keys must be strings")
-            items.append(f"{pad}  {json.dumps(key)}: {_canon(value[key], indent + 1)}")
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if len(value) == 0:
+        inner = pad + "  "
+        items = [f"{inner}{encode_basestring_ascii(key)}: "
+                 f"{_canon(value[key], inner)}" for key in sorted(value)]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
             return "[]"
-        items = [f"{pad}  {_canon(x, indent + 1)}" for x in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(value, bool):
+        inner = pad + "  "
+        items = [inner + _canon(x, inner) for x in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if kind is int:
+        return str(value)
+    if kind is bool:
         return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, dict):
+        return _canon({key: value[key] for key in value}, pad)
+    if isinstance(value, (list, tuple)):
+        return _canon(list(value), pad)
     if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, numbers.Real):
-        v = float(value)
-        if not math.isfinite(v):
-            raise SchemaViolation("certificates must not contain non-finite numbers")
-        return format(v, ".12e")
+        return _canon(float(value), pad)
     if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
+        return encode_basestring_ascii(value)
     raise SchemaViolation(
         f"unsupported value type {type(value).__name__} in certificate")
 
 
 def certificate_bytes(doc: dict) -> bytes:
     """Canonical serialization; the byte-identity anchor for rechecks."""
-    return (_canon(doc, 0) + "\n").encode("ascii")
+    try:
+        text = _canon(doc, "")
+    except RecursionError:
+        raise SchemaViolation("certificate nesting is too deep") from None
+    return (text + "\n").encode("ascii")
 
 
 def _round12(value) -> float:
@@ -184,11 +222,18 @@ def write_certificate(doc: dict, path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def load_certificate(path) -> dict:
+def _parse(data: bytes):
     try:
-        return json.loads(Path(path).read_text(encoding="ascii"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise SchemaViolation(f"certificate is not well-formed JSON: {exc}") from exc
+        return json.loads(data.decode("ascii"))
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise SchemaViolation(
+            f"certificate is not well-formed JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaViolation("certificate nesting is too deep") from None
+
+
+def load_certificate(path) -> dict:
+    return _parse(_read_regular(Path(path), "certificate"))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -197,20 +242,42 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _check_number(value, where: str) -> float:
-    _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
-             f"{where} must be a number")
-    value = float(value)
+    kind = type(value)
+    if kind is not float:
+        _require(kind is int or (isinstance(value, numbers.Real)
+                                 and not isinstance(value, bool)),
+                 f"{where} must be a number")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
     _require(math.isfinite(value), f"{where} must be finite")
     return value
 
 
-def _read_regular(path: Path, what: str) -> bytes | None:
+def _read_regular(path: Path, what: str) -> bytes:
+    """The bytes of the regular file at path, read through one open file.
+
+    The file is opened without blocking and checked before it is read,
+    so a FIFO or a device is refused, not waited on or read without end.
+    A missing path or a directory raises the OSError of its open.
+    """
+    def nonblocking(name, flags: int) -> int:
+        return os.open(name, flags | os.O_NONBLOCK)
+
+    with open(path, "rb", opener=nonblocking) as file:
+        _require(stat.S_ISREG(os.fstat(file.fileno()).st_mode),
+                 f"{what}: {path} is not a regular file")
+        return file.read()
+
+
+def _read_artifact(path: Path, what: str) -> bytes | None:
     """The bytes of the regular file at path, None when nothing is there;
     anything else there (a directory, a device) is refused."""
     if not path.exists():
         return None
     _require(path.is_file(), f"{what}: {path} is not a regular file")
-    return path.read_bytes()
+    return _read_regular(path, what)
 
 
 def _manifest_pieces(data: bytes) -> list:
@@ -223,7 +290,7 @@ def _manifest_pieces(data: bytes) -> list:
     """
     try:
         doc = json.loads(data)
-    except (ValueError, UnicodeDecodeError):
+    except (ValueError, RecursionError):  # UnicodeDecodeError included
         return []
     if not isinstance(doc, dict) or "pieces" not in doc:
         return []
@@ -240,9 +307,12 @@ def _manifest_pieces(data: bytes) -> list:
 def recheck_certificate(source, files_dir=None) -> dict:
     """Validate a certificate's schema and internal consistency.
 
-    source is a path or an already-loaded document. For paths, the stored
-    bytes must equal the canonical re-serialization, so formatting level
-    tampering is caught too, and artifact fingerprints are verified
+    source is a path or an already-loaded document. A path is read once,
+    and those bytes are parsed: a missing path or a directory raises its
+    OSError, and a FIFO, a device or nesting too deep for the parser is a
+    SchemaViolation. The stored bytes must equal the canonical
+    re-serialization, so formatting level tampering is caught too, and
+    artifact fingerprints are verified
     against files_dir (default: the certificate's own directory) when the
     referenced files are present. An artifact that is an assembly
     manifest (format version 1, one file per piece, or 2, a piece store
@@ -252,12 +322,15 @@ def recheck_certificate(source, files_dir=None) -> dict:
     reported missing once, as "<artifact>/<file>". Only regular files are
     read: an artifact path must be relative (the writer's relpath, which
     may climb out with ".."), a piece path relative and free of "..".
-    Raises SchemaViolation on any inconsistency, a mistyped reference or
-    path included; returns a report with the verified aggregate status.
+    Numbers are checked by exact type first: a float or an int passes
+    to the finiteness test (an int too large for a float is not finite),
+    anything else must be a numbers.Real, and a bool is refused. Raises
+    SchemaViolation on any inconsistency, a mistyped reference or path
+    included; returns a report with the verified aggregate status.
     """
     if isinstance(source, (str, Path)):
-        raw = Path(source).read_bytes()
-        doc = load_certificate(source)
+        raw = _read_regular(Path(source), "certificate")
+        doc = _parse(raw)
         _require(certificate_bytes(doc) == raw,
                  "stored bytes differ from the canonical serialization")
         if files_dir is None:
@@ -265,8 +338,9 @@ def recheck_certificate(source, files_dir=None) -> dict:
     else:
         doc = source
     _require(isinstance(doc, dict), "certificate must be a JSON object")
-    _require(set(doc) == _TOP_KEYS,
-             f"top-level keys must be exactly {sorted(_TOP_KEYS)}")
+    if set(doc) != _TOP_KEYS:  # the message sorts: build it on failure only
+        raise SchemaViolation(
+            f"top-level keys must be exactly {sorted(_TOP_KEYS)}")
     _require(doc["format_version"] == 1, "unsupported format_version")
     _require(isinstance(doc["kind"], str), "kind must be a string")
     _require(isinstance(doc["library_version"], str),
@@ -281,8 +355,9 @@ def recheck_certificate(source, files_dir=None) -> dict:
     for i, claim in enumerate(doc["claims"]):
         where = f"claim #{i}"
         _require(isinstance(claim, dict), f"{where} must be an object")
-        _require(set(claim) == _CLAIM_KEYS,
-                 f"{where} keys must be exactly {sorted(_CLAIM_KEYS)}")
+        if set(claim) != _CLAIM_KEYS:
+            raise SchemaViolation(
+                f"{where} keys must be exactly {sorted(_CLAIM_KEYS)}")
         _require(isinstance(claim["name"], str), f"{where} name must be a string")
         _require(claim["op"] in _OPS, f"{where} has unsupported op")
         _require(claim["status"] in _STATUSES, f"{where} has unknown status")
@@ -325,7 +400,7 @@ def recheck_certificate(source, files_dir=None) -> dict:
             missing.append(name)
             continue
         path = Path(files_dir) / entry["file"]
-        data = _read_regular(path, f"artifact {name}")
+        data = _read_artifact(path, f"artifact {name}")
         if data is None:
             missing.append(name)
             continue
@@ -339,8 +414,8 @@ def recheck_certificate(source, files_dir=None) -> dict:
                          and ".." not in PurePath(file).parts,
                          f"artifact {name}: piece path {file!r} leaves the "
                          f"manifest's directory")
-                piece_data = _read_regular(path.parent / file,
-                                           f"artifact {name}: piece {file}")
+                piece_data = _read_artifact(path.parent / file,
+                                            f"artifact {name}: piece {file}")
                 digests[file] = (None if piece_data is None
                                  else hashlib.sha256(piece_data).hexdigest())
                 if digests[file] is None:

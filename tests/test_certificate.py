@@ -1,13 +1,24 @@
 """Canonical certificate encoding, claim semantics, and recheck."""
 
+import hashlib
 import json
+import math
+import numbers
+import os
+import subprocess
+import sys
+from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_pipelines import GOLDEN_CERTIFICATE_DIGESTS
 
+import neckforge
 from neckforge.certificate import (certificate_bytes, load_certificate,
                                    make_certificate, recheck_certificate,
                                    write_certificate)
+from neckforge.cli import main
 from neckforge.errors import ParameterOutOfRange, SchemaViolation
 
 
@@ -238,3 +249,169 @@ def test_seeded_digit_tampering_cannot_forge_verdicts(tmp_path):
             assert got["rhs_value"] == want["rhs_value"]
             assert got["margin"] == want["margin"]
     assert caught >= 20  # most digits sit in double-entry checked fields
+
+
+# -- the serializer against the one it replaced ---------------------------
+
+def _reference_canon(value, indent: int) -> str:
+    """The serializer before its exact-type dispatch, kept as the oracle
+    for byte identity: an abstract-type chain and json.dumps per key."""
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise SchemaViolation("certificate object keys must be strings")
+            items.append(f"{pad}  {json.dumps(key)}: "
+                         f"{_reference_canon(value[key], indent + 1)}")
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if len(value) == 0:
+            return "[]"
+        items = [f"{pad}  {_reference_canon(x, indent + 1)}" for x in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real):
+        v = float(value)
+        if not math.isfinite(v):
+            raise SchemaViolation("certificates must not contain non-finite numbers")
+        return format(v, ".12e")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    raise SchemaViolation(
+        f"unsupported value type {type(value).__name__} in certificate")
+
+
+def _outcome(serialize, value):
+    """The bytes, or the type and message of what was raised."""
+    try:
+        return serialize(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _same_as_reference(value):
+    got = _outcome(certificate_bytes, value)
+    want = _outcome(lambda v: (_reference_canon(v, 0) + "\n").encode("ascii"),
+                    value)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("index", range(len(GOLDEN_CERTIFICATE_DIGESTS)))
+def test_golden_builds_serialize_as_before(index):
+    build, digest = GOLDEN_CERTIFICATE_DIGESTS[index]
+    data = _same_as_reference(build().certificate)
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+SCALARS = [
+    np.float64(2.0 / 3.0), np.float32(0.1), np.int64(-7), np.bool_(True),
+    True, False, None, -0.0, 5e-324, 1e308, -1e308, 10 ** 29 + 7, -10 ** 29,
+    0, 1.0, float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+    '"quoted"', "back\\slash", "ctrl\x00\x01\x1f\t\n\r", "caf\u00e9",
+    "line\u2028sep", "", type("Name", (str,), {})("sub\u00e9"),
+    type("Count", (int,), {})(3), object(), b"bytes", 1j]
+
+
+def _id(value):
+    return "object" if type(value) is object else ascii(value)
+
+
+@pytest.mark.parametrize("value", SCALARS, ids=_id)
+def test_scalars_serialize_as_before(value):
+    _same_as_reference(value)
+    _same_as_reference({"k": value, "list": [value], "tuple": (value, 1.5)})
+
+
+def test_np_bool_is_refused_as_before():
+    got = _same_as_reference({"flag": np.bool_(False)})
+    assert got == (SchemaViolation,
+                   "unsupported value type bool in certificate")
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, ((1, 2), [3.5, (None,)]),
+    OrderedDict([("z", 1.0), ("a", OrderedDict([("y", [])]))]),
+    {"\u00e9": 1, '"': 2, "\\": 3, "\u2028": 4, "": 5},
+    {"a": [{"b": [{"c": (1, 2.0, "3")}]}], "b": None},
+    {1: 2}, {"a": {2.0: 1}}], ids=ascii)
+def test_containers_serialize_as_before(value):
+    _same_as_reference(value)
+
+
+@pytest.mark.parametrize("keys", [{1: 2, "a": 3}, {"a": 3, None: 1}])
+def test_mixed_keys_are_a_schema_error(keys):
+    with pytest.raises(SchemaViolation, match="keys must be strings"):
+        certificate_bytes({"parameters": keys})
+    with pytest.raises(SchemaViolation, match="keys must be strings"):
+        make_certificate("demo", parameters=keys, quantities={"x": 1.0},
+                         claims=[])
+
+
+def _deep_list(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_deep_nesting_is_a_schema_error(tmp_path, capsys):
+    with pytest.raises(SchemaViolation, match="nesting is too deep"):
+        certificate_bytes({"parameters": {"deep": _deep_list(100_000)}})
+    path = tmp_path / "deep.cert.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(SchemaViolation, match="nesting is too deep"):
+        load_certificate(path)
+    assert main(["recheck", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: SchemaViolation: certificate nesting is too deep"]
+
+
+def test_deep_nested_artifact_is_not_read_as_a_manifest(tmp_path):
+    payload = b"[" * 100_000
+    (tmp_path / "deep.json").write_bytes(payload)
+    doc = make_certificate(
+        "demo", {}, {"x": 1.0}, [("c", "x", ">", 0.0)],
+        artifacts={"deep": {"file": "deep.json",
+                            "sha256": hashlib.sha256(payload).hexdigest()}})
+    report = recheck_certificate(doc, files_dir=tmp_path)
+    assert report["artifacts_verified"] == ["deep"]
+
+
+def test_recheck_refuses_an_int_too_large_for_a_float():
+    doc = json.loads(certificate_bytes(demo_certificate()))
+    doc["quantities"]["volume"] = 10 ** 400
+    with pytest.raises(SchemaViolation, match="quantity volume must be finite"):
+        recheck_certificate(doc)
+
+
+def test_recheck_refuses_a_device_as_certificate():
+    # a character device is checked after the open, before any read
+    with pytest.raises(SchemaViolation, match="is not a regular file"):
+        recheck_certificate(os.devnull)
+    with pytest.raises(SchemaViolation, match="is not a regular file"):
+        load_certificate(os.devnull)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_recheck_refuses_a_fifo_without_waiting(tmp_path):
+    os.mkfifo(tmp_path / "fifo.cert.json")
+    src = Path(neckforge.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from neckforge.cli import main; "
+         "sys.exit(main(['recheck', 'fifo.cert.json']))"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "error: SchemaViolation: certificate: fifo.cert.json "
+        "is not a regular file"]

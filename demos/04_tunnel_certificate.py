@@ -39,7 +39,7 @@ with tempfile.TemporaryDirectory(prefix="neckforge_demo_") as tmp:
 
     # an independent recheck reads the file back, recomputes every margin,
     # and re-hashes the profile artifacts
-    reread = recheck_certificate(cert_path, files_dir=out)
+    reread = recheck_certificate(cert_path)
     print()
     print(f"independent recheck from disk: {reread['status']}")
     print(f"  artifacts verified: {', '.join(reread['artifacts_verified'])}")
@@ -49,7 +49,7 @@ with tempfile.TemporaryDirectory(prefix="neckforge_demo_") as tmp:
     tampered = out / "tunnel_tampered.cert.json"
     tampered.write_text(text.replace('"status": "PASS"', '"status": "FAIL"', 1))
     try:
-        recheck_certificate(tampered, files_dir=out)
+        recheck_certificate(tampered)
         print("tampered file was NOT caught (this should not happen)")
     except Exception as exc:
         print(f"tampered copy rejected: {type(exc).__name__}: {exc}")

@@ -126,9 +126,17 @@ def certificate_bytes(doc: dict) -> bytes:
     return (text + "\n").encode("ascii")
 
 
+def _as_float(value) -> float:
+    """float(value), with an int too large for a float read as inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _round12(value) -> float:
     # the serializer's float precision; idempotent since 13 < 15 digits
-    return float(format(float(value), ".12e"))
+    return float(format(_as_float(value), ".12e"))
 
 
 def _status_for(margin: float, tolerance: float) -> str:
@@ -169,7 +177,7 @@ def make_certificate(kind: str, parameters: dict, quantities: dict, claims,
     for key, val in quantities.items():
         if isinstance(val, bool) or not isinstance(val, numbers.Real):
             raise ParameterOutOfRange(f"quantity {key} must be a number")
-        if not math.isfinite(float(val)):
+        if not math.isfinite(_as_float(val)):
             raise SchemaViolation(f"quantity {key} is not finite")
         clean[str(key)] = (int(val) if isinstance(val, numbers.Integral)
                            else _round12(val))
@@ -247,10 +255,7 @@ def _check_number(value, where: str) -> float:
         _require(kind is int or (isinstance(value, numbers.Real)
                                  and not isinstance(value, bool)),
                  f"{where} must be a number")
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf
+        value = _as_float(value)
     _require(math.isfinite(value), f"{where} must be finite")
     return value
 
@@ -271,13 +276,23 @@ def _read_regular(path: Path, what: str) -> bytes:
         return file.read()
 
 
-def _read_artifact(path: Path, what: str) -> bytes | None:
-    """The bytes of the regular file at path, None when nothing is there;
-    anything else there (a directory, a device) is refused."""
-    if not path.exists():
+def _read_below(root: Path | None, path: PurePath, what: str) -> bytes | None:
+    """The bytes of the regular file root / path, None without a root or a
+    file there. The one rule for a path a certificate or manifest names:
+    relative, free of "..", and not resolving outside root, which is
+    refused before anything is opened."""
+    _require(not path.is_absolute() and ".." not in path.parts,
+             f"{what}: path {str(path)!r} must be relative and free of '..'")
+    if root is None:
         return None
-    _require(path.is_file(), f"{what}: {path} is not a regular file")
-    return _read_regular(path, what)
+    resolved = (root / path).resolve()
+    _require(resolved.is_relative_to(root), f"{what}: {path} leaves {root}")
+    try:
+        return _read_regular(resolved, what)
+    except FileNotFoundError:
+        return None
+    except IsADirectoryError:
+        raise SchemaViolation(f"{what}: {path} is not a regular file") from None
 
 
 def _manifest_pieces(data: bytes) -> list:
@@ -304,39 +319,33 @@ def _manifest_pieces(data: bytes) -> list:
     return pieces
 
 
-def recheck_certificate(source, files_dir=None) -> dict:
+def recheck_certificate(source) -> dict:
     """Validate a certificate's schema and internal consistency.
 
-    source is a path or an already-loaded document. A path is read once,
-    and those bytes are parsed: a missing path or a directory raises its
-    OSError, and a FIFO, a device or nesting too deep for the parser is a
-    SchemaViolation. The stored bytes must equal the canonical
-    re-serialization, so formatting level tampering is caught too, and
-    artifact fingerprints are verified
-    against files_dir (default: the certificate's own directory) when the
-    referenced files are present. An artifact that is an assembly
-    manifest (format version 1, one file per piece, or 2, a piece store
-    whose files several pieces share) has each distinct piece file it
-    lists read and hashed once, and that digest must equal the
-    fingerprint of every piece listing the file; an absent piece file is
-    reported missing once, as "<artifact>/<file>". Only regular files are
-    read: an artifact path must be relative (the writer's relpath, which
-    may climb out with ".."), a piece path relative and free of "..".
-    Numbers are checked by exact type first: a float or an int passes
-    to the finiteness test (an int too large for a float is not finite),
-    anything else must be a numbers.Real, and a bool is refused. Raises
-    SchemaViolation on any inconsistency, a mistyped reference or path
-    included; returns a report with the verified aggregate status.
+    source is a path or a loaded document. A path is read once: a missing
+    path or a directory raises its OSError, a FIFO, a device or nesting
+    too deep to parse is a SchemaViolation, and the bytes must equal the
+    canonical re-serialization. The path's directory is the one root of
+    the files it names. An artifact path, or a piece path relative to its
+    manifest, must be relative, free of ".." and resolve inside the root,
+    so a symlink out is refused before any open; only regular files are
+    read. A present artifact must match its sha256, and a manifest
+    (format version 1, a file per piece, or 2, a piece store) has each
+    distinct piece file it lists hashed once against the fingerprint of
+    every piece naming it. Absent files are reported missing, a piece file
+    as "<artifact>/<file>", and so is every artifact of a document, which
+    has no root: that path makes no filesystem call. Numbers must be an
+    int, a float or another numbers.Real, never a bool, and finite (an int
+    too large for a float is not). Raises SchemaViolation on any
+    inconsistency; returns a report with the verified aggregate status.
     """
+    doc, root = source, None
     if isinstance(source, (str, Path)):
         raw = _read_regular(Path(source), "certificate")
         doc = _parse(raw)
         _require(certificate_bytes(doc) == raw,
                  "stored bytes differ from the canonical serialization")
-        if files_dir is None:
-            files_dir = Path(source).parent
-    else:
-        doc = source
+        root = Path(source).parent.resolve()
     _require(isinstance(doc, dict), "certificate must be a JSON object")
     if set(doc) != _TOP_KEYS:  # the message sorts: build it on failure only
         raise SchemaViolation(
@@ -394,13 +403,8 @@ def recheck_certificate(source, files_dir=None) -> dict:
         _require(isinstance(entry, dict) and set(entry) == {"file", "sha256"}
                  and isinstance(entry["file"], str),
                  f"artifact {name} must be {{file, sha256}} with a file path")
-        _require(not PurePath(entry["file"]).is_absolute(),
-                 f"artifact {name}: file path must be relative")
-        if files_dir is None:
-            missing.append(name)
-            continue
-        path = Path(files_dir) / entry["file"]
-        data = _read_artifact(path, f"artifact {name}")
+        path = PurePath(entry["file"])
+        data = _read_below(root, path, f"artifact {name}")
         if data is None:
             missing.append(name)
             continue
@@ -410,12 +414,8 @@ def recheck_certificate(source, files_dir=None) -> dict:
         for piece in _manifest_pieces(data):
             file = piece["file"]
             if file not in digests:
-                _require(not PurePath(file).is_absolute()
-                         and ".." not in PurePath(file).parts,
-                         f"artifact {name}: piece path {file!r} leaves the "
-                         f"manifest's directory")
-                piece_data = _read_artifact(path.parent / file,
-                                            f"artifact {name}: piece {file}")
+                piece_data = _read_below(root, path.parent / file,
+                                         f"artifact {name}: piece {file}")
                 digests[file] = (None if piece_data is None
                                  else hashlib.sha256(piece_data).hexdigest())
                 if digests[file] is None:

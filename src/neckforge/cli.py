@@ -4,9 +4,10 @@ Exit code 0 means every claim in the emitted or rechecked certificate
 passed; 1 means at least one claim failed or came back inconclusive;
 2 means the command line was refused with a usage error (an unknown
 option; a config file that cannot be read, holds a line without '=' or
-a key no command reads; a recheck of a path that cannot be read) or the
-build or recheck stopped on a typed NeckforgeError, such as a
-certificate that fails its schema.  Each build command accepts only
+a key no command reads; a recheck of a path that cannot be read), the
+build or recheck stopped on a typed NeckforgeError (a certificate that
+fails its schema, a --profiles-dir outside --out's directory), or a
+file the certificate lists is absent.  Each build command accepts only
 the options its build reads, as _COMMANDS lists them, and recheck
 refuses the top-level --grid-density and --tolerance, which only builds
 read.  A refusal prints the usage of the command refusing.  A plain
@@ -156,7 +157,8 @@ _COMMANDS = {
         dict(build=_main_b_budget)),
 }
 _FILES = [_opt("--out", str, None, metavar="CERT"),
-          _opt("--profiles-dir", str, None, metavar="DIR")]
+          _opt("--profiles-dir", str, None, "below --out's directory",
+               metavar="DIR")]
 
 
 def _parser() -> tuple[argparse.ArgumentParser, list]:
@@ -193,8 +195,6 @@ def _parser() -> tuple[argparse.ArgumentParser, list]:
     chk = groups[None].add_parser("recheck",
                                   help="revalidate a stored certificate")
     chk.add_argument("certificate", metavar="CERT")
-    chk.add_argument("--profiles-dir", metavar="DIR", default=None,
-                     help="where artifact files live (default: beside CERT)")
     return top, parsers + [chk]
 
 
@@ -249,15 +249,15 @@ def main(argv=None) -> int:
     try:
         if args.command == "recheck":
             try:
-                report = recheck_certificate(args.certificate,
-                                             files_dir=args.profiles_dir)
+                report = recheck_certificate(args.certificate)
             except OSError as exc:
                 parsers[-1].error(f"cannot read {exc.filename}: "
                                   f"{exc.strerror}")
-            if report["artifacts_missing"]:
-                print(f"artifacts missing: {report['artifacts_missing']}")
+            missing = report["artifacts_missing"]
+            if missing:
+                print(f"artifacts missing: {missing}")
             _print_certificate(report)
-            return 0 if report["status"] == "PASS" else 1
+            return 2 if missing else 0 if report["status"] == "PASS" else 1
         result = args.build(
             args, grid_density=args.grid_density, tolerance=args.tolerance,
             certificate_path=args.out, profiles_dir=args.profiles_dir)

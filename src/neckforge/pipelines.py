@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -395,32 +394,33 @@ class PipelineResult:
 def _finalize(kind: str, parameters: dict, quantities: dict, claims,
               provenance: dict, assemblies: dict,
               certificate_path, profiles_dir, tolerance: float) -> PipelineResult:
-    """Save the one assembly, fingerprint its manifest, emit the
-    certificate; every certificate records n_profile_nodes here."""
+    """Save the one assembly below the certificate's directory, fingerprint
+    its manifest, emit the certificate; it records n_profile_nodes here."""
+    cert = None if certificate_path is None else Path(certificate_path)
     artifacts = {}
     if profiles_dir is not None:
         profiles_dir = Path(profiles_dir)
-        anchor = (Path(certificate_path).parent if certificate_path is not None
-                  else profiles_dir)
-        cert_name = (Path(certificate_path).name
-                     if certificate_path is not None else None)
+        root = (profiles_dir if cert is None else cert.parent).resolve()
+        target = profiles_dir.resolve()
+        if not target.is_relative_to(root):
+            raise ParameterOutOfRange(
+                f"profiles directory {profiles_dir} is not below {root}")
         [(label, assembly)] = assemblies.items()
-        manifest = assembly.save_files(profiles_dir, certificate_ref=cert_name)
+        manifest = assembly.save_files(
+            profiles_dir, certificate_ref=None if cert is None else cert.name)
         artifacts[f"{label}_manifest"] = {
-            "file": os.path.relpath(manifest, anchor),
+            "file": (target / manifest.name).relative_to(root).as_posix(),
             "sha256": hashlib.sha256(manifest.read_bytes()).hexdigest(),
         }
     parameters = {**parameters, "n_profile_nodes": PROFILE_NODES}
     doc = make_certificate(kind, parameters, quantities, claims,
                            provenance=provenance, artifacts=artifacts,
                            tolerance=tolerance)
-    path = None
-    if certificate_path is not None:
-        path = Path(certificate_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_certificate(doc, path)
+    if cert is not None:
+        cert.parent.mkdir(parents=True, exist_ok=True)
+        write_certificate(doc, cert)
     return PipelineResult(certificate=doc, assemblies=dict(assemblies),
-                          certificate_path=path)
+                          certificate_path=cert)
 
 
 # ---------------------------------------------------------------- gluings

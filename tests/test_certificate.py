@@ -383,8 +383,42 @@ def test_deep_nested_artifact_is_not_read_as_a_manifest(tmp_path):
         "demo", {}, {"x": 1.0}, [("c", "x", ">", 0.0)],
         artifacts={"deep": {"file": "deep.json",
                             "sha256": hashlib.sha256(payload).hexdigest()}})
-    report = recheck_certificate(doc, files_dir=tmp_path)
+    write_certificate(doc, tmp_path / "deep.cert.json")
+    report = recheck_certificate(tmp_path / "deep.cert.json")
     assert report["artifacts_verified"] == ["deep"]
+
+
+@pytest.mark.parametrize("quantities, claims", [
+    (lambda big: {"x": big}, lambda big: []),
+    (lambda big: {"x": 1.0}, lambda big: [("c", "x", ">", big)])],
+    ids=["quantity", "literal bound"])
+def test_make_certificate_reads_an_int_too_large_for_a_float_as_inf(
+        quantities, claims):
+    # the typed error an infinite float gets, not a bare OverflowError
+    errors = []
+    for value in (10 ** 400, math.inf):
+        with pytest.raises(SchemaViolation) as exc:
+            make_certificate("d", {}, quantities(value), claims(value))
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+def test_recheck_of_a_document_touches_no_file(monkeypatch):
+    # a dict has no root: its artifacts are missing, with no file call
+    doc = make_certificate("d", {}, {"x": 1.0}, [("c", "x", ">", 0.0)],
+                           artifacts={"m": {"file": "m.json", "sha256": "0"}})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("filesystem call")
+
+    for name in ("open", "stat", "lstat", "readlink", "getcwd"):
+        monkeypatch.setattr(os, name, refuse)
+    report = recheck_certificate(doc)
+    monkeypatch.undo()
+    assert report["artifacts_missing"] == ["m"]
+    with pytest.raises(SchemaViolation, match="free of '..'"):
+        recheck_certificate(dict(doc, artifacts={
+            "m": {"file": "../m.json", "sha256": "0"}}))
 
 
 def test_recheck_refuses_an_int_too_large_for_a_float():

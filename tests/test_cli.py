@@ -1,8 +1,10 @@
 """The command line surface: subcommands, config file, exit codes."""
 
 import json
+import os
 import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -226,7 +228,7 @@ def test_recheck_catches_an_edited_or_absent_shared_piece_file(tmp_path,
     assert main(["recheck", str(cert)]) == 2
     assert "SchemaViolation" in capsys.readouterr().err
     piece.unlink()
-    assert main(["recheck", str(cert)]) == 0
+    assert main(["recheck", str(cert)]) == 2
     out = capsys.readouterr().out
     assert f"artifacts missing: ['chain_manifest/{shared}']" in out
 
@@ -286,6 +288,18 @@ def written_tunnel(tmp_path_factory):
     return root
 
 
+def _moved_out(root, name):
+    """Move root/profiles/name into a directory beside root; its new path."""
+    outside = root.parent / f"{root.name}-outside"
+    outside.mkdir(exist_ok=True)
+    return (root / "profiles" / name).rename(outside / name)
+
+
+def _symlinked_out(root, name):
+    """Leave at root/profiles/name a symlink to where it moved outside."""
+    (root / "profiles" / name).symlink_to(_moved_out(root, name))
+
+
 def _point_first_piece_at(doc, root, path):
     """Rewrite the manifest so its first piece names path, and the
     certificate so the manifest still matches its fingerprint."""
@@ -311,7 +325,17 @@ REFUSED_EDITS = {
         doc, root, lambda file: "../profiles/" + file),
     "absolute piece path": lambda doc, root: _point_first_piece_at(
         doc, root, lambda file: str((root / "profiles" / file).resolve())),
+    # the three below name the very bytes the certificate hashes, outside
+    # the certificate's directory
+    "artifact path with ..": lambda doc, root: doc["artifacts"][
+        "tunnel_manifest"].update(file=os.path.relpath(
+            _moved_out(root, "assembly.json"), root)),
+    "manifest symlinked out": lambda doc, root: _symlinked_out(
+        root, "assembly.json"),
+    "pieces symlinked out": lambda doc, root: _symlinked_out(root, "pieces"),
 }
+ESCAPES = ["artifact path with ..", "manifest symlinked out",
+           "pieces symlinked out"]
 
 
 @pytest.mark.parametrize("edit", REFUSED_EDITS.values(),
@@ -331,3 +355,54 @@ def test_recheck_refuses_mistyped_or_escaping_references(
     err = capsys.readouterr().err
     assert err.startswith("error: SchemaViolation: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("escape", [None, *ESCAPES])
+def test_recheck_opens_nothing_outside_the_root(written_tunnel, tmp_path,
+                                                monkeypatch, escape):
+    root = tmp_path / "root"
+    shutil.copytree(written_tunnel, root)
+    cert = root / "t.cert.json"
+    if escape is not None:
+        doc = json.loads(cert.read_text())
+        REFUSED_EDITS[escape](doc, root)
+        write_certificate(doc, cert)
+    opened, real_open = [], os.open
+
+    def spy(path, *args, **kwargs):
+        opened.append(Path(path).resolve())
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    code = main(["recheck", str(cert)])
+    monkeypatch.undo()
+    assert code == (0 if escape is None else 2)
+    assert opened[0] == cert.resolve()
+    assert len(opened) > (2 if escape is None else 0)
+    assert all(path.is_relative_to(root.resolve()) for path in opened)
+
+
+def test_recheck_without_the_listed_files_exits_two(written_tunnel, tmp_path,
+                                                    capsys):
+    # a copy of the certificate alone: the manifest it lists is absent
+    shutil.copy(written_tunnel / "t.cert.json", tmp_path)
+    assert main(["recheck", str(tmp_path / "t.cert.json")]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("artifacts missing: ['tunnel_manifest']\n")
+    assert out.endswith("status PASS\n")
+    # and there is no option to look for the files elsewhere
+    with pytest.raises(SystemExit) as exc:
+        main(["recheck", "--profiles-dir", str(written_tunnel / "profiles"),
+              str(tmp_path / "t.cert.json")])
+    assert exc.value.code == 2
+
+
+def test_build_refuses_profiles_outside_the_certificate_directory(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["build-tunnel", "--out", "a/c.json",
+                 "--profiles-dir", "b"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParameterOutOfRange: profiles directory b ")
+    assert not (tmp_path / "b").exists()
+    assert not (tmp_path / "a").exists()

@@ -12,7 +12,8 @@ import pytest
 from neckforge import assembly, pipelines
 from neckforge.assembly import (DEFAULT_INTERFACE_TOL, _jet_gap,
                                 build_tunnel_between)
-from neckforge.certificate import certificate_bytes, recheck_certificate
+from neckforge.certificate import (certificate_bytes, recheck_certificate,
+                                   write_certificate)
 from neckforge.errors import (FloorCheckFailed, IngredientFloorTooLow,
                               MissingIngredient, ParameterOutOfRange,
                               SchemaViolation)
@@ -511,21 +512,22 @@ def test_format_version_1_manifest_still_rechecks(tmp_path):
         data = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
         (tmp_path / "assembly.json").write_bytes(data)
         digest = hashlib.sha256(data).hexdigest()
-        return dict(res.certificate, artifacts={"tunnel_manifest": {
-            "file": "assembly.json", "sha256": digest}})
+        write_certificate(dict(res.certificate, artifacts={"tunnel_manifest": {
+            "file": "assembly.json", "sha256": digest}}), cert)
+        return cert
 
-    doc = certificate_listing(manifest)
-    report = recheck_certificate(doc, files_dir=tmp_path)
+    cert = tmp_path / "cert.json"
+    report = recheck_certificate(certificate_listing(manifest))
     assert report["artifacts_verified"] == ["tunnel_manifest"]
     assert report["artifacts_missing"] == []
     piece = tmp_path / manifest["pieces"][-1]["file"]
     piece.write_bytes(piece.read_bytes()[:-3] + b"9\n")
     with pytest.raises(SchemaViolation, match="does not match"):
-        recheck_certificate(doc, files_dir=tmp_path)
+        recheck_certificate(cert)
     # a manifest version this library never wrote is refused
     manifest["format_version"] = 3
     with pytest.raises(SchemaViolation, match="manifest format_version"):
-        recheck_certificate(certificate_listing(manifest), files_dir=tmp_path)
+        recheck_certificate(certificate_listing(manifest))
 
 
 # sha256 of certificate_bytes for fixed builds: a speedup must leave every

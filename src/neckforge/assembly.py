@@ -1,11 +1,12 @@
 """Gluing warped pieces into certified tunnels and surgery necks.
 
-An assembly is an ordered chain of profile pieces. The chain represents a
-smooth metric when the boundary jets of every adjacent pair agree through
-second order: matching (value, d1, d2) of each warp across the shared
-fiber is exactly the condition for the glued warp to be C^2, which keeps
-scalar curvature continuous through the seam. Interfaces are therefore
-checked on jets, never on resampled values.
+An assembly is a chain of its certified pieces, each held once and
+placed in order and direction. It represents a smooth metric when the
+boundary jets of every adjacent pair agree through second order:
+matching (value, d1, d2) of each warp across the shared fiber is exactly
+the condition for the glued warp to be C^2, which keeps scalar curvature
+continuous through the seam. Interfaces are therefore checked on jets,
+never on resampled values.
 
 Every piece carries a certified lower bound for its scalar curvature plus
 the method that produced it:
@@ -33,7 +34,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import os
+import tempfile
+from collections import namedtuple
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -250,69 +254,65 @@ def cap_profile(base_dim: int, link_value: float, link_dim: int,
 
 # -- assembled chains ---------------------------------------------------------
 
+def _below(path, root: Path, what: str) -> None:
+    """The one rule for where a build writes: path must resolve below root."""
+    if not Path(path).resolve().is_relative_to(root):
+        raise ParameterOutOfRange(f"{what} {path} is not below {root}")
+
+
+def _incoming(directory: Path) -> str:
+    """A new, uniquely named empty file in directory, world-readable as a
+    plain write leaves it; os.replace then moves it over its target."""
+    fd, path = tempfile.mkstemp(dir=directory, prefix=".incoming-")
+    os.fchmod(fd, 0o644)
+    os.close(fd)
+    return path
+
+
 @dataclass(frozen=True, eq=False)
 class AssemblyPiece:
-    """One profile piece plus its certification record.
+    """A profile and its certification record, which serves the piece's
+    every placement: volume and curvature bound ignore the direction."""
 
-    A reversed piece traverses its profile from end to start: the mirror
-    side of a tunnel is its source pieces under new names, sharing their
-    profiles and records, since length, volume and curvature bound do not
-    depend on the direction.
-    """
-
-    name: str
-    role: str
     profile: object
     min_scalar: float
     scalar_method: str
     volume: float
     pole_scalars: tuple = ()
-    reversed: bool = False
-
-    @property
-    def length(self) -> float:
-        return self.profile.length
-
-    def boundary_jets(self, end: str) -> tuple[tuple[float, float, float], ...]:
-        """The profile's jets at this piece's start or end, in the piece's
-        direction: a reversed piece reads the profile's other end, with d1
-        negated."""
-        if not self.reversed:
-            return self.profile.boundary_jets(end)
-        other = {"start": "end", "end": "start"}.get(end, end)
-        return tuple((v, -d1, d2)
-                     for v, d1, d2 in self.profile.boundary_jets(other))
 
 
-@dataclass(frozen=True)
-class BoundaryInterface:
-    """One seam of the chain: the pieces it joins and their jet gap."""
-
-    left: str
-    right: str
-    mismatch: float
+# one position of a chain: its name and role, the index of its record in
+# Assembly.pieces, and whether it traverses that profile from end to start
+Placement = namedtuple("Placement", "name role piece reversed")
+# one distinct seam: the record index and reversed flag of either side,
+# and the jet gap between them
+BoundaryInterface = namedtuple(
+    "BoundaryInterface", "left left_reversed right right_reversed mismatch")
 
 
 @dataclass(eq=False)
 class Assembly:
-    """An ordered chain of pieces with verified seams."""
+    """Each certified piece once, where they go, in chain order, and each
+    distinct seam once; totals are taken over placements."""
 
     name: str
     pieces: tuple
+    placements: tuple
     interfaces: tuple
     provenance: dict = field(default_factory=dict)
 
     @property
-    def profiles(self) -> tuple:
-        return tuple(p.profile for p in self.pieces)
+    def placed(self) -> list:
+        """The record at each position, in chain order."""
+        return [self.pieces[p.piece] for p in self.placements]
 
     @property
     def total_volume(self) -> float:
-        return float(sum(p.volume for p in self.pieces))
+        return float(sum(p.volume for p in self.placed))
 
     @property
     def total_length(self) -> float:
-        return float(sum(p.length for p in self.pieces))
+        return float(sum(p.profile.length for p in self.placed))
 
     @property
     def min_scalar(self) -> float:
@@ -323,62 +323,65 @@ class Assembly:
         return max((i.mismatch for i in self.interfaces), default=0.0)
 
     def piece(self, name: str) -> AssemblyPiece:
-        for p in self.pieces:
+        for p in self.placements:
             if p.name == name:
-                return p
+                return self.pieces[p.piece]
         raise KeyError(name)
 
+    def boundary_jets(self, position: int, end: str) -> tuple:
+        """The jets at one end of the piece at position, in its direction:
+        a reversed placement reads its profile's other end, d1 negated."""
+        p = self.placements[position]
+        profile = self.pieces[p.piece].profile
+        if not p.reversed:
+            return profile.boundary_jets(end)
+        other = {"start": "end", "end": "start"}.get(end, end)
+        return tuple((v, -d1, d2) for v, d1, d2 in profile.boundary_jets(other))
+
     def diameter_bounds(self):
-        return diameter_bounds(self.profiles)
+        return diameter_bounds([p.profile for p in self.placed])
 
     def save_files(self, out_dir, certificate_ref: str | None = None) -> Path:
-        """Write the piece store plus an assembly.json manifest; returns
-        the manifest's path.
-
-        Pieces are stored by content, as pieces/<fingerprint>.csv beside
-        the manifest, where fingerprint is the sha256 of the file. The
-        file holds the piece's profile; a reversed piece lists it with
-        "reversed": true, and a reader gets that piece as load_profile_csv
-        of the file, then .reverse(). Each profile to store is rendered
-        and written once per call, under a temporary name first, so an
-        existing file of the same name is replaced, never trusted. Every
-        manifest entry keeps the piece's own name, role, length, volume
-        and curvature bound.
+        """Write the piece store, each profile once as pieces/<sha256 of the
+        file>.csv, and the assembly.json manifest (format version 3) of
+        pieces, placements and interfaces; returns its path. A reader gets
+        the piece at a position as load_profile_csv of its pieces entry's
+        file, then .reverse() if the placement is reversed. Every file is
+        written to a new temporary file, then moved over its name, so a
+        link planted there is replaced, never followed. A store that
+        resolves outside out_dir is refused before any write.
         """
         out = Path(out_dir)
         store = out / STORE_DIR
+        _below(store, out.resolve(), "piece store")
         store.mkdir(parents=True, exist_ok=True)
-        incoming = store / ".incoming.csv"
         fingerprints = {}  # content key of a stored profile -> fingerprint
         entries = []
-        for piece in self.pieces:
-            profile = piece.profile
+        for record in self.pieces:
+            profile = record.profile
             key = profile.content_key()
             if key not in fingerprints:
-                fingerprint = save_profile_csv(profile, incoming)
-                incoming.replace(store / f"{fingerprint}.csv")
-                fingerprints[key] = fingerprint
+                incoming = _incoming(store)
+                fingerprints[key] = save_profile_csv(profile, incoming)
+                os.replace(incoming, store / f"{fingerprints[key]}.csv")
             fingerprint = fingerprints[key]
             entries.append({
-                "name": piece.name,
-                "role": piece.role,
                 "file": f"{STORE_DIR}/{fingerprint}.csv",
                 "fingerprint": fingerprint,
-                "reversed": piece.reversed,
                 "kind": profile.kind,
                 "dims": list(profile.component_dims),
-                "length": piece.length,
-                "volume": piece.volume,
-                "min_scalar": piece.min_scalar,
-                "scalar_method": piece.scalar_method,
-                "pole_scalars": list(piece.pole_scalars),
+                "length": profile.length,
+                "volume": record.volume,
+                "min_scalar": record.min_scalar,
+                "scalar_method": record.scalar_method,
+                "pole_scalars": list(record.pole_scalars),
             })
         doc = {
-            "format_version": 2,
+            "format_version": 3,
             "name": self.name,
             "pieces": entries,
-            "interfaces": [{"left": i.left, "right": i.right,
-                            "mismatch": i.mismatch} for i in self.interfaces],
+            "placements": [p._asdict() for p in self.placements],
+            "interfaces": [i._asdict() for i in self.interfaces],
             "provenance": self.provenance,
             "certificate_ref": certificate_ref,
             "totals": {"volume": self.total_volume,
@@ -386,9 +389,9 @@ class Assembly:
                        "min_scalar": self.min_scalar,
                        "max_interface_gap": self.max_interface_gap},
         }
-        path = out / "assembly.json"
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        return path
+        manifest = Path(_incoming(out))
+        manifest.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        return manifest.replace(out / "assembly.json")
 
 
 def _jet_gap(left_jets, right_jets) -> float:
@@ -401,28 +404,38 @@ def _jet_gap(left_jets, right_jets) -> float:
     return gap
 
 
-def _sampled_piece(name, role, profile, pole_scalars=()):
+def _sampled_piece(profile, pole_scalars=()) -> AssemblyPiece:
     method = "profile-sampled" + ("+declared-poles" if pole_scalars else "")
     return AssemblyPiece(
-        name=name, role=role, profile=profile,
+        profile=profile,
         min_scalar=certified_min_scalar(profile, pole_scalars=pole_scalars),
         scalar_method=method, volume=profile_volume(profile),
         pole_scalars=tuple(float(x) for x in pole_scalars))
 
 
-def _chain(name: str, pieces, provenance: dict) -> Assembly:
-    interfaces = []
-    for left, right in zip(pieces[:-1], pieces[1:]):
-        gap = _jet_gap(left.boundary_jets("end"),
-                       right.boundary_jets("start"))
-        if gap > DEFAULT_INTERFACE_TOL:
-            raise InterfaceMismatch(
-                f"{left.name} -> {right.name}: jet gap {gap:.3e} exceeds "
-                f"{DEFAULT_INTERFACE_TOL:.1e}")
-        interfaces.append(BoundaryInterface(left=left.name, right=right.name,
-                                            mismatch=gap))
-    return Assembly(name=name, pieces=tuple(pieces),
-                    interfaces=tuple(interfaces), provenance=provenance)
+def _chain(name: str, entries, provenance: dict) -> Assembly:
+    """The assembly of (name, role, record, reversed) entries in chain
+    order: each record object enters pieces once, and each distinct seam,
+    a pair of adjacent (record, reversed) sides, is checked once."""
+    records = {id(record): record for _, _, record, _ in entries}
+    index = {rid: i for i, rid in enumerate(records)}
+    placements = [Placement(label, role, index[id(record)], flipped)
+                  for label, role, record, flipped in entries]
+    chain = Assembly(name, tuple(records.values()), tuple(placements), (),
+                     provenance)
+    seams = {}
+    for i, (left, right) in enumerate(zip(placements, placements[1:])):
+        key = (left.piece, left.reversed, right.piece, right.reversed)
+        if key not in seams:
+            gap = _jet_gap(chain.boundary_jets(i, "end"),
+                           chain.boundary_jets(i + 1, "start"))
+            if gap > DEFAULT_INTERFACE_TOL:
+                raise InterfaceMismatch(
+                    f"{left.name} -> {right.name}: jet gap {gap:.3e} "
+                    f"exceeds {DEFAULT_INTERFACE_TOL:.1e}")
+            seams[key] = BoundaryInterface(*key, mismatch=gap)
+    chain.interfaces = tuple(seams.values())
+    return chain
 
 
 # -- neck segmentation --------------------------------------------------------
@@ -463,13 +476,14 @@ def _neck_segments(curve: BendingCurve):
 
 
 def _curve_pieces(curve: BendingCurve, prefix: str):
+    """The curve's pieces as _chain entries, one per _neck_segments cut."""
     pieces = []
     for i, (role, s0, s1) in enumerate(_neck_segments(curve)):
         profile = curve.segment_profile(s0, s1, n_nodes=PROFILE_NODES)
-        pieces.append(AssemblyPiece(
-            name=f"{prefix}{i:02d}_{role}", role=role, profile=profile,
-            min_scalar=curve.min_scalar_on(s0, s1),
-            scalar_method="swept-curve", volume=profile_volume(profile)))
+        pieces.append((f"{prefix}{i:02d}_{role}", role, AssemblyPiece(
+            profile=profile, min_scalar=curve.min_scalar_on(s0, s1),
+            scalar_method="swept-curve", volume=profile_volume(profile)),
+            False))
     return pieces
 
 
@@ -506,7 +520,7 @@ def _cylinder_piece(model: AmbientModel, radius: float, length: float):
     flat = _flat_jets(warps)
     profile = make_profile(grid, [np.full(n_nodes, v) for v in warps], dims,
                            jets_start=flat, jets_end=flat)
-    return _sampled_piece("cylinder", "cylinder", profile)
+    return "cylinder", "cylinder", _sampled_piece(profile), False
 
 
 def _model_provenance(model: AmbientModel) -> dict:
@@ -526,8 +540,8 @@ def _neck(params: CurveDesignParams, end: tuple, floor: float,
     """A designed curve, its bent-neck pieces, then the collar legs that
     move its waist warps to end, each certified above floor.
 
-    Returns (curve, pieces); neck pieces are named {prefix}NN_<role> and
-    legs {stem}_0, {stem}_1, ...
+    Returns (curve, pieces), pieces as _chain entries; neck pieces are
+    named {prefix}NN_<role> and legs {stem}_0, {stem}_1, ...
     """
     curve = design_bending_curve(params)
     pieces = _curve_pieces(curve, prefix)
@@ -535,10 +549,9 @@ def _neck(params: CurveDesignParams, end: tuple, floor: float,
         float(params.model.warp(curve.end_radius)))
     for j, (leg, bound) in enumerate(boundary_homotopy(
             start, end, dims, floor, 0.25 * params.tube_radius)):
-        pieces.append(AssemblyPiece(
-            name=f"{stem}_{j}", role="collar", profile=leg,
-            min_scalar=bound, scalar_method="profile-sampled",
-            volume=profile_volume(leg)))
+        pieces.append((f"{stem}_{j}", "collar", AssemblyPiece(
+            profile=leg, min_scalar=bound, scalar_method="profile-sampled",
+            volume=profile_volume(leg)), False))
     return curve, pieces
 
 
@@ -558,7 +571,7 @@ def _tunnel_side(model: AmbientModel, tube_radius: float, budget: float,
         "curve_cross_check": check.cross_check_error,
         "start_radius": curve.start_radius,
         "waist_radius": curve.end_radius,
-        "annulus_deviation": _annulus_deviation(curve, pieces[0]),
+        "annulus_deviation": _annulus_deviation(curve, pieces[0][2]),
     }
     return pieces, side_stats
 
@@ -589,10 +602,11 @@ def build_tunnel(model: AmbientModel, tube_radius: float, length: float = 0.0,
     side, stats = _tunnel_side(model, tube_radius, budget, collar_floor,
                                a_cyl, "a", grid_density)
     middle = [] if length == 0.0 else [_cylinder_piece(model, a_cyl, length)]
-    mirrored = [replace(p, name="b" + p.name[1:], reversed=True)
-                for p in reversed(side)]
+    # the mirror side places the same records, traversed end to start
+    mirrored = [("b" + label[1:], role, record, True)
+                for label, role, record, _ in reversed(side)]
     pieces = side + middle + mirrored
-    cylinder_volume = middle[0].volume if middle else 0.0
+    cylinder_volume = middle[0][2].volume if middle else 0.0
     provenance = {
         "builder": "build_tunnel",
         "model": _model_provenance(model),
@@ -646,8 +660,8 @@ def build_tunnel_between(model_a: AmbientModel, model_b: AmbientModel,
     side_b, stats_b = _tunnel_side(model_b, tube_b, 0.5 * head_b,
                                    collar_floor_b, a_cyl, "b", grid_density)
     middle = [] if length == 0.0 else [_cylinder_piece(model_a, a_cyl, length)]
-    pieces = side_a + middle + [replace(p, reversed=True)
-                                for p in reversed(side_b)]
+    pieces = side_a + middle + [(label, role, record, True) for
+                                label, role, record, _ in reversed(side_b)]
     provenance = {
         "builder": "build_tunnel_between",
         "model_a": _model_provenance(model_a),
@@ -712,12 +726,11 @@ def perform_surgery(base_dim: int, slice_dim: int, tube_radius: float, *,
         closed_start=1,
         jets_start=((base_radius, 0.0, 0.0), (0.0, 1.0, 0.0)),
         jets_end=((base_radius, 0.0, 0.0), curve._boundary_jet(0.0)))
-    remnant = _sampled_piece("body_remnant", "body_remnant", remnant_profile,
-                             pole_scalars=(kappa,))
+    remnant = _sampled_piece(remnant_profile, pole_scalars=(kappa,))
 
     cap, pole = cap_profile(p, a_target, q - 1, closure_radius=1.0)
-    pieces = [remnant, *neck,
-              _sampled_piece("cap", "cap", cap, pole_scalars=(pole,))]
+    pieces = [("body_remnant", "body_remnant", remnant, False), *neck,
+              ("cap", "cap", _sampled_piece(cap, pole_scalars=(pole,)), False)]
 
     volume_reference = (unit_sphere_volume(p) * base_radius ** p
                         * unit_sphere_volume(q) * slice_radius ** q)

@@ -300,8 +300,9 @@ def _manifest_pieces(data: bytes) -> list:
 
     data has already matched its certificate hash, so a file cannot stop
     being a manifest without failing that check first. Manifests of
-    format version 1 give each piece its own file; version 2 lists files
-    of a piece store, which several pieces may share.
+    format version 1 give each position its own file, version 2 a piece
+    store; version 3 lists each stored piece once, and placements, each
+    of which must name a pieces entry by index.
     """
     try:
         doc = json.loads(data)
@@ -309,13 +310,17 @@ def _manifest_pieces(data: bytes) -> list:
         return []
     if not isinstance(doc, dict) or "pieces" not in doc:
         return []
-    _require(doc.get("format_version") in (1, 2),
-             "unsupported manifest format_version")
+    version = doc.get("format_version")
+    _require(version in (1, 2, 3), "unsupported manifest format_version")
     pieces = doc["pieces"]
     _require(isinstance(pieces, list) and all(
         isinstance(p, dict) and isinstance(p.get("file"), str)
         and isinstance(p.get("fingerprint"), str) for p in pieces),
         "manifest pieces must each name a file and a fingerprint")
+    _require(version < 3 or isinstance(doc.get("placements"), list) and all(
+        isinstance(p, dict) and type(p.get("piece")) is int
+        and 0 <= p["piece"] < len(pieces) for p in doc["placements"]),
+        "manifest placements must each name a pieces entry by index")
     return pieces
 
 
@@ -330,14 +335,14 @@ def recheck_certificate(source) -> dict:
     manifest, must be relative, free of ".." and resolve inside the root,
     so a symlink out is refused before any open; only regular files are
     read. A present artifact must match its sha256, and a manifest
-    (format version 1, a file per piece, or 2, a piece store) has each
-    distinct piece file it lists hashed once against the fingerprint of
-    every piece naming it. Absent files are reported missing, a piece file
-    as "<artifact>/<file>", and so is every artifact of a document, which
-    has no root: that path makes no filesystem call. Numbers must be an
-    int, a float or another numbers.Real, never a bool, and finite (an int
-    too large for a float is not). Raises SchemaViolation on any
-    inconsistency; returns a report with the verified aggregate status.
+    (format version 1, 2 or 3) has each distinct piece file it lists
+    hashed once against the fingerprint of every entry naming it. Absent
+    files are reported missing, a piece file as "<artifact>/<file>", and
+    so is every artifact of a document, which has no root: that path
+    makes no filesystem call. Numbers must be an int, a float or another
+    numbers.Real, never a bool, and finite (an int too large for a float
+    is not). Raises SchemaViolation on any inconsistency; returns a
+    report with the verified aggregate status.
     """
     doc, root = source, None
     if isinstance(source, (str, Path)):

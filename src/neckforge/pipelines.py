@@ -18,7 +18,6 @@ its hemisphere slot through one hemisphere end, _hemisphere_end.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import (DEFAULT_INTERFACE_TOL, PROFILE_NODES, _chain,
+from .assembly import (DEFAULT_INTERFACE_TOL, PROFILE_NODES, _below, _chain,
                        _sampled_piece, build_tunnel, build_tunnel_between,
                        certified_min_scalar, perform_surgery)
 from .bending import START_RADIUS_FACTOR
@@ -251,33 +250,30 @@ class _Body:
     far: tuple = (None, None)
 
 
-def _rename(pieces, prefix: str):
-    return [dataclasses.replace(p, name=f"{prefix}_{p.name}") for p in pieces]
-
-
 def _compose(name: str, spec, provenance: dict, fiber_dim: int,
              mouth: float):
     """Glue round bodies and tunnels, listed in chain order, into one chain.
 
     spec mixes _Body entries with (prefix, tunnel) pairs; a tunnel's
-    pieces are renamed prefix_<name> unless prefix is None.  The tunnels
-    of one chain share one tube radius, so each tunnel mouth lies at the
-    distance mouth from its glue site.  A body is the arc at distance u
-    from a pole of its sphere: from mouth to pi*rho - mouth, or out to
-    its far end (pi*rho at a pole, pi*rho/2 at a boundary) when no
+    placements are named prefix_<name> unless prefix is None.  The
+    tunnels of one chain share one tube radius, so each tunnel mouth lies
+    at the distance mouth from its glue site.  A body is the arc at
+    distance u from a pole of its sphere: from mouth to pi*rho - mouth, or
+    out to its far end (pi*rho at a pole, pi*rho/2 at a boundary) when no
     tunnel follows; a first body runs from its far end down to mouth.
     Seam jets are copied verbatim from the neighbouring tunnel pieces,
-    so glued interfaces close with gap exactly zero.  A body equal to an
-    earlier one, byte for byte and in its pole scalars, reuses that
-    body's certified record under its own name.
+    so glued interfaces close with gap exactly zero.  A tunnel places its
+    own records; a body equal to an earlier one, byte for byte and in its
+    pole scalars, is placed as that body's record under its own name.
     """
-    pieces = []
+    entries = []
     bodies = {}
     for i, item in enumerate(spec):
         if not isinstance(item, _Body):
             prefix, tunnel = item
-            pieces.extend(tunnel.pieces if prefix is None
-                          else _rename(tunnel.pieces, prefix))
+            entries.extend((p.name if prefix is None else f"{prefix}_{p.name}",
+                            p.role, tunnel.pieces[p.piece], p.reversed)
+                           for p in tunnel.placements)
             continue
         left = spec[i - 1][1] if i > 0 else None
         right = spec[i + 1][1] if i + 1 < len(spec) else None
@@ -304,16 +300,15 @@ def _compose(name: str, spec, provenance: dict, fiber_dim: int,
             values=values, fiber_dim=fiber_dim,
             closed_start=closed_start, closed_end=closed_end,
             jet_start=(boundary if left is None
-                       else left.pieces[-1].boundary_jets("end")[0]),
+                       else left.boundary_jets(-1, "end")[0]),
             jet_end=(boundary if right is None
-                     else right.pieces[0].boundary_jets("start")[0]))
+                     else right.boundary_jets(0, "start")[0]))
         poles = (end,) if kind == "pole" else ()
         key = (profile.content_key(), poles)
         if key not in bodies:
-            bodies[key] = _sampled_piece(item.name, "remnant", profile,
-                                         pole_scalars=poles)
-        pieces.append(dataclasses.replace(bodies[key], name=item.name))
-    return _chain(name, pieces, provenance)
+            bodies[key] = _sampled_piece(profile, pole_scalars=poles)
+        entries.append((item.name, "remnant", bodies[key], False))
+    return _chain(name, entries, provenance)
 
 
 def _require_floor(what: str, ingredient: IngredientMetric,
@@ -391,25 +386,32 @@ class PipelineResult:
         return self.certificate["quantities"][name]
 
 
-def _finalize(kind: str, parameters: dict, quantities: dict, claims,
-              provenance: dict, assemblies: dict,
-              certificate_path, profiles_dir, tolerance: float) -> PipelineResult:
-    """Save the one assembly below the certificate's directory, fingerprint
-    its manifest, emit the certificate; it records n_profile_nodes here."""
+def _files(certificate_path, profiles_dir) -> tuple:
+    """(certificate, profiles directory, root): the root is the certificate's
+    directory, else the profiles one; every public pipeline calls this
+    first, so a refusal costs no construction work."""
     cert = None if certificate_path is None else Path(certificate_path)
+    if profiles_dir is None:
+        return cert, None, None
+    profiles_dir = Path(profiles_dir)
+    root = (profiles_dir if cert is None else cert.parent).resolve()
+    _below(profiles_dir, root, "profiles directory")
+    return cert, profiles_dir, root
+
+
+def _finalize(kind: str, parameters: dict, quantities: dict, claims,
+              provenance: dict, assemblies: dict, files: tuple,
+              tolerance: float) -> PipelineResult:
+    """Save the one assembly below the root _files gave, fingerprint its
+    manifest, emit the certificate; it records n_profile_nodes here."""
+    cert, profiles_dir, root = files
     artifacts = {}
     if profiles_dir is not None:
-        profiles_dir = Path(profiles_dir)
-        root = (profiles_dir if cert is None else cert.parent).resolve()
-        target = profiles_dir.resolve()
-        if not target.is_relative_to(root):
-            raise ParameterOutOfRange(
-                f"profiles directory {profiles_dir} is not below {root}")
         [(label, assembly)] = assemblies.items()
         manifest = assembly.save_files(
             profiles_dir, certificate_ref=None if cert is None else cert.name)
         artifacts[f"{label}_manifest"] = {
-            "file": (target / manifest.name).relative_to(root).as_posix(),
+            "file": manifest.resolve().relative_to(root).as_posix(),
             "sha256": hashlib.sha256(manifest.read_bytes()).hexdigest(),
         }
     parameters = {**parameters, "n_profile_nodes": PROFILE_NODES}
@@ -469,7 +471,7 @@ def _attachment(name: str, ingredient: IngredientMetric,
         "tunnel": tunnel.provenance,
     }
     assembly = _compose(name, spec, provenance, n - 1, mouth)
-    hemi_arc = assembly.pieces[-1].profile
+    hemi_arc = assembly.placed[-1].profile
 
     # dual route over the profile-backed pieces only: quadrature on one
     # side, closed-form sphere arithmetic on the other
@@ -544,11 +546,12 @@ def attach_hemisphere(ingredient: IngredientMetric,
     an interior pole, the boundary jet rides along verbatim, and the
     certificate checks the built profile actually ends on it.
     """
+    files = _files(certificate_path, profiles_dir)
     return _finalize("hemisphere_attachment",
                      *_attachment("hemisphere_attachment", ingredient,
                                   hemisphere, diameter_target, sharpness,
                                   tube_radius, grid_density),
-                     certificate_path, profiles_dir, tolerance)
+                     files, tolerance)
 
 
 def attach_product_ingredient(base_dim: int, slice_dim: int, *,
@@ -571,6 +574,7 @@ def attach_product_ingredient(base_dim: int, slice_dim: int, *,
     object is the round product; a connected-sum reading of the factors
     is not what is certified here.
     """
+    files = _files(certificate_path, profiles_dir)
     ingredient = product_ingredient(base_dim, slice_dim, factor_radius)
     p, q = ingredient.detail["factor_dims"]
     target = float(ingredient.dim * (ingredient.dim - 1))
@@ -597,8 +601,7 @@ def attach_product_ingredient(base_dim: int, slice_dim: int, *,
     provenance.update(construction_note=note,
                       factor_radius_swept=bool(swept))
     return _finalize("product_attachment", parameters, quantities, claims,
-                     provenance, assemblies, certificate_path, profiles_dir,
-                     tolerance)
+                     provenance, assemblies, files, tolerance)
 
 
 def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
@@ -618,6 +621,7 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
     n(n-1) - m/sharpness; the claim list carries that composition
     explicitly rather than assuming losses cancel.
     """
+    files = _files(certificate_path, profiles_dir)
     if not volume_target > 0.0:
         raise ParameterOutOfRange("volume target must be positive")
     n = int(dim)
@@ -698,8 +702,7 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
         "grid_density": float(grid_density),
     }
     return _finalize("sphere_chain", parameters, quantities, claims,
-                     provenance, {"chain": assembly}, certificate_path,
-                     profiles_dir, tolerance)
+                     provenance, {"chain": assembly}, files, tolerance)
 
 
 def verify_volume_budget(hemisphere: IngredientMetric | None,
@@ -722,6 +725,7 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
     closed-form additivity, and total vs the a-priori budget
     reference + C * eps^(n-1) with C recorded and independent of eps.
     """
+    files = _files(certificate_path, profiles_dir)
     if hemisphere is None:
         raise MissingIngredient(
             "an externally certified hemisphere is required; supply its "
@@ -771,7 +775,7 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
         "tunnel": tunnel.provenance,
     }
     assembly = _compose("volume_budget", spec, provenance, n - 1, mouth)
-    hemi_piece, eta_piece = assembly.pieces[0], assembly.pieces[-1]
+    hemi_piece, eta_piece = assembly.placed[0], assembly.placed[-1]
 
     pack = omega * eps ** n
     vol_reference = 0.5 * omega
@@ -840,8 +844,7 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
         "grid_density": float(grid_density),
     }
     return _finalize("volume_budget", parameters, quantities, claims,
-                     provenance, {"chain": assembly}, certificate_path,
-                     profiles_dir, tolerance)
+                     provenance, {"chain": assembly}, files, tolerance)
 
 
 # ----------------------------------------------------- plain certificates
@@ -861,6 +864,7 @@ def tunnel_certificate(dim: int = 3, curvature: float = 6.0,
     volume is normalized by tube^n + length*tube^(n-1) so tunnels across
     scales can be compared against one constant.
     """
+    files = _files(certificate_path, profiles_dir)
     n = int(dim)
     if n < 3:
         raise ParameterOutOfRange("tunnel certificate needs dimension >= 3")
@@ -897,8 +901,7 @@ def tunnel_certificate(dim: int = 3, curvature: float = 6.0,
     }
     provenance = {"pipeline": "tunnel", "tunnel": tunnel.provenance}
     return _finalize("tunnel", parameters, quantities, claims, provenance,
-                     {"tunnel": tunnel}, certificate_path, profiles_dir,
-                     tolerance)
+                     {"tunnel": tunnel}, files, tolerance)
 
 
 def surgery_certificate(base_dim: int, slice_dim: int, tube_radius: float, *,
@@ -914,6 +917,7 @@ def surgery_certificate(base_dim: int, slice_dim: int, tube_radius: float, *,
     own curvature budget, and total volume within (1 +- delta) of the
     unmodified product.
     """
+    files = _files(certificate_path, profiles_dir)
     delta = float(tube_radius)
     surgery = perform_surgery(base_dim, slice_dim, tube_radius,
                               base_radius=base_radius,
@@ -948,5 +952,4 @@ def surgery_certificate(base_dim: int, slice_dim: int, tube_radius: float, *,
     }
     provenance = {"pipeline": "surgery", "surgery": surgery.provenance}
     return _finalize("surgery", parameters, quantities, claims, provenance,
-                     {"surgery": surgery}, certificate_path, profiles_dir,
-                     tolerance)
+                     {"surgery": surgery}, files, tolerance)

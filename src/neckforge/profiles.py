@@ -296,7 +296,7 @@ class _Profile:
 
     def reverse(self):
         """The same piece traversed the other way: the reader step for a
-        manifest entry marked "reversed". reverse() is a function of the
+        placement marked "reversed". reverse() is a function of the
         stored fields alone, so reversing this piece reloaded from its
         file reproduces the returned piece's canonical_bytes()."""
         values, dims, starts, ends = zip(*self.warps)

@@ -8,11 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from neckforge.assembly import (Assembly, AssemblyPiece, boundary_homotopy,
-                                build_tunnel, build_tunnel_between,
-                                cap_profile, certified_min_scalar, _chain,
-                                choose_stretch, collar_metric,
-                                perform_surgery, slope_deficit)
+from neckforge.assembly import (Assembly, AssemblyPiece, Placement,
+                                boundary_homotopy, build_tunnel,
+                                build_tunnel_between, cap_profile,
+                                certified_min_scalar, _chain, choose_stretch,
+                                collar_metric, perform_surgery, slope_deficit)
 from neckforge.errors import (CodimensionTooSmall, InfeasibleBudget,
                               InterfaceMismatch, ParameterOutOfRange)
 from neckforge.measure import profile_volume
@@ -135,19 +135,39 @@ def test_cap_profile_rejects_base_dim_zero():
 
 # -- chains and interfaces ----------------------------------------------------
 
+def record(prof):
+    return AssemblyPiece(profile=prof, min_scalar=certified_min_scalar(prof),
+                         scalar_method="profile-sampled",
+                         volume=profile_volume(prof))
+
+
 def test_chain_rejects_mismatched_jets():
     left = collar_metric((0.3,), (0.5,), (2,), 1.0)
     right = collar_metric((0.6,), (0.8,), (2,), 1.0)
-    mk = lambda name, prof: AssemblyPiece(
-        name=name, role="collar", profile=prof,
-        min_scalar=certified_min_scalar(prof),
-        scalar_method="profile-sampled", volume=profile_volume(prof))
+    mk = lambda name, prof: (name, "collar", record(prof), False)
     with pytest.raises(InterfaceMismatch):
         _chain("bad", [mk("l", left), mk("r", right)], {})
     good = _chain("good", [mk("l", left),
                            mk("r", collar_metric((0.5,), (0.8,), (2,), 1.0))], {})
     assert good.max_interface_gap == 0.0
     assert len(good.interfaces) == 1
+
+
+def test_chain_checks_each_distinct_seam_once():
+    # a leg there and back, four times: two records, two distinct seams
+    there = record(collar_metric((0.3,), (0.5,), (2,), 1.0))
+    back = record(collar_metric((0.5,), (0.3,), (2,), 1.0))
+    chain = _chain("loop", [(f"{name}{i}", "collar", rec, False)
+                            for i in range(4)
+                            for name, rec in (("there", there),
+                                              ("back", back))], {})
+    assert chain.pieces == (there, back)
+    assert [p.piece for p in chain.placements] == [0, 1] * 4
+    assert [(i.left, i.right) for i in chain.interfaces] == [(0, 1), (1, 0)]
+    assert chain.total_length == 8 * there.profile.length
+    with pytest.raises(InterfaceMismatch, match="there0 -> back0"):
+        _chain("bad", [("there0", "collar", there, False),
+                       ("back0", "collar", back, True)], {})
 
 
 # -- tunnels ------------------------------------------------------------------
@@ -165,7 +185,8 @@ def test_tunnel_scalar_floor(tunnel):
 
 
 def test_tunnel_interfaces_are_exact(tunnel):
-    assert len(tunnel.interfaces) == len(tunnel.pieces) - 1
+    # every seam of a tunnel is distinct: the mirror side's are reversed
+    assert len(tunnel.interfaces) == len(tunnel.placements) - 1
     assert tunnel.max_interface_gap <= 1e-10
 
 
@@ -178,33 +199,36 @@ def test_tunnel_diameter_straddles_cylinder_length(tunnel):
 
 def test_tunnel_ends_are_ambient_annuli(tunnel):
     assert tunnel.provenance["side"]["annulus_deviation"] <= 1e-12
-    first = tunnel.pieces[0]
-    last = tunnel.pieces[-1]
+    first = tunnel.placements[0]
+    last = tunnel.placements[-1]
     assert first.role == "ambient_annulus" and last.role == "ambient_annulus"
-    # the far end is the near one traversed backwards: one profile
-    assert last.profile is first.profile and last.reversed
-    ((v, d1, d2),) = first.boundary_jets("start")
-    assert last.boundary_jets("end") == ((v, -d1, d2),)
+    # the far end is the near one traversed backwards: one record
+    assert last.piece == first.piece and last.reversed
+    ((v, d1, d2),) = tunnel.boundary_jets(0, "start")
+    assert tunnel.boundary_jets(-1, "end") == ((v, -d1, d2),)
     with pytest.raises(ParameterOutOfRange):
-        last.boundary_jets("middle")
+        tunnel.boundary_jets(-1, "middle")
 
 
 def test_tunnel_piece_structure(tunnel):
-    roles = [p.role for p in tunnel.pieces]
+    roles = [p.role for p in tunnel.placements]
     assert roles.count("cylinder") == 1
     assert roles.count("collar") == 2
     assert roles[0] == "ambient_annulus" and roles[-1] == "ambient_annulus"
     mid = roles.index("cylinder")
     assert roles[:mid][::-1] == roles[mid + 1:]  # mirror symmetry
-    # every mirror placement is its forward twin's profile object
-    for forward, mirror in zip(tunnel.pieces[:mid], tunnel.pieces[::-1]):
+    # every mirror placement is its forward twin's record, once in pieces
+    placements = tunnel.placements
+    for forward, mirror in zip(placements[:mid], placements[::-1]):
         assert not forward.reversed and mirror.reversed
-        assert mirror.profile is forward.profile
+        assert mirror.piece == forward.piece
+    assert [p.piece for p in placements[:mid + 1]] == list(range(mid + 1))
+    assert len(tunnel.pieces) == mid + 1
 
 
 def test_tunnel_without_cylinder(tunnel):
     short = build_tunnel(round_sphere(3, 1.0), 0.1, length=0.0, sharpness=100)
-    roles = [p.role for p in short.pieces]
+    roles = [p.role for p in short.placements]
     assert "cylinder" not in roles
     assert short.max_interface_gap <= 1e-10
     assert short.total_volume == pytest.approx(
@@ -212,7 +236,7 @@ def test_tunnel_without_cylinder(tunnel):
 
 
 def test_tunnel_cylinder_volume_closed_form(tunnel):
-    cyl = next(p for p in tunnel.pieces if p.role == "cylinder")
+    cyl = tunnel.piece("cylinder")
     a = tunnel.provenance["cylinder_radius"]
     assert cyl.volume == pytest.approx(unit_sphere_volume(2) * a * a * 2.0,
                                        rel=1e-12)
@@ -315,10 +339,10 @@ def test_surgery_volume_sandwich(surgery):
 
 
 def test_surgery_chain_layout(surgery):
-    names = [p.name for p in surgery.pieces]
+    names = [p.name for p in surgery.placements]
     assert names[0] == "body_remnant" and names[-1] == "cap"
     assert surgery.max_interface_gap <= 1e-10
-    remnant = surgery.pieces[0]
+    remnant = surgery.piece("body_remnant")
     assert remnant.min_scalar == pytest.approx(6.0, abs=1e-4)
     assert remnant.scalar_method.endswith("+declared-poles")
 
@@ -340,7 +364,7 @@ def test_surgery_nonunit_base_radius():
     result = perform_surgery(1, 3, 0.05, base_radius=2.0)
     assert result.min_scalar > 6.0 - 0.05
     # base circle of radius 2 must be homotoped down to the unit cap mouth
-    roles = [p.role for p in result.pieces]
+    roles = [p.role for p in result.placements]
     assert roles.count("collar") == 2
 
 
@@ -349,23 +373,22 @@ def test_surgery_nonunit_base_radius():
 def test_assembly_save_files_manifest(tmp_path, tunnel):
     path = tunnel.save_files(tmp_path / "out", certificate_ref="cert.json")
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 2
+    assert doc["format_version"] == 3
     assert doc["certificate_ref"] == "cert.json"
-    assert len(doc["pieces"]) == len(tunnel.pieces)
-    assert len(doc["interfaces"]) == len(tunnel.pieces) - 1
+    # each record once, the chain as placements, each distinct seam once
+    assert len(doc["pieces"]) == len(tunnel.placements) // 2 + 1
+    assert doc["placements"] == [p._asdict() for p in tunnel.placements]
+    assert doc["interfaces"] == [i._asdict() for i in tunnel.interfaces]
     assert doc["totals"]["volume"] == pytest.approx(tunnel.total_volume)
-    for entry, piece in zip(doc["pieces"], tunnel.pieces):
-        # a mirror lists the stored file of the profile it shares
-        assert entry["reversed"] == piece.reversed
-        assert entry["fingerprint"] == piece.profile.fingerprint()
+    for entry, record in zip(doc["pieces"], tunnel.pieces, strict=True):
+        assert entry["fingerprint"] == record.profile.fingerprint()
         assert entry["file"] == f"pieces/{entry['fingerprint']}.csv"
         written = (tmp_path / "out" / entry["file"]).read_bytes()
         assert entry["fingerprint"] == hashlib.sha256(written).hexdigest()
-        assert entry["name"] == piece.name
-        assert entry["min_scalar"] == piece.min_scalar
+        assert entry["min_scalar"] == record.min_scalar
+        assert not {"name", "role", "reversed"} & set(entry)
     stored = list((tmp_path / "out" / "pieces").iterdir())
-    assert len(stored) == len({e["file"] for e in doc["pieces"]})
-    assert len(stored) == len(tunnel.pieces) // 2 + 1
+    assert len(stored) == len(tunnel.pieces)
 
 
 def test_assembly_save_files_renders_each_piece_once(tmp_path, tunnel,
@@ -380,47 +403,49 @@ def test_assembly_save_files_renders_each_piece_once(tmp_path, tunnel,
 
         monkeypatch.setattr(cls, "canonical_bytes", counted)
     tunnel.save_files(tmp_path / "out")
-    # mirrors share their sources' profiles, so only those are rendered
-    sources = [piece.profile for piece in tunnel.pieces
-               if not piece.reversed]
-    assert renders == sources
-    assert len(renders) == len(tunnel.pieces) // 2 + 1
+    # mirrors place their sources' records, so only those are rendered
+    assert renders == [record.profile for record in tunnel.pieces]
+    assert len(renders) == len(tunnel.placements) // 2 + 1
 
 
 def test_assembly_save_files_writes_each_content_once(tmp_path):
-    # two links of equal content built apart, one reversed: one file
+    # two links of equal content built apart, one placed reversed too:
+    # two records, one file
     model = round_sphere(3, 1.0)
     first = build_tunnel(model, 0.1, sharpness=100)
     second = build_tunnel(model, 0.1, sharpness=100)
     piece = first.pieces[0]
     twin = second.pieces[0]
     assert piece.profile is not twin.profile
-    chain = Assembly(name="three", interfaces=(), pieces=(
-        piece, twin, dataclasses.replace(twin, name="mirror", reversed=True)))
+    chain = Assembly(name="three", interfaces=(), pieces=(piece, twin),
+                     placements=(Placement("first", "x", 0, False),
+                                 Placement("twin", "x", 1, False),
+                                 Placement("mirror", "x", 1, True)))
     doc = json.loads(chain.save_files(tmp_path).read_text())
-    assert [e["reversed"] for e in doc["pieces"]] == [False, False, True]
+    assert [p["reversed"] for p in doc["placements"]] == [False, False, True]
+    assert len(doc["pieces"]) == 2
     assert len({e["file"] for e in doc["pieces"]}) == 1
     assert len(list((tmp_path / "pieces").iterdir())) == 1
 
 
 def test_assembly_save_files_reverses_only_the_direct_parent(tmp_path,
                                                              tunnel):
-    # a piece over a profile reverse() made stores that profile's own
-    # bytes; its mirror names the same file and is reversed once from it
+    # a record over a profile reverse() made stores that profile's own
+    # bytes; its reversed placement names the same file, reversed once
     source = tunnel.pieces[0]
-    flipped = dataclasses.replace(source, name="flipped",
-                                  profile=source.profile.reverse())
-    chain = Assembly(name="pair", interfaces=(), pieces=(
-        flipped, dataclasses.replace(flipped, name="again", reversed=True)))
-    first, again = json.loads(chain.save_files(tmp_path).read_text())["pieces"]
-    assert (first["reversed"], again["reversed"]) == (False, True)
-    assert first["file"] == again["file"]
-    stored = load_profile_csv(tmp_path / first["file"])
+    flipped = dataclasses.replace(source, profile=source.profile.reverse())
+    chain = Assembly(name="pair", interfaces=(), pieces=(flipped,),
+                     placements=(Placement("flipped", "x", 0, False),
+                                 Placement("again", "x", 0, True)))
+    doc = json.loads(chain.save_files(tmp_path).read_text())
+    [entry] = doc["pieces"]
+    assert [p["reversed"] for p in doc["placements"]] == [False, True]
+    stored = load_profile_csv(tmp_path / entry["file"])
     assert stored.canonical_bytes() == flipped.profile.canonical_bytes()
     assert stored.canonical_bytes() != source.profile.canonical_bytes()
     for end in ("start", "end"):
         assert (stored.reverse().boundary_jets(end)
-                == chain.pieces[1].boundary_jets(end))
+                == chain.boundary_jets(1, end))
 
 
 def test_assembly_save_files_deterministic(tmp_path, tunnel):

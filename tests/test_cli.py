@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from neckforge import assembly
 from neckforge.certificate import write_certificate
 from neckforge.cli import main
 from neckforge.models import unit_sphere_volume
@@ -214,13 +215,15 @@ def test_recheck_ignores_a_config_tolerance(tmp_path):
 
 def test_recheck_catches_an_edited_or_absent_shared_piece_file(tmp_path,
                                                                 capsys):
-    # cor-v links share piece files; one edited byte fails them all
+    # cor-v links place one record many times; one edited byte of its
+    # file fails them all
     cert = tmp_path / "cert.json"
     assert main(["pipeline", "cor-v", "--volume", "60", "--out", str(cert),
                  "--profiles-dir", str(tmp_path / "profiles")]) == 0
     manifest = json.loads((tmp_path / "profiles" / "assembly.json").read_text())
-    [(shared, uses)] = Counter(
-        entry["file"] for entry in manifest["pieces"]).most_common(1)
+    pieces = manifest["pieces"]
+    [(shared, uses)] = Counter(pieces[p["piece"]]["file"]
+                               for p in manifest["placements"]).most_common(1)
     assert uses > 2
     piece = tmp_path / "profiles" / shared
     piece.write_bytes(piece.read_bytes().replace(b"e-", b"e+", 1))
@@ -399,10 +402,60 @@ def test_recheck_without_the_listed_files_exits_two(written_tunnel, tmp_path,
 
 def test_build_refuses_profiles_outside_the_certificate_directory(
         tmp_path, monkeypatch, capsys):
+    # refused before any construction work: no curve is designed
+    def no_design(params):
+        raise AssertionError("a curve was designed for a refused build")
+
+    monkeypatch.setattr(assembly, "design_bending_curve", no_design)
     monkeypatch.chdir(tmp_path)
-    assert main(["build-tunnel", "--out", "a/c.json",
-                 "--profiles-dir", "b"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ParameterOutOfRange: profiles directory b ")
-    assert not (tmp_path / "b").exists()
-    assert not (tmp_path / "a").exists()
+    for argv in (["build-tunnel"], ["pipeline", "cor-v", "--volume", "190"]):
+        assert main([*argv, "--out", "a/c.json", "--profiles-dir", "b"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: ParameterOutOfRange: profiles directory b ")
+        assert not (tmp_path / "b").exists()
+        assert not (tmp_path / "a").exists()
+
+
+def _plant_link(tmp_path, name, target):
+    """work/profiles/name as a link to target, made relative."""
+    link = tmp_path / "work" / "profiles" / name
+    link.parent.mkdir(parents=True, exist_ok=True)
+    link.symlink_to(os.path.relpath(target, link.parent))
+    return link
+
+
+@pytest.mark.parametrize("at_piece", [False, True])
+def test_build_replaces_a_planted_link_and_never_follows_it(tmp_path,
+                                                             at_piece):
+    outside = tmp_path / "outside.json"
+    outside.write_bytes(b"not the build's\n")
+    profiles = tmp_path / "work" / "profiles"
+    cert = tmp_path / "work" / "c.json"
+    argv = ["build-tunnel", "--out", str(cert), "--profiles-dir",
+            str(profiles)]
+    name = "assembly.json"
+    if at_piece:  # a link where the next build writes one of its pieces
+        assert main(argv) == 0
+        name = json.loads((profiles / name).read_text())["pieces"][0]["file"]
+        (profiles / name).unlink()
+    link = _plant_link(tmp_path, name, outside)
+    assert main(argv) == 0
+    assert outside.read_bytes() == b"not the build's\n"
+    assert not link.is_symlink()
+    assert main(["recheck", str(cert)]) == 0
+
+
+def test_build_refuses_a_piece_store_outside_the_root(tmp_path, capsys):
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    _plant_link(tmp_path, "pieces", outside)
+    cert = tmp_path / "work" / "c.json"
+    assert main(["build-tunnel", "--out", str(cert), "--profiles-dir",
+                 str(tmp_path / "work" / "profiles")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: ParameterOutOfRange: piece store ")
+    assert list(outside.iterdir()) == []
+    # nothing written: the store link is all the profiles directory holds
+    assert [p.name for p in (tmp_path / "work").rglob("*")] == [
+        "profiles", "pieces"]

@@ -253,8 +253,9 @@ def test_diameter_sweep_equals_the_exhaustive_sweep(build):
     # and the upper bound clears a dense sample of the fiber
     for assembly in build().assemblies.values():
         lower, upper = assembly.diameter_bounds()
-        assert (lower, upper) == reference_diameter(assembly.profiles)
-        assert upper >= sampled_diameter(assembly.profiles)
+        profiles = [p.profile for p in assembly.placed]
+        assert (lower, upper) == reference_diameter(profiles)
+        assert upper >= sampled_diameter(profiles)
 
 
 def test_diameter_maximum_in_the_second_piece():
@@ -282,9 +283,9 @@ def test_diameter_upper_bounds_a_spike():
 
 
 def test_mirrors_share_their_source_profile(monkeypatch):
-    # a tunnel's mirror side is its source pieces, reversed: each mirror
-    # shares its forward twin's profile object, so the tunnel builds no
-    # mirror profile and no spline through a mirror's samples
+    # a tunnel's mirror side places its source records, reversed: each
+    # mirror is its forward twin's record, so the tunnel builds no mirror
+    # profile and no spline through a mirror's samples
     builds = []
     real_builder = profiles.CubicSpline
 
@@ -294,16 +295,15 @@ def test_mirrors_share_their_source_profile(monkeypatch):
 
     monkeypatch.setattr(profiles, "CubicSpline", counting)
     tunnel = tunnel_certificate(3, sharpness=1e4).assemblies["tunnel"]
-    pieces = tunnel.pieces
-    mirrors = [i for i, p in enumerate(pieces) if p.reversed]
+    placements = tunnel.placements
+    mirrors = [i for i, p in enumerate(placements) if p.reversed]
     assert len(mirrors) == 22
     for i in mirrors:
-        twin = pieces[len(pieces) - 1 - i]
-        assert not twin.reversed and pieces[i].profile is twin.profile
-        assert pieces[i].min_scalar == twin.min_scalar
-        assert pieces[i].volume == twin.volume
-    distinct = {id(p.profile): p.profile for p in pieces}
-    assert len(distinct) == len(pieces) - len(mirrors)
+        twin = placements[len(placements) - 1 - i]
+        assert not twin.reversed and placements[i].piece == twin.piece
+    distinct = {id(p.profile): p.profile for p in tunnel.pieces}
+    assert len(distinct) == len(tunnel.pieces)
+    assert len(distinct) == len(placements) - len(mirrors)
     assert builds and not any(
         np.array_equal(y, prof.values[::-1])
         for y in builds for prof in distinct.values())

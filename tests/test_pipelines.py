@@ -159,7 +159,7 @@ def test_attach_hemisphere_volume_accounting_is_dual_route():
     res = attach_hemisphere(round_sphere_ingredient(3, 0.5))
     assert res.quantity("volume_accounting_gap") < 1e-8
     chain = res.assemblies["chain"]
-    names = [p.name for p in chain.pieces]
+    names = [p.name for p in chain.placements]
     assert names[0] == "ingredient_remnant"
     assert names[-1] == "hemisphere_remnant"
 
@@ -339,16 +339,19 @@ def test_surgery_certificate_bands():
         res.quantity("ambient_curvature") - 0.05
 
 
-def spline_jets(piece, end):
-    """A piece's jets at one of its ends, evaluated from its profile's
-    splines in the piece's direction instead of read from stored jets."""
-    profile_end = end if not piece.reversed else (
+def spline_jets(chain, position, end):
+    """The jets at one end of the piece at a chain position, evaluated
+    from its profile's splines in the placement's direction instead of
+    read from stored jets."""
+    placement = chain.placements[position]
+    profile = chain.pieces[placement.piece].profile
+    profile_end = end if not placement.reversed else (
         "start" if end == "end" else "end")
-    s = piece.profile.grid[0 if profile_end == "start" else -1]
-    sign = -1.0 if piece.reversed else 1.0
+    s = profile.grid[0 if profile_end == "start" else -1]
+    sign = -1.0 if placement.reversed else 1.0
     return tuple((float(spline(s)), sign * float(spline(s, 1)),
                   float(spline(s, 2)))
-                 for spline, _, _ in piece.profile.warp_splines)
+                 for spline, _, _ in profile.warp_splines)
 
 
 # ROADMAP item 1, defect 2: interfaces_glued compares the stored seam
@@ -364,8 +367,9 @@ def spline_jets(piece, end):
     pytest.param(lambda: surgery_certificate(1, 3, 0.05), id="surgery")])
 def test_seams_close_on_the_pieces_own_splines(build):
     [chain] = build().assemblies.values()
-    gap = max(_jet_gap(spline_jets(left, "end"), spline_jets(right, "start"))
-              for left, right in zip(chain.pieces[:-1], chain.pieces[1:]))
+    gap = max(_jet_gap(spline_jets(chain, i, "end"),
+                       spline_jets(chain, i + 1, "start"))
+              for i in range(len(chain.placements) - 1))
     assert gap <= DEFAULT_INTERFACE_TOL
 
 
@@ -494,30 +498,51 @@ def test_rebuild_overwrites_a_stale_store_file(tmp_path):
         assert f.name == hashlib.sha256(f.read_bytes()).hexdigest() + ".csv"
 
 
+def _older_manifest(root):
+    """A format 3 tunnel build under root, and its manifest rebuilt in the
+    shape formats 1 and 2 share: one pieces entry per position, under the
+    placement's name and role, and a seam per adjacent pair, by name."""
+    res = tunnel_certificate(3, sharpness=100.0, profiles_dir=root)
+    manifest = json.loads((root / "assembly.json").read_text())
+    assert manifest["format_version"] == 3
+    placements = manifest.pop("placements")
+    seams = {(i["left"], i["left_reversed"], i["right"], i["right_reversed"]):
+             i["mismatch"] for i in manifest["interfaces"]}
+    manifest["interfaces"] = [
+        {"left": a["name"], "right": b["name"], "mismatch": seams[
+            (a["piece"], a["reversed"], b["piece"], b["reversed"])]}
+        for a, b in zip(placements, placements[1:])]
+    manifest["pieces"] = [dict(manifest["pieces"][p["piece"]], name=p["name"],
+                               role=p["role"], reversed=p["reversed"])
+                          for p in placements]
+    return res, manifest
+
+
+def _relisted(res, root, manifest):
+    """manifest written as root/assembly.json, and the path of a copy of
+    the build's certificate that lists it by its sha256."""
+    data = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
+    (root / "assembly.json").write_bytes(data)
+    write_certificate(dict(res.certificate, artifacts={"tunnel_manifest": {
+        "file": "assembly.json", "sha256": hashlib.sha256(data).hexdigest()}}),
+        root / "cert.json")
+    return root / "cert.json"
+
+
 def test_format_version_1_manifest_still_rechecks(tmp_path):
     # the layout before the piece store: one file per manifest entry
-    res = tunnel_certificate(3, sharpness=100.0, profiles_dir=tmp_path)
+    res, manifest = _older_manifest(tmp_path)
     [assembly] = res.assemblies.values()
-    manifest = json.loads((tmp_path / "assembly.json").read_text())
     manifest["format_version"] = 1
-    for i, (entry, piece) in enumerate(zip(manifest["pieces"],
-                                           assembly.pieces)):
+    for i, (entry, placement) in enumerate(zip(manifest["pieces"],
+                                               assembly.placements)):
         del entry["reversed"]
-        entry["file"] = f"piece_{i:02d}_{piece.name}.csv"
-        entry["fingerprint"] = save_profile_csv(piece.profile,
-                                                tmp_path / entry["file"])
+        entry["file"] = f"piece_{i:02d}_{placement.name}.csv"
+        entry["fingerprint"] = save_profile_csv(
+            assembly.pieces[placement.piece].profile, tmp_path / entry["file"])
     shutil.rmtree(tmp_path / "pieces")
-
-    def certificate_listing(manifest):
-        data = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
-        (tmp_path / "assembly.json").write_bytes(data)
-        digest = hashlib.sha256(data).hexdigest()
-        write_certificate(dict(res.certificate, artifacts={"tunnel_manifest": {
-            "file": "assembly.json", "sha256": digest}}), cert)
-        return cert
-
-    cert = tmp_path / "cert.json"
-    report = recheck_certificate(certificate_listing(manifest))
+    cert = _relisted(res, tmp_path, manifest)
+    report = recheck_certificate(cert)
     assert report["artifacts_verified"] == ["tunnel_manifest"]
     assert report["artifacts_missing"] == []
     piece = tmp_path / manifest["pieces"][-1]["file"]
@@ -525,9 +550,44 @@ def test_format_version_1_manifest_still_rechecks(tmp_path):
     with pytest.raises(SchemaViolation, match="does not match"):
         recheck_certificate(cert)
     # a manifest version this library never wrote is refused
-    manifest["format_version"] = 3
+    manifest["format_version"] = 4
     with pytest.raises(SchemaViolation, match="manifest format_version"):
-        recheck_certificate(certificate_listing(manifest))
+        recheck_certificate(_relisted(res, tmp_path, manifest))
+
+
+def test_format_version_2_manifest_still_rechecks(tmp_path):
+    # the piece store listed per position, mirrors marked "reversed"
+    res, manifest = _older_manifest(tmp_path)
+    manifest["format_version"] = 2
+    cert = _relisted(res, tmp_path, manifest)
+    entries = manifest["pieces"]
+    assert len(entries) > len({e["file"] for e in entries})
+    assert any(e["reversed"] for e in entries)
+    report = recheck_certificate(cert)
+    assert report["artifacts_verified"] == ["tunnel_manifest"]
+    assert report["artifacts_missing"] == []
+    piece = tmp_path / entries[-1]["file"]
+    piece.write_bytes(piece.read_bytes()[:-3] + b"9\n")
+    with pytest.raises(SchemaViolation, match="does not match"):
+        recheck_certificate(cert)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["placements"][0].update(piece=len(doc["pieces"])),
+    lambda doc: doc["placements"][0].update(piece=-1),
+    lambda doc: doc["placements"][0].update(piece=True),
+    lambda doc: doc["placements"][0].update(piece="0"),
+    lambda doc: doc["placements"][0].pop("piece"),
+    lambda doc: doc.pop("placements"),
+], ids=["past the end", "negative", "bool", "string", "absent", "no list"])
+def test_placement_naming_no_pieces_entry_is_refused(tmp_path, edit):
+    res = tunnel_certificate(3, sharpness=100.0, profiles_dir=tmp_path)
+    manifest = json.loads((tmp_path / "assembly.json").read_text())
+    assert recheck_certificate(_relisted(res, tmp_path, manifest))[
+        "artifacts_verified"] == ["tunnel_manifest"]
+    edit(manifest)
+    with pytest.raises(SchemaViolation, match="placements"):
+        recheck_certificate(_relisted(res, tmp_path, manifest))
 
 
 # sha256 of certificate_bytes for fixed builds: a speedup must leave every
@@ -570,30 +630,30 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
 GOLDEN_ARTIFACT_DIGESTS = [
     pytest.param(
         lambda **files: tunnel_certificate(3, sharpness=100.0, **files),
-        "cafbabe7853feade4a0578b69d53460636e68c5aa137dedcee79e8c4d61f33af",
+        "a7a643fc01ea773d59084432aba4a5eea716f1931fb43775e26295eb8358fd29",
         id="tunnel"),
     pytest.param(
         lambda **files: surgery_certificate(1, 3, 0.05, **files),
-        "2448ca10f93c7f60b3c7fd962a837ff07dc89534de6899373965e4d90c2e7b12",
+        "65ec6a0d4068ef231b9c64fd32cbb5f85e1a018a1a6ed3d5549a545b91fdaeb4",
         id="surgery"),
     # four spheres: three links written from one repeated profile chain
     pytest.param(
         lambda **files: sphere_chain_certificate(
             1.5 * unit_sphere_volume(3), 3, **files),
-        "c47620a71140b651abfb9498c65c8ebf919a3761b64a683341188e699f598278",
+        "45fb612bde3b950404fa2cf59609ea11e8b4cb388c672a2750a6c440110bc73d",
         id="chain"),
     # round ingredient remnant from its far pole, hemisphere up to its
     # boundary, with a waist cylinder
     pytest.param(
         lambda **files: attach_hemisphere(round_sphere_ingredient(3, 0.5),
                                           diameter_target=10.0, **files),
-        "821c3f2a36504656d2b1cb8c9b06b99eba6f31a28a202f9c348193400a7bafa5",
+        "540f19da2dafe9867695781e69915190adf00b75bda0cccc983545e636710be7",
         id="hemisphere"),
     # stand-in attachment: no ingredient remnant, product entries added
     pytest.param(
         lambda **files: attach_product_ingredient(1, 2, factor_radius=10.0,
                                                   **files),
-        "1af781dcf2ee5911eb4797c576e643bf5a880799022c7047c717ed74f678362f",
+        "1b56096c1f150abab59b540d3e6c16592e696a03da5ef98e114ed5ac2fef1fd6",
         id="product"),
     # hemisphere from its boundary down to the tunnel, small sphere out
     # to its far pole
@@ -601,7 +661,7 @@ GOLDEN_ARTIFACT_DIGESTS = [
         lambda **files: verify_volume_budget(
             hemisphere_standin(3, declared_volume=0.5 * unit_sphere_volume(3)),
             0.05, **files),
-        "416836fe4a4c6e16faec6263d09e5426d00c63d5350f498b2b2747870f2e54d5",
+        "a254825dae6cf5496b4a51a1f8d81584ac2950435b723799dc152fe903749cb1",
         id="budget"),
 ]
 
@@ -624,8 +684,8 @@ def test_written_artifacts_are_byte_identical(tmp_path, build, digest):
     assert tree_digest(tmp_path) == digest
 
 
-# every entry, mirrors included, of the golden artifact builds and of a
-# tunnel with 22 mirrors
+# every placement, mirrors included, of the golden artifact builds and of
+# a tunnel with 22 mirrors
 @pytest.mark.parametrize("build", [
     *(pytest.param(param.values[0], id=param.id)
       for param in GOLDEN_ARTIFACT_DIGESTS),
@@ -636,19 +696,107 @@ def test_reversed_entries_rebuild_their_pieces_exactly(tmp_path, build):
     res = build(profiles_dir=tmp_path)
     [assembly] = res.assemblies.values()
     manifest = json.loads((tmp_path / "assembly.json").read_text())
-    entries = manifest["pieces"]
-    assert [e["name"] for e in entries] == [p.name for p in assembly.pieces]
-    for entry, piece in zip(entries, assembly.pieces):
-        stored = load_profile_csv(tmp_path / entry["file"])
-        assert stored.canonical_bytes() == piece.profile.canonical_bytes()
-        assert entry["reversed"] == piece.reversed
-        # the reader step gives the piece's jets in the piece's direction
-        rebuilt = stored.reverse() if entry["reversed"] else stored
+    assert manifest["placements"] == [p._asdict()
+                                      for p in assembly.placements]
+    stored = [load_profile_csv(tmp_path / e["file"])
+              for e in manifest["pieces"]]
+    assert len(stored) == len(assembly.pieces)
+    expected = {}  # (piece, reversed) -> canonical bytes in that direction
+    for i, entry in enumerate(manifest["placements"]):
+        # the reader step: the listed file, reversed when flagged
+        key = (entry["piece"], entry["reversed"])
+        rebuilt = stored[key[0]].reverse() if key[1] else stored[key[0]]
+        if key not in expected:
+            record = assembly.pieces[key[0]].profile
+            expected[key] = (record.reverse() if key[1]
+                             else record).canonical_bytes()
+            assert rebuilt.canonical_bytes() == expected[key]
         for end in ("start", "end"):
-            assert rebuilt.boundary_jets(end) == piece.boundary_jets(end)
-        assert rebuilt.length == piece.length
+            assert rebuilt.boundary_jets(end) == assembly.boundary_jets(i, end)
+        assert rebuilt.length == assembly.pieces[key[0]].profile.length
+    # one file per distinct content, one entry per record: records of
+    # equal bytes share the file and keep their own certification
     files = len(list((tmp_path / "pieces").iterdir()))
-    assert files == len({e["fingerprint"] for e in entries})
-    if res.certificate["kind"] == "tunnel":
-        # one profile object per stored file
-        assert files == len({id(p.profile) for p in assembly.pieces})
+    assert files == len({e["fingerprint"] for e in manifest["pieces"]})
+    assert [(e["min_scalar"], e["scalar_method"], e["volume"])
+            for e in manifest["pieces"]] == [
+        (r.min_scalar, r.scalar_method, r.volume) for r in assembly.pieces]
+
+
+def test_a_chain_places_the_records_its_tunnels_certified(monkeypatch):
+    # the attach tunnel keeps its own records where their bytes equal a
+    # link's: they were certified against its own, different budget
+    tunnels = []
+
+    def recorded(*args, real=assembly._chain):
+        tunnels.append(real(*args))
+        return tunnels[-1]
+
+    monkeypatch.setattr(assembly, "_chain", recorded)
+    [chain] = sphere_chain_certificate(30.0, 3).assemblies.values()
+    link, attach = tunnels
+    assert (link.name, attach.name) == ("tunnel", "tunnel_between")
+    shared = ({r.profile.content_key() for r in link.pieces}
+              & {r.profile.content_key() for r in attach.pieces})
+    assert shared
+    placed = {id(r) for r in chain.pieces}
+    assert all(id(r) in placed for r in link.pieces + attach.pieces)
+    assert len(chain.pieces) == len(link.pieces) + len(attach.pieces) + 3
+
+
+def test_records_seams_and_manifest_are_flat_in_chain_length(tmp_path,
+                                                             monkeypatch):
+    # cor-v chains of 4, 20 and 100 spheres: the same pieces certified,
+    # seams checked, records, and manifest pieces and interfaces
+    calls = {"certified_min_scalar": 0, "_jet_gap": 0}
+    for name in calls:
+        def counted(*args, real=getattr(assembly, name), name=name, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+
+        monkeypatch.setattr(assembly, name, counted)
+    rows = []
+    for m, volume in ((4, 30.0), (20, 190.0), (100, 980.0)):
+        calls.update(dict.fromkeys(calls, 0))
+        d = tmp_path / str(m)
+        res = sphere_chain_certificate(volume, 3, certificate_path=d / "c.json",
+                                       profiles_dir=d / "files")
+        assert res.status == "PASS" and res.quantity("sphere_count") == m
+        [chain] = res.assemblies.values()
+        manifest = d / "files" / "assembly.json"
+        doc = json.loads(manifest.read_text())
+        assert len(doc["placements"]) == len(chain.placements) > 49 * m
+        rows.append((*calls.values(), len(chain.pieces), len(doc["pieces"]),
+                     len(doc["interfaces"])))
+    assert rows[0] == rows[1] == rows[2]
+    # a quarter of the 3,109,657 B that format 2 wrote at m = 100
+    assert manifest.stat().st_size <= 3_109_657 / 4
+
+
+PUBLIC_PIPELINES = {
+    "tunnel_certificate": lambda **files: tunnel_certificate(3, **files),
+    "surgery_certificate": lambda **files: surgery_certificate(
+        1, 3, 0.05, **files),
+    "attach_hemisphere": lambda **files: attach_hemisphere(
+        round_sphere_ingredient(3, 0.5), **files),
+    "attach_product_ingredient": lambda **files: attach_product_ingredient(
+        1, 2, **files),
+    "sphere_chain_certificate": lambda **files: sphere_chain_certificate(
+        30.0, 3, **files),
+    "verify_volume_budget": lambda **files: verify_volume_budget(
+        hemisphere_standin(3), 0.05, **files),
+}
+
+
+@pytest.mark.parametrize("build", PUBLIC_PIPELINES.values(),
+                         ids=PUBLIC_PIPELINES.keys())
+def test_profiles_outside_the_root_are_refused_before_any_curve_is_designed(
+        build, tmp_path, monkeypatch):
+    def no_design(params):
+        raise AssertionError("a curve was designed for a refused build")
+
+    monkeypatch.setattr(assembly, "design_bending_curve", no_design)
+    with pytest.raises(ParameterOutOfRange, match="profiles directory"):
+        build(certificate_path=tmp_path / "sub" / "c.json",
+              profiles_dir=tmp_path / "elsewhere")
+    assert list(tmp_path.iterdir()) == []

@@ -26,8 +26,8 @@ _EXPORTS = {
                "round_sphere", "sphere_times_flat", "unit_sphere_volume"),
     "pipelines": ("IngredientMetric", "PipelineResult", "attach_hemisphere",
                   "attach_product_ingredient", "hemisphere_standin",
-                  "product_ingredient", "profile_ingredient",
-                  "round_ball_volume", "round_sphere_ingredient",
+                  "product_ingredient", "round_ball_volume",
+                  "round_sphere_ingredient",
                   "sphere_chain_certificate", "surgery_certificate",
                   "tunnel_certificate", "verify_volume_budget"),
     "profiles": ("DoublyWarpProfile", "WarpProfile"),

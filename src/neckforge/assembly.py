@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .bending import BendingCurve, CurveDesignParams, design_bending_curve
+from .certificate import _incoming
 from .curvature import round_closure_curvature
 from .errors import (CodimensionTooSmall, InfeasibleBudget, InterfaceMismatch,
                      ParameterOutOfRange)
@@ -258,15 +258,6 @@ def _below(path, root: Path, what: str) -> None:
     """The one rule for where a build writes: path must resolve below root."""
     if not Path(path).resolve().is_relative_to(root):
         raise ParameterOutOfRange(f"{what} {path} is not below {root}")
-
-
-def _incoming(directory: Path) -> str:
-    """A new, uniquely named empty file in directory, world-readable as a
-    plain write leaves it; os.replace then moves it over its target."""
-    fd, path = tempfile.mkstemp(dir=directory, prefix=".incoming-")
-    os.fchmod(fd, 0o644)
-    os.close(fd)
-    return path
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,13 +547,13 @@ def _neck(params: CurveDesignParams, end: tuple, floor: float,
 
 
 def _tunnel_side(model: AmbientModel, tube_radius: float, budget: float,
-                 collar_floor: float, cylinder_radius: float, prefix: str,
+                 collar_floor: float, cylinder_radius: float,
                  grid_density: float):
-    """Pieces from the ambient annulus down to the cylinder mouth."""
+    """Pieces a..., ambient annulus down to cylinder mouth, and their stats."""
     params = CurveDesignParams(model=model, tube_radius=tube_radius,
                                budget=budget, grid_density=grid_density)
     curve, pieces = _neck(params, model.fiber(cylinder_radius)[0],
-                          collar_floor, prefix, f"{prefix}collar")
+                          collar_floor, "a", "acollar")
     check = curve.check
     side_stats = {
         "curve_length": curve.length,
@@ -576,19 +567,29 @@ def _tunnel_side(model: AmbientModel, tube_radius: float, budget: float,
     return pieces, side_stats
 
 
+def _join(name: str, side_a, middle, side_b, provenance: dict) -> Assembly:
+    """Side a, the waist cylinder if any, then side b end to start, named
+    b...: the one place a second side goes. Sets volume_total."""
+    side_b = [("b" + label[1:], role, record, True)
+              for label, role, record, _ in reversed(side_b)]
+    assembly = _chain(name, side_a + middle + side_b, provenance)
+    provenance["volume_total"] = assembly.total_volume
+    return assembly
+
+
 def build_tunnel(model: AmbientModel, tube_radius: float, length: float = 0.0,
                  sharpness: float = 100.0, *,
                  grid_density: float = 1.0) -> Assembly:
     """Certified tunnel joining two boundary spheres of the same model.
 
     The chain runs ambient annulus, bent neck pieces, collar, cylinder of
-    the requested length, then the mirror image. Scalar curvature is
-    certified above kappa - 1/sharpness: the bending curve spends at most
-    half of 1/(2*sharpness), collars target kappa - 3/(4*sharpness), and
-    the cylinder radius is capped so its curvature clears the floor too.
-    Both open ends are isometric to ambient annuli of radius
-    [0.99, 1.98] * tube_radius, which is what makes the tunnel gluable
-    into two disjoint balls of radius 2 * tube_radius.
+    the requested length, then the mirror image: the side joined to itself.
+    Scalar curvature is certified above kappa - 1/sharpness: the bending
+    curve spends at most half of 1/(2*sharpness), collars target
+    kappa - 3/(4*sharpness), and the cylinder radius is capped so its
+    curvature clears the floor too. Both open ends are isometric to ambient
+    annuli of radius [0.99, 1.98] * tube_radius, which is what makes the
+    tunnel gluable into two disjoint balls of radius 2 * tube_radius.
     """
     if not sharpness >= 1.0:
         raise ParameterOutOfRange("sharpness must be >= 1")
@@ -600,12 +601,8 @@ def build_tunnel(model: AmbientModel, tube_radius: float, length: float = 0.0,
     collar_floor = kappa - 0.75 / sharpness
     a_cyl = _cylinder_radius(model, tube_radius, floor)
     side, stats = _tunnel_side(model, tube_radius, budget, collar_floor,
-                               a_cyl, "a", grid_density)
+                               a_cyl, grid_density)
     middle = [] if length == 0.0 else [_cylinder_piece(model, a_cyl, length)]
-    # the mirror side places the same records, traversed end to start
-    mirrored = [("b" + label[1:], role, record, True)
-                for label, role, record, _ in reversed(side)]
-    pieces = side + middle + mirrored
     cylinder_volume = middle[0][2].volume if middle else 0.0
     provenance = {
         "builder": "build_tunnel",
@@ -620,8 +617,7 @@ def build_tunnel(model: AmbientModel, tube_radius: float, length: float = 0.0,
         "cylinder_volume": cylinder_volume,
         "side": stats,
     }
-    assembly = _chain("tunnel", pieces, provenance)
-    provenance["volume_total"] = assembly.total_volume
+    assembly = _join("tunnel", side, middle, side, provenance)
     provenance["volume_modified"] = assembly.total_volume - cylinder_volume
     return assembly
 
@@ -636,8 +632,16 @@ def build_tunnel_between(model_a: AmbientModel, model_b: AmbientModel,
     bending budget, so both bent necks stay strictly above the floor, and
     the waist cylinder radius respects both tube scales. The slice and
     base factors of the two models must agree in dimension (and the base
-    factor in radius) for the cylinder to glue to both collars.
+    factor in radius) for the cylinder to glue to both designed sides.
     """
+    return _tunnel_between(model_a, model_b, tube_a, tube_b, floor, length,
+                           grid_density)
+
+
+def _tunnel_between(model_a, model_b, tube_a, tube_b, floor, length,
+                    grid_density, shared=None) -> Assembly:
+    """build_tunnel_between; shared, a build_tunnel tunnel of model_a whose
+    bounds clear floor, lends its side as side a (_chain checks the waist)."""
     if not length >= 0.0:
         raise ParameterOutOfRange("length must be >= 0")
     if (model_a.slice_dim != model_b.slice_dim
@@ -653,15 +657,17 @@ def build_tunnel_between(model_a: AmbientModel, model_b: AmbientModel,
             f"{model_a.scalar_curvature:.6g} and {model_b.scalar_curvature:.6g}")
     a_cyl = min(_cylinder_radius(model_a, tube_a, floor),
                 _cylinder_radius(model_b, tube_b, floor))
-    collar_floor_a = floor + 0.25 * head_a
-    collar_floor_b = floor + 0.25 * head_b
-    side_a, stats_a = _tunnel_side(model_a, tube_a, 0.5 * head_a,
-                                   collar_floor_a, a_cyl, "a", grid_density)
+    if shared is None:
+        side_a, stats_a = _tunnel_side(model_a, tube_a, 0.5 * head_a,
+                                       floor + 0.25 * head_a, a_cyl,
+                                       grid_density)
+    else:
+        side_a = [(p.name, p.role, shared.pieces[p.piece], False)
+                  for p in shared.placements if p.name.startswith("a")]
+        stats_a = shared.provenance["side"]
     side_b, stats_b = _tunnel_side(model_b, tube_b, 0.5 * head_b,
-                                   collar_floor_b, a_cyl, "b", grid_density)
+                                   floor + 0.25 * head_b, a_cyl, grid_density)
     middle = [] if length == 0.0 else [_cylinder_piece(model_a, a_cyl, length)]
-    pieces = side_a + middle + [(label, role, record, True) for
-                                label, role, record, _ in reversed(side_b)]
     provenance = {
         "builder": "build_tunnel_between",
         "model_a": _model_provenance(model_a),
@@ -674,9 +680,7 @@ def build_tunnel_between(model_a: AmbientModel, model_b: AmbientModel,
         "side_a": stats_a,
         "side_b": stats_b,
     }
-    assembly = _chain("tunnel_between", pieces, provenance)
-    provenance["volume_total"] = assembly.total_volume
-    return assembly
+    return _join("tunnel_between", side_a, middle, side_b, provenance)
 
 
 def perform_surgery(base_dim: int, slice_dim: int, tube_radius: float, *,

@@ -576,12 +576,12 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
                 else:
                     lo = mid
             th, r = th_hi, r_hi
-            if s + hi > s:
+            if hi > 8.0 * math.ulp(s):
                 s += hi
                 commit(s, th, r, alloc(th, r))
             else:
-                # the crossing is closer to the last node than s can
-                # resolve: that node becomes the crossing
+                # s + hi rounds by up to half an ulp of s, a large error
+                # relative to a hi of a few ulp: that node is the crossing
                 TH[-1], KK[-1], RR[-1] = th, alloc(th, r), r
             break
         s += ds

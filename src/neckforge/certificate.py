@@ -223,10 +223,22 @@ def make_certificate(kind: str, parameters: dict, quantities: dict, claims,
     return doc
 
 
+def _incoming(directory) -> str:
+    """A new, uniquely named empty file in directory, world-readable as a
+    plain write leaves it; os.replace then moves it over its target."""
+    import tempfile  # writers only: recheck does not load it
+    fd, path = tempfile.mkstemp(dir=directory, prefix=".incoming-")
+    os.fchmod(fd, 0o644)
+    os.close(fd)
+    return path
+
+
 def write_certificate(doc: dict, path) -> str:
-    """Write canonical bytes; returns their sha256 hex digest."""
+    """Write canonical bytes, replacing a link at path; returns sha256."""
     data = certificate_bytes(doc)
-    Path(path).write_bytes(data)
+    incoming = Path(_incoming(Path(path).parent))
+    incoming.write_bytes(data)
+    incoming.replace(path)
     return hashlib.sha256(data).hexdigest()
 
 

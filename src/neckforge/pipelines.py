@@ -26,14 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import (DEFAULT_INTERFACE_TOL, PROFILE_NODES, _below, _chain,
-                       _sampled_piece, build_tunnel, build_tunnel_between,
-                       certified_min_scalar, perform_surgery)
+                       _sampled_piece, _tunnel_between, build_tunnel,
+                       build_tunnel_between, perform_surgery)
 from .bending import START_RADIUS_FACTOR
 from .certificate import (DEFAULT_TOLERANCE, make_certificate,
                           write_certificate)
 from .errors import (FloorCheckFailed, IngredientFloorTooLow,
                      MissingIngredient, ParameterOutOfRange)
-from .measure import profile_volume
 from .models import AmbientModel, round_sphere, unit_sphere_volume
 from .profiles import WarpProfile
 
@@ -41,7 +40,6 @@ __all__ = [
     "IngredientMetric",
     "round_sphere_ingredient",
     "product_ingredient",
-    "profile_ingredient",
     "hemisphere_standin",
     "round_ball_volume",
     "PipelineResult",
@@ -141,10 +139,6 @@ class IngredientMetric:
             p, q = self.detail["factor_dims"]
             r = self.detail["factor_radius"]
             return (p * (p - 1) + q * (q - 1)) / r ** 2
-        if kind == "profile":
-            profile = self.detail["profile"]
-            return certified_min_scalar(
-                profile, pole_scalars=self.detail.get("pole_scalars", ()))
         return None
 
     def summary(self) -> dict:
@@ -191,17 +185,6 @@ def product_ingredient(base_dim: int, slice_dim: int,
         certified_floor=floor, volume=volume, model=None,
         detail={"kind": "product", "factor_dims": (p, q),
                 "factor_radius": r})
-
-
-def profile_ingredient(name: str, profile: WarpProfile,
-                       pole_scalars=()) -> IngredientMetric:
-    """Wrap a warped profile as an ingredient; floor and volume measured."""
-    floor = certified_min_scalar(profile, pole_scalars=tuple(pole_scalars))
-    return IngredientMetric(
-        name=name, dim=sum(profile.component_dims) + 1,
-        certified_floor=floor, volume=profile_volume(profile),
-        detail={"kind": "profile", "profile": profile,
-                "pole_scalars": tuple(pole_scalars)})
 
 
 def hemisphere_standin(dim: int, headroom: float = STANDIN_HEADROOM,
@@ -638,9 +621,9 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
     unit = round_sphere(n, 1.0)
     link = build_tunnel(unit, tube_radius, length=0.0, sharpness=sharpness,
                         grid_density=grid_density)
-    attach = build_tunnel_between(
-        unit, model_b, tube_radius, tube_radius, target - 1.0 / sharpness,
-        length=0.0, grid_density=grid_density)
+    # side a is the link's unit side: same tube, floor and waist radius
+    attach = _tunnel_between(unit, model_b, tube_radius, tube_radius,
+                             target - 1.0 / sharpness, 0.0, grid_density, link)
     mouth = START_RADIUS_FACTOR * tube_radius
 
     spec = [_Body("sphere_01", 1.0, ("pole", target))]
@@ -653,8 +636,8 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
         "attachment_model_b": attach_b,
         "link_tunnel": link.provenance,
         "attach_tunnel": attach.provenance,
-        "link_note": "all inter-sphere tunnels reuse one built profile "
-                     "chain; links differ only by name",
+        "link_note": "links place one built tunnel's records, differing "
+                     "only by name; the attach tunnel's side a is its side",
     }
     assembly = _compose("sphere_chain", spec, provenance, n - 1, mouth)
 

@@ -449,3 +449,14 @@ def test_each_designed_curve_is_verified_once(build, monkeypatch):
     assert build().status == "PASS"
     assert calls["design"] >= 1
     assert calls["gauss"] == calls["design"]
+
+
+def test_a_crossing_a_few_ulp_past_the_last_follow_node_is_that_node():
+    # a box input whose FREEZE_SIN crossing lands a few ulp after the last
+    # follow node: committed as a node of its own, it left min R at -7.27e19
+    # and raised FloorCheckFailed
+    res = tunnel_certificate(dim=3, curvature=6.0,
+                             tube_radius=0.0972469595465823,
+                             length=3.523348271346549,
+                             sharpness=283612.1781630098, grid_density=4.0)
+    assert res.status == "PASS"

@@ -459,3 +459,18 @@ def test_build_refuses_a_piece_store_outside_the_root(tmp_path, capsys):
     # nothing written: the store link is all the profiles directory holds
     assert [p.name for p in (tmp_path / "work").rglob("*")] == [
         "profiles", "pieces"]
+
+
+def test_build_replaces_a_link_planted_at_out_and_never_follows_it(
+        tmp_path):
+    outside = tmp_path / "outside.json"
+    outside.write_bytes(b"not the build's\n")
+    cert = tmp_path / "work" / "c.json"
+    cert.parent.mkdir()
+    cert.symlink_to(os.path.join("..", "outside.json"))
+    assert main(["build-tunnel", "--out", str(cert), "--profiles-dir",
+                 str(tmp_path / "work" / "profiles")]) == 0
+    assert outside.read_bytes() == b"not the build's\n"
+    assert cert.is_file() and not cert.is_symlink()
+    assert not list(cert.parent.glob(".incoming-*"))
+    assert main(["recheck", str(cert)]) == 0

@@ -74,7 +74,7 @@ def test_public_names_are_unchanged_and_resolve():
         "build_tunnel_between", "certificate_bytes", "certified_min_scalar",
         "flat_space", "hemisphere_standin", "load_certificate",
         "make_certificate", "perform_surgery", "product_ingredient",
-        "product_of_rounds", "profile_ingredient", "recheck_certificate",
+        "product_of_rounds", "recheck_certificate",
         "round_ball_volume", "round_sphere", "round_sphere_ingredient",
         "sphere_chain_certificate", "sphere_times_flat",
         "surgery_certificate", "tunnel_certificate", "unit_sphere_volume",

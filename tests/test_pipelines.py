@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neckforge import assembly, pipelines
+from neckforge import assembly
 from neckforge.assembly import (DEFAULT_INTERFACE_TOL, _jet_gap,
                                 build_tunnel_between)
 from neckforge.certificate import (certificate_bytes, recheck_certificate,
@@ -21,8 +21,7 @@ from neckforge.measure import profile_volume
 from neckforge.models import round_sphere, unit_sphere_volume
 from neckforge.pipelines import (attach_hemisphere, attach_product_ingredient,
                                  hemisphere_standin, product_ingredient,
-                                 profile_ingredient, round_ball_volume,
-                                 round_sphere_ingredient,
+                                 round_ball_volume, round_sphere_ingredient,
                                  sphere_chain_certificate, surgery_certificate,
                                  tunnel_certificate, verify_volume_budget)
 from neckforge.profiles import WarpProfile, load_profile_csv, save_profile_csv
@@ -50,19 +49,6 @@ def test_product_ingredient_floor_and_symmetry():
     swapped = product_ingredient(2, 1)
     assert swapped.certified_floor == pytest.approx(ing.certified_floor)
     assert swapped.volume == pytest.approx(ing.volume)
-
-
-def test_profile_ingredient_measures_the_profile():
-    grid = np.linspace(0.0, math.pi, 1201)
-    values = np.sin(grid)
-    values[0] = values[-1] = 0.0
-    prof = WarpProfile(grid=grid, values=values, fiber_dim=2,
-                       closed_start=True, closed_end=True)
-    ing = profile_ingredient("round_by_sampling", prof,
-                             pole_scalars=(6.0, 6.0))
-    assert ing.dim == 3
-    assert abs(ing.certified_floor - ing.recomputed_floor()) < 1e-9
-    assert ing.volume == pytest.approx(unit_sphere_volume(3), rel=1e-8)
 
 
 def test_hemisphere_standin_clears_target_and_flags_boundary():
@@ -247,7 +233,6 @@ def test_sphere_chain_certifies_each_distinct_body_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(assembly, "certified_min_scalar", counted)
-    monkeypatch.setattr(pipelines, "certified_min_scalar", counted)
     counts = []
     for volume, spheres in ((30.0, 4), (190.0, 20)):
         calls.clear()
@@ -467,7 +452,7 @@ def test_pipeline_artifact_tamper_detected(tmp_path):
 
 
 def test_piece_store_is_flat_in_chain_length(tmp_path):
-    # cor-v chains of 4 and 20 spheres store the same 72 piece files
+    # cor-v chains of 4 and 20 spheres store the same 52 piece files
     stores = []
     for volume in (30.0, 190.0):
         d = tmp_path / str(volume)
@@ -477,7 +462,7 @@ def test_piece_store_is_flat_in_chain_length(tmp_path):
         store = d / "files" / "pieces"
         stores.append(sorted(f.name for f in store.iterdir()))
     assert stores[0] == stores[1]
-    assert len(stores[0]) == 72
+    assert len(stores[0]) == 52
 
 
 def test_rebuild_overwrites_a_stale_store_file(tmp_path):
@@ -640,7 +625,7 @@ GOLDEN_ARTIFACT_DIGESTS = [
     pytest.param(
         lambda **files: sphere_chain_certificate(
             1.5 * unit_sphere_volume(3), 3, **files),
-        "45fb612bde3b950404fa2cf59609ea11e8b4cb388c672a2750a6c440110bc73d",
+        "c96f11ad1a9264f0e02ed89c496c4699a304c03910b815a99be35719aeaac3ae",
         id="chain"),
     # round ingredient remnant from its far pole, hemisphere up to its
     # boundary, with a waist cylinder
@@ -724,8 +709,9 @@ def test_reversed_entries_rebuild_their_pieces_exactly(tmp_path, build):
 
 
 def test_a_chain_places_the_records_its_tunnels_certified(monkeypatch):
-    # the attach tunnel keeps its own records where their bytes equal a
-    # link's: they were certified against its own, different budget
+    # the attach tunnel's side a is the links' unit side: each attach_a...
+    # placement names the record of the link01_a... one of its suffix,
+    # and only its hemisphere side b adds records of its own
     tunnels = []
 
     def recorded(*args, real=assembly._chain):
@@ -736,12 +722,39 @@ def test_a_chain_places_the_records_its_tunnels_certified(monkeypatch):
     [chain] = sphere_chain_certificate(30.0, 3).assemblies.values()
     link, attach = tunnels
     assert (link.name, attach.name) == ("tunnel", "tunnel_between")
-    shared = ({r.profile.content_key() for r in link.pieces}
-              & {r.profile.content_key() for r in attach.pieces})
-    assert shared
     placed = {id(r) for r in chain.pieces}
     assert all(id(r) in placed for r in link.pieces + attach.pieces)
-    assert len(chain.pieces) == len(link.pieces) + len(attach.pieces) + 3
+    sides = {prefix: {p.name[len(prefix):]: p.piece for p in chain.placements
+                      if p.name.startswith(prefix + "a")}
+             for prefix in ("link01_", "attach_")}
+    assert sides["attach_"] == sides["link01_"] and sides["link01_"]
+    assert attach.provenance["side_a"] is link.provenance["side"]
+    own = [r for r in attach.pieces if r not in link.pieces]
+    assert len(own) == len(attach.pieces) - len(sides["attach_"])
+    assert len(chain.pieces) == len(link.pieces) + len(own) + 3
+
+
+@pytest.mark.parametrize("build, designs", [
+    (lambda: assembly.build_tunnel(round_sphere(3, 1.0), 0.1), 1),
+    (lambda: assembly.build_tunnel_between(
+        round_sphere(3, 1.0), hemisphere_standin(3).model, 0.1, 0.1, 5.99),
+     2),
+    (lambda: sphere_chain_certificate(30.0, 3), 2),
+    (lambda: sphere_chain_certificate(190.0, 3), 2),
+], ids=["tunnel", "tunnel-between", "chain-4", "chain-20"])
+def test_each_distinct_tunnel_side_is_designed_once(build, designs,
+                                                     monkeypatch):
+    # a mirror joins its one side to itself, and a chain of any length
+    # designs the unit sphere's side once and the hemisphere's once
+    calls = []
+
+    def counted(params, real=assembly.design_bending_curve):
+        calls.append(params)
+        return real(params)
+
+    monkeypatch.setattr(assembly, "design_bending_curve", counted)
+    build()
+    assert len(calls) == designs
 
 
 def test_records_seams_and_manifest_are_flat_in_chain_length(tmp_path,
@@ -769,6 +782,8 @@ def test_records_seams_and_manifest_are_flat_in_chain_length(tmp_path,
         rows.append((*calls.values(), len(chain.pieces), len(doc["pieces"]),
                      len(doc["interfaces"])))
     assert rows[0] == rows[1] == rows[2]
+    # records, manifest pieces and distinct seams
+    assert rows[0][2:] == (52, 52, 76)
     # a quarter of the 3,109,657 B that format 2 wrote at m = 100
     assert manifest.stat().st_size <= 3_109_657 / 4
 

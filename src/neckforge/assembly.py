@@ -339,8 +339,9 @@ class Assembly:
         the piece at a position as load_profile_csv of its pieces entry's
         file, then .reverse() if the placement is reversed. Every file is
         written to a new temporary file, then moved over its name, so a
-        link planted there is replaced, never followed. A store that
-        resolves outside out_dir is refused before any write.
+        link planted there is replaced, never followed, and a failed write
+        or move leaves no temporary file. A store that resolves outside
+        out_dir is refused before any write.
         """
         out = Path(out_dir)
         store = out / STORE_DIR
@@ -352,9 +353,9 @@ class Assembly:
             profile = record.profile
             key = profile.content_key()
             if key not in fingerprints:
-                incoming = _incoming(store)
-                fingerprints[key] = save_profile_csv(profile, incoming)
-                os.replace(incoming, store / f"{fingerprints[key]}.csv")
+                with _incoming(store) as incoming:
+                    fingerprints[key] = save_profile_csv(profile, incoming)
+                    os.replace(incoming, store / f"{fingerprints[key]}.csv")
             fingerprint = fingerprints[key]
             entries.append({
                 "file": f"{STORE_DIR}/{fingerprint}.csv",
@@ -380,9 +381,11 @@ class Assembly:
                        "min_scalar": self.min_scalar,
                        "max_interface_gap": self.max_interface_gap},
         }
-        manifest = Path(_incoming(out))
-        manifest.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        return manifest.replace(out / "assembly.json")
+        with _incoming(out) as manifest:
+            Path(manifest).write_text(
+                json.dumps(doc, sort_keys=True, indent=2) + "\n")
+            os.replace(manifest, out / "assembly.json")
+        return out / "assembly.json"
 
 
 def _jet_gap(left_jets, right_jets) -> float:
@@ -467,9 +470,12 @@ def _neck_segments(curve: BendingCurve):
 
 
 def _curve_pieces(curve: BendingCurve, prefix: str):
-    """The curve's pieces as _chain entries, one per _neck_segments cut."""
+    """The curve's pieces as _chain entries, one per _neck_segments cut;
+    the jets at every cut come from one evaluation of the curve."""
+    segments = _neck_segments(curve)
+    curve._cut_jets([segments[0][1]] + [s1 for _, _, s1 in segments])
     pieces = []
-    for i, (role, s0, s1) in enumerate(_neck_segments(curve)):
+    for i, (role, s0, s1) in enumerate(segments):
         profile = curve.segment_profile(s0, s1, n_nodes=PROFILE_NODES)
         pieces.append((f"{prefix}{i:02d}_{role}", role, AssemblyPiece(
             profile=profile, min_scalar=curve.min_scalar_on(s0, s1),

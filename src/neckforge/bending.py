@@ -34,7 +34,9 @@ crosses FREEZE_SIN (the frozen value is a lower bound for the allocator
 from that point on, so the invariant survives), an analytic taper over
 the last TAPER_ANGLE that lands theta exactly on pi/2 with two flat
 derivatives, and a short exact horizontal margin. All switching windows
-are C^1 in k, so theta is C^2.
+are C^1 in k, so theta is C^2. Each RK4 step's first slope is the
+curvature committed at the node it starts from, so a step evaluates the
+phase's curvature four times: three stages and the new node.
 
 The represented object is the cubic Hermite spline of theta (derivative
 data k); radius and axial position are recovered from it by per-interval
@@ -44,7 +46,8 @@ quadrature reads it on each abscissa's known knot interval.
 BendingCurve._state reads theta, k and r together, on known or searched
 knot intervals: the verification samples, the scalar curvature at
 arbitrary points and the boundary jets of the emitted segments all come
-from it, and radius_at reads r alone the same way.
+from it (every cut of a curve's pieces in one call), and radius_at reads
+r alone the same way.
 Verification evaluates the closed form above and, as an independent
 route, the Gauss equation with the explicit principal curvature
 spectrum and ambient sectional curvature table, on nodes and midpoints,
@@ -353,28 +356,33 @@ class BendingCurve:
     # -- profile emission --------------------------------------------------
 
     def _boundary_jet(self, s: float):
-        """Exact (value, d1, d2) of the link warp sn(r(s)) at a point.
+        """Exact (value, d1, d2) of the link warp sn(r(s)) at a cut point,
+        as _cut_jets stored it; a point not yet stored is evaluated alone.
+        The two segments that meet at a cut share one jet."""
+        if s not in self._jets:
+            self._cut_jets((s,))
+        return self._jets[s]
+
+    def _cut_jets(self, points) -> None:
+        """Store the exact jet of the link warp at every point, from one
+        _state call.
 
         d1 = -sn'(r) cos(theta); d2 = -c sn cos^2(theta) + k sn' sin(theta).
         Values below roundoff scale are snapped to exact zeros so that flat
-        ends glue bitwise. Each point is evaluated once per curve, so the
-        two segments that meet at a cut share one jet.
+        ends glue bitwise.
         """
-        jet = self._jets.get(s)
-        if jet is not None:
-            return jet
-        th, k, r = (float(v) for v in self._state(s))
-        sn = float(self.model.warp(r))
-        dsn = float(self.model.warp_d1(r))
+        th, k, r = self._state(np.array(points, dtype=float))
         c = self.model.slice_curv
-        d1 = -dsn * math.cos(th)
-        d2 = -c * sn * math.cos(th) ** 2 + k * dsn * math.sin(th)
-        if abs(d1) < 1e-13:
-            d1 = 0.0
-        if abs(d2) < 1e-13 * max(1.0, abs(k)):
-            d2 = 0.0
-        jet = self._jets[s] = (sn, d1, d2)
-        return jet
+        for s, th, k, sn, dsn in zip(
+                points, th.tolist(), k.tolist(),
+                self.model.warp(r).tolist(), self.model.warp_d1(r).tolist()):
+            d1 = -dsn * math.cos(th)
+            d2 = -c * sn * math.cos(th) ** 2 + k * dsn * math.sin(th)
+            if abs(d1) < 1e-13:
+                d1 = 0.0
+            if abs(d2) < 1e-13 * max(1.0, abs(k)):
+                d2 = 0.0
+            self._jets[s] = (sn, d1, d2)
 
     def segment_profile(self, s_lo: float, s_hi: float, n_nodes: int = 1024):
         """Resample [s_lo, s_hi] of the swept metric as a profile piece.
@@ -471,7 +479,8 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
         return ((q - 2) * G * G - 2.0 * c) * one_m2 * math.sin(theta) / (2.0 * G)
 
     def alloc(theta: float, r: float) -> float:
-        G = log_slope(r)
+        # log_slope(r), written out: alloc runs four times per RK4 step
+        G = 1.0 / r if c == 0.0 else _rt * math.cos(_rt * r) / math.sin(_rt * r)
         st = math.sin(theta)
         return (b_eff / (2.0 * (q - 1) * st * G)
                 + ((q - 2) * G * G - 2.0 * c) * one_m2 * st / (2.0 * G))
@@ -496,10 +505,11 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
         KK.append(k)
         RR.append(r)
 
-    def rk4(s: float, th: float, r: float, ds: float, kfun):
+    def rk4(s: float, th: float, r: float, ds: float, kfun, a1: float):
+        # a1 = kfun(s, th, r): the curvature committed at the node s
         def f(ss, tt, rr):
             return kfun(ss, tt, rr), -math.cos(tt)
-        a1, b1 = f(s, th, r)
+        b1 = -math.cos(th)
         a2, b2 = f(s + 0.5 * ds, th + 0.5 * ds * a1, r + 0.5 * ds * b1)
         a3, b3 = f(s + 0.5 * ds, th + 0.5 * ds * a2, r + 0.5 * ds * b2)
         a4, b4 = f(s + ds, th + ds * a3, r + ds * b3)
@@ -534,12 +544,12 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
     commit(s, th, r, kfun_fade(s, th, r))
     guard = 0
     while s < s_fade_end - 1e-18 * ell_r:
-        k_now = kfun_fade(s, th, r)
+        k_now = KK[-1]
         # the 0.5 * (s - ell_v) cap ramps steps geometrically through the
         # power-law region just after the jump start
         ds = min(ang / max(k_now, 1e-12), ell_r / (24.0 * dens),
                  0.5 * (s - ell_v), s_fade_end - s)
-        th, r = rk4(s, th, r, ds, kfun_fade)
+        th, r = rk4(s, th, r, ds, kfun_fade, k_now)
         s += ds
         commit(s, th, r, kfun_fade(s, th, r))
         guard += 1
@@ -558,19 +568,19 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
 
     target = FREEZE_SIN
     guard = 0
+    k_now = alloc(th, r)
     while math.sin(th) < target:
         guard += 1
         if guard > 500000:
             raise InfeasibleBudget("follow-phase step limit exceeded")
-        k_now = alloc(th, r)
         ds = min(ang / k_now, r / (8.0 * dens))
-        th2, r2 = rk4(s, th, r, ds, kfun_follow)
+        th2, r2 = rk4(s, th, r, ds, kfun_follow, k_now)
         if math.sin(th2) >= target:
             lo, hi = 0.0, ds
             th_hi, r_hi = th2, r2
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                thm, rm = rk4(s, th, r, mid, kfun_follow)
+                thm, rm = rk4(s, th, r, mid, kfun_follow, k_now)
                 if math.sin(thm) >= target:
                     hi, th_hi, r_hi = mid, thm, rm
                 else:
@@ -586,7 +596,8 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
             break
         s += ds
         th, r = th2, r2
-        commit(s, th, r, alloc(th, r))
+        k_now = alloc(th, r)
+        commit(s, th, r, k_now)
 
     # phase 4: blend the curvature onto its frozen value
     breaks.append(("freeze_blend", s))
@@ -606,10 +617,11 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
         s_blend_end = s_f + ell_b
         guard = 0
         while s < s_blend_end - 1e-18 * ell_b:
-            k_now = kfun_blend(s, th, r)
+            # the committed node; at s_f it holds alloc, kfun_blend there
+            k_now = KK[-1]
             ds = min(ang / max(k_now, 1e-12), ell_b / (16.0 * dens),
                      s_blend_end - s)
-            th, r = rk4(s, th, r, ds, kfun_blend)
+            th, r = rk4(s, th, r, ds, kfun_blend, k_now)
             s += ds
             commit(s, th, r, kfun_blend(s, th, r))
             guard += 1
@@ -637,7 +649,7 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
     n_fr = max(8, int(math.ceil(remaining / ang)))
     ds = remaining / k_freeze / n_fr
     for i in range(n_fr):
-        th, r = rk4(s, th, r, ds, kfun_freeze)
+        th, r = rk4(s, th, r, ds, kfun_freeze, k_freeze)
         s += ds
         if i == n_fr - 1:
             th = theta_taper_at  # theta is exactly linear here; snap drift
@@ -658,7 +670,8 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
     for i in range(1, n_tp + 1):
         u0 = ell_4 * (i - 1) / n_tp
         u1 = ell_4 * i / n_tp
-        th, r = rk4(u0, th, r, u1 - u0, kfun_taper)
+        # the committed node; the first holds k_freeze, kfun_taper at u = 0
+        th, r = rk4(u0, th, r, u1 - u0, kfun_taper, KK[-1])
         s = s_t + u1
         commit(s, th, r, kfun_taper(u1, th, r))
 

@@ -38,6 +38,7 @@ import math
 import numbers
 import os
 import stat
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from pathlib import Path, PurePath
 
@@ -223,22 +224,28 @@ def make_certificate(kind: str, parameters: dict, quantities: dict, claims,
     return doc
 
 
-def _incoming(directory) -> str:
+@contextmanager
+def _incoming(directory):
     """A new, uniquely named empty file in directory, world-readable as a
-    plain write leaves it; os.replace then moves it over its target."""
+    plain write leaves it, for the block to fill and os.replace over its
+    target; it is removed if the block leaves it behind, as a failed
+    write or replace does."""
     import tempfile  # writers only: recheck does not load it
     fd, path = tempfile.mkstemp(dir=directory, prefix=".incoming-")
-    os.fchmod(fd, 0o644)
-    os.close(fd)
-    return path
+    try:
+        os.fchmod(fd, 0o644)
+        os.close(fd)
+        yield path
+    finally:
+        Path(path).unlink(missing_ok=True)
 
 
 def write_certificate(doc: dict, path) -> str:
     """Write canonical bytes, replacing a link at path; returns sha256."""
     data = certificate_bytes(doc)
-    incoming = Path(_incoming(Path(path).parent))
-    incoming.write_bytes(data)
-    incoming.replace(path)
+    with _incoming(Path(path).parent) as incoming:
+        Path(incoming).write_bytes(data)
+        os.replace(incoming, path)
     return hashlib.sha256(data).hexdigest()
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "InterfaceMismatch",
     "SchemaViolation",
     "ParameterOutOfRange",
+    "ArtifactWriteFailed",
 ]
 
 
@@ -81,3 +82,7 @@ class SchemaViolation(NeckforgeError):
 
 class ParameterOutOfRange(NeckforgeError):
     """A numeric parameter violates a documented precondition."""
+
+
+class ArtifactWriteFailed(NeckforgeError):
+    """A certificate or profile file could not be written."""

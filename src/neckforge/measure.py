@@ -4,10 +4,13 @@ Volume integrates the product of warp powers against the unit volumes of
 the sphere factors with GL_POINTS-point Gauss-Legendre panels on the
 spline knots, reading each warp's cubic on the knot interval that every
 abscissa is known to lie in (the profile's warp_rows), with the floats of
-the spline's own evaluation. That is exact when 3 * sum(component_dims)
-< 2 * GL_POINTS and every warp's cubic is >= 0 on every knot interval,
-checked through its four Bernstein coefficients with a rounding margin (a
-declared closed end may touch zero; the profile's cubic_bounds). Such a
+the spline's own evaluation. A constant warp (all samples equal) is a
+factor: its one value, raised to its dimension once, multiplies the
+other warp's rows, the floats that full rows of equal values gave. The
+pass is exact when 3 * sum(component_dims) < 2 * GL_POINTS and every
+warp's cubic is >= 0 on every knot interval, checked through its four
+Bernstein coefficients with a rounding margin (a declared closed end may
+touch zero; the profile's cubic_bounds). Such a
 piece takes one pass on the halved panels, the float the halving check
 returns after its first refinement. Any other piece falls back to the
 halving check to rel_tol 1e-10, so volumes of anything less tame fail
@@ -72,10 +75,11 @@ def _volume_integrand(profile):
     intervals = profile.grid.size - 1
 
     def integrand(s):
+        X = s.reshape(intervals, -1)
         out = factor
-        for v, d in zip(profile.warp_rows(s.reshape(intervals, -1)), dims):
+        for v, d in zip(profile.warp_rows(X), dims):
             out = out * np.abs(v) ** d
-        return out
+        return np.broadcast_to(out, X.shape)
 
     return integrand
 

@@ -31,8 +31,9 @@ from .assembly import (DEFAULT_INTERFACE_TOL, PROFILE_NODES, _below, _chain,
 from .bending import START_RADIUS_FACTOR
 from .certificate import (DEFAULT_TOLERANCE, make_certificate,
                           write_certificate)
-from .errors import (FloorCheckFailed, IngredientFloorTooLow,
-                     MissingIngredient, ParameterOutOfRange)
+from .errors import (ArtifactWriteFailed, FloorCheckFailed,
+                     IngredientFloorTooLow, MissingIngredient,
+                     ParameterOutOfRange)
 from .models import AmbientModel, round_sphere, unit_sphere_volume
 from .profiles import WarpProfile
 
@@ -372,8 +373,12 @@ class PipelineResult:
 def _files(certificate_path, profiles_dir) -> tuple:
     """(certificate, profiles directory, root): the root is the certificate's
     directory, else the profiles one; every public pipeline calls this
-    first, so a refusal costs no construction work."""
+    first, so a refusal costs no construction work. A certificate path
+    that exists must be a regular file or a link to one."""
     cert = None if certificate_path is None else Path(certificate_path)
+    if cert is not None and cert.exists() and not cert.is_file():
+        raise ParameterOutOfRange(
+            f"certificate path {cert} exists and is not a regular file")
     if profiles_dir is None:
         return cert, None, None
     profiles_dir = Path(profiles_dir)
@@ -386,24 +391,30 @@ def _finalize(kind: str, parameters: dict, quantities: dict, claims,
               provenance: dict, assemblies: dict, files: tuple,
               tolerance: float) -> PipelineResult:
     """Save the one assembly below the root _files gave, fingerprint its
-    manifest, emit the certificate; it records n_profile_nodes here."""
+    manifest, emit the certificate; it records n_profile_nodes here. An
+    OSError of any file step is raised as ArtifactWriteFailed."""
     cert, profiles_dir, root = files
     artifacts = {}
-    if profiles_dir is not None:
-        [(label, assembly)] = assemblies.items()
-        manifest = assembly.save_files(
-            profiles_dir, certificate_ref=None if cert is None else cert.name)
-        artifacts[f"{label}_manifest"] = {
-            "file": manifest.resolve().relative_to(root).as_posix(),
-            "sha256": hashlib.sha256(manifest.read_bytes()).hexdigest(),
-        }
-    parameters = {**parameters, "n_profile_nodes": PROFILE_NODES}
-    doc = make_certificate(kind, parameters, quantities, claims,
-                           provenance=provenance, artifacts=artifacts,
-                           tolerance=tolerance)
-    if cert is not None:
-        cert.parent.mkdir(parents=True, exist_ok=True)
-        write_certificate(doc, cert)
+    try:
+        if profiles_dir is not None:
+            [(label, assembly)] = assemblies.items()
+            manifest = assembly.save_files(
+                profiles_dir,
+                certificate_ref=None if cert is None else cert.name)
+            artifacts[f"{label}_manifest"] = {
+                "file": manifest.resolve().relative_to(root).as_posix(),
+                "sha256": hashlib.sha256(manifest.read_bytes()).hexdigest(),
+            }
+        parameters = {**parameters, "n_profile_nodes": PROFILE_NODES}
+        doc = make_certificate(kind, parameters, quantities, claims,
+                               provenance=provenance, artifacts=artifacts,
+                               tolerance=tolerance)
+        if cert is not None:
+            cert.parent.mkdir(parents=True, exist_ok=True)
+            write_certificate(doc, cert)
+    except OSError as exc:
+        raise ArtifactWriteFailed(f"cannot write the build's files: {exc}"
+                                  ) from exc
     return PipelineResult(certificate=doc, assemblies=dict(assemblies),
                           certificate_path=cert)
 

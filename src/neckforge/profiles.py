@@ -18,12 +18,17 @@ derivatives are the spline's) and a reloaded profile reproduces its
 numbers exactly. The splines are built here (CubicSpline) with scipy's
 arithmetic, bit for bit, but without its validation passes, which the
 profile's own grid and warp checks make redundant; samples must therefore
-be finite. Every warp is a numerics.PiecewiseCubic, read through
+be finite. The three diagonals of its slope system go straight to LAPACK's
+dgtsv, the routine scipy's solve_banded((1, 1), ...) calls after its
+checks, so the floats are scipy's; a singular system raises as
+solve_banded does. Every warp is a numerics.PiecewiseCubic, read through
 numerics.cubic_rows with the floats of scipy's PPoly; curvature samples
 sit at nodes and interval midpoints, whose knot intervals are known, so
 they are read without an interval search. A constant warp (the round base
 factor of a surgery neck, a cylinder, the fixed factor of a collar leg or
-cap) gets its spline's coefficients (0, 0, 0, v) without the banded solve.
+cap) gets its spline's coefficients (0, 0, 0, v) without the banded solve,
+and curvature and volume read it as one value, (v, 0, 0), broadcast
+against the other warp instead of evaluated at every point.
 
 Warps must stay positive except at a declared closed end, where exactly one
 warp vanishes with unit slope and the metric closes smoothly over a pole
@@ -42,7 +47,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .curvature import scalar_curvature_doubly_warped, scalar_curvature_warped
 from .errors import (
@@ -137,10 +143,10 @@ def CubicSpline(x: np.ndarray, y: np.ndarray) -> PiecewiseCubic:
     """The not-a-knot cubic spline through (x, y), as a PiecewiseCubic.
 
     The floats of scipy.interpolate.CubicSpline(x, y) (scipy 1.17): its
-    banded system for the knot slopes, the same solve_banded call, and
-    CubicHermiteSpline's coefficient formulas (numerics.hermite_cubic),
-    without CubicSpline's validation passes. x and y are a validated
-    profile grid (uniform, at least 8 nodes) and finite samples on it.
+    banded system for the knot slopes, solved by the dgtsv call that its
+    solve_banded reaches, and CubicHermiteSpline's coefficient formulas
+    (numerics.hermite_cubic), without the validation passes. x and y are
+    a validated profile grid (at least 8 nodes) and finite samples on it.
     """
     dx = np.diff(x)
     slope = np.diff(y) / dx
@@ -159,9 +165,13 @@ def CubicSpline(x: np.ndarray, y: np.ndarray) -> PiecewiseCubic:
     A[1, -1] = dx[-2]
     A[-1, -2] = d
     b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
-                     overwrite_b=True, check_finite=False).reshape(n)
-    return hermite_cubic(x, y, s)
+    # sub-, main and superdiagonal, each overwritten, as solve_banded passes
+    _, _, _, s, info = dgtsv(A[2, :-1], A[1], A[0, 1:], b.reshape(n, 1),
+                             1, 1, 1, 1)
+    if info != 0:
+        raise LinAlgError("singular matrix" if info > 0 else
+                          f"illegal value in argument {-info} of dgtsv")
+    return hermite_cubic(x, y, s.reshape(n))
 
 
 def _warp_spline(grid: np.ndarray, values: np.ndarray) -> PiecewiseCubic:
@@ -242,9 +252,18 @@ class _Profile:
     def component_values(self, s) -> tuple[np.ndarray, ...]:
         return tuple(spline(s) for spline in self._splines)
 
+    @cached_property
+    def _constants(self) -> tuple:
+        """Each warp's value as a 1-element array if its samples are all
+        equal (so is its spline, with zero derivatives), else None."""
+        return tuple(values[:1] if np.all(values == values[0]) else None
+                     for values, _, _, _ in self.warps)
+
     def warp_rows(self, X) -> list[np.ndarray]:
-        """Each warp at the rows of X, row r in knot interval r."""
-        return [cubic_rows(sp.c, sp.x, X) for sp in self._splines]
+        """Each warp at the rows of X, row r in knot interval r; a constant
+        warp is its 1-element value, which broadcasts against X."""
+        return [cubic_rows(sp.c, sp.x, X) if v is None else v
+                for sp, v in zip(self._splines, self._constants)]
 
     @property
     def warp_splines(self) -> tuple:
@@ -266,9 +285,18 @@ class _Profile:
             flat, knot_intervals(self.grid, flat)).reshape(s.shape)
 
     def _curvature_at(self, s, idx):
-        """R at the points s (1d) in knot intervals idx."""
-        jets = [cubic_rows(sp.c, sp.x, s, idx, nu) for sp in self._splines
-                for nu in (0, 1, 2)]
+        """R at the points s (1d) in knot intervals idx, shaped as s.
+
+        A constant warp enters as its 1-element value and zero
+        derivatives, broadcast against the other warp's rows; when every
+        warp is constant, the first value is broadcast to s."""
+        zero = np.zeros(1)
+        jets = []
+        for sp, v in zip(self._splines, self._constants):
+            jets += ([cubic_rows(sp.c, sp.x, s, idx, nu) for nu in (0, 1, 2)]
+                     if v is None else [v, zero, zero])
+        if all(v is not None for v in self._constants):
+            jets[0] = np.broadcast_to(jets[0], s.shape)
         formula = (scalar_curvature_warped if len(self._splines) == 1
                    else scalar_curvature_doubly_warped)
         return formula(*jets, *self.component_dims)

@@ -358,6 +358,62 @@ def test_one_jet_per_cut(monkeypatch):
     assert calls[0] == len(segments) + 1
 
 
+@pytest.mark.parametrize("build", [
+    lambda: tunnel_certificate(3, sharpness=1e4),
+    lambda: surgery_certificate(1, 3, 0.1),
+], ids=["tunnel", "surgery"])
+def test_one_state_call_evaluates_every_cut_jet(monkeypatch, build):
+    curves = []
+    design = assembly.design_bending_curve
+    monkeypatch.setattr(assembly, "design_bending_curve",
+                        lambda params: curves.append(design(params))
+                        or curves[-1])
+    sizes = {}
+    original = BendingCurve._state
+
+    def recording(self, s, idx=None):
+        sizes.setdefault(id(self), []).append(np.size(s))
+        return original(self, s, idx)
+
+    monkeypatch.setattr(BendingCurve, "_state", recording)
+    build()
+    assert curves
+    for curve in curves:
+        # the verification grid, then every cut of the pieces at once
+        cuts = len(_neck_segments(curve)) + 1
+        assert sizes[id(curve)] == [2 * curve.s_nodes.size - 1, cuts]
+        assert len(curve._jets) == cuts
+
+
+@pytest.mark.parametrize("model", [round_sphere(3, 1.0),
+                                   product_of_rounds(1, 1.0, 3, 1.0)],
+                         ids=["tunnel", "surgery"])
+def test_rk4_evaluates_the_curvature_four_times_per_step(monkeypatch, model):
+    # kfun_fade reads smoothstep7 once per evaluation, kfun_blend and
+    # kfun_taper smoothstep5: per step, three RK4 stages and the committed
+    # node; the first stage reuses the node the step starts from
+    calls = {"smoothstep5": 0, "smoothstep7": 0}
+    for name in calls:
+        def counting(x, window=getattr(bending, name), name=name):
+            calls[name] += 1
+            return window(x)
+        monkeypatch.setattr(bending, name, counting)
+    curve = design_bending_curve(
+        CurveDesignParams(model=model, tube_radius=0.1, budget=0.05))
+    s = curve.s_nodes
+    at = dict(curve.phase_breaks)
+    steps = lambda lo, hi: int(np.sum((s > at[lo]) & (s <= at[hi])))
+    # fade nodes turn theta from 0; the first is the jump start, not an
+    # RK4 step
+    fade = int(np.sum((curve.theta_nodes > 0.0) & (s <= at["follow"]))) - 1
+    blend = steps("freeze_blend", "freeze")
+    taper = steps("taper", "horizontal")
+    assert fade > 0 and blend > 0 and taper > 0
+    # plus the fade's jump start node
+    assert calls["smoothstep7"] == 1 + 4 * fade
+    assert calls["smoothstep5"] == 4 * (blend + taper)
+
+
 def test_segment_profile_curvature_tracks_curve(tunnel_curve):
     # one dyadic octave of radius resamples faithfully at 2048 nodes;
     # spanning many octaves in one piece does not, which is why necks are

@@ -1,5 +1,6 @@
 """The command line surface: subcommands, config file, exit codes."""
 
+import errno
 import json
 import os
 import shutil
@@ -474,3 +475,47 @@ def test_build_replaces_a_link_planted_at_out_and_never_follows_it(
     assert cert.is_file() and not cert.is_symlink()
     assert not list(cert.parent.glob(".incoming-*"))
     assert main(["recheck", str(cert)]) == 0
+
+
+def _no_space(src, dst):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(dst))
+
+
+# name: (what lies in the way under tmp_path, whether a profiles directory
+# is written, whether the build is refused before any curve is designed)
+HOSTILE_OUTPUTS = {
+    "out a directory": (lambda w: (w / "c.json").mkdir(), True, True),
+    "out a FIFO": (lambda w: os.mkfifo(w / "c.json"), True, True),
+    "profiles-dir a file": (
+        lambda w: (w / "profiles").write_text(""), True, False),
+    "pieces a file": (lambda w: ((w / "profiles").mkdir(),
+                                 (w / "profiles" / "pieces").write_text("")),
+                      True, False),
+    "manifest a directory": (
+        lambda w: (w / "profiles" / "assembly.json").mkdir(parents=True),
+        True, False),
+    "disk full at a piece": (None, True, False),
+    "disk full at the certificate": (None, False, False),
+}
+
+
+@pytest.mark.parametrize("state", HOSTILE_OUTPUTS)
+def test_a_failed_write_exits_two_and_leaves_nothing_behind(
+        tmp_path, monkeypatch, capsys, state):
+    prepare, with_profiles, early = HOSTILE_OUTPUTS[state]
+    if prepare is None:
+        monkeypatch.setattr(os, "replace", _no_space)
+    else:
+        prepare(tmp_path)
+    if early:
+        def no_design(params):
+            raise AssertionError("a curve was designed for a refused build")
+        monkeypatch.setattr(assembly, "design_bending_curve", no_design)
+    argv = ["build-tunnel", "--out", str(tmp_path / "c.json")]
+    if with_profiles:
+        argv += ["--profiles-dir", str(tmp_path / "profiles")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob(".incoming-*"))

@@ -13,7 +13,8 @@ from neckforge.measure import (
     profile_volume,
 )
 from neckforge.models import unit_sphere_volume
-from neckforge.numerics import bernstein, gauss_legendre_panels
+from neckforge.numerics import (GL_POINTS, bernstein, cubic_rows,
+                                gauss_legendre_panels)
 from neckforge.pipelines import (
     attach_hemisphere,
     attach_product_ingredient,
@@ -123,6 +124,59 @@ def test_exact_path_equals_the_halving_loop(build):
     for prof in _distinct_profiles(build()):
         assert profile_volume(prof) == adaptive_panel_integral(
             _volume_integrand(prof), prof.grid)
+
+
+def reference_volume(profile) -> float:
+    """profile_volume with every warp, constant ones included, read by
+    cubic_rows at every abscissa of the halved panels (or of each halving),
+    as the integrand read them before constant warps became factors."""
+    dims = profile.component_dims
+    factor = 1.0
+    for d in dims:
+        factor *= unit_sphere_volume(d)
+    intervals = profile.grid.size - 1
+
+    def integrand(s):
+        out = factor
+        for sp, d in zip(profile._splines, dims):
+            out = out * np.abs(cubic_rows(
+                sp.c, sp.x, s.reshape(intervals, -1))) ** d
+        return out
+
+    if 3 * sum(dims) < 2 * GL_POINTS and all(
+            nonnegative for nonnegative, _ in profile.cubic_bounds):
+        return gauss_legendre_panels(integrand, measure._halved(profile.grid))
+    return adaptive_panel_integral(integrand, profile.grid)
+
+
+VOLUME_BUILDS = {
+    "tunnel": lambda: tunnel_certificate(3, sharpness=1e4),
+    "surgery": lambda: surgery_certificate(1, 3, 0.1),
+    "cor-t": lambda: attach_product_ingredient(1, 2),
+    "cor-v": lambda: sphere_chain_certificate(1.5 * 2 * np.pi**2, 3),
+    "main-b-budget": lambda: verify_volume_budget(hemisphere_standin(3),
+                                                  0.05, dim=3),
+}
+
+
+@pytest.mark.parametrize("build", VOLUME_BUILDS.values(),
+                         ids=VOLUME_BUILDS.keys())
+def test_constant_warps_leave_every_volume_bit(build):
+    profs = _distinct_profiles(build())
+    assert any(v is not None for prof in profs for v in prof._constants)
+    for prof in profs:
+        assert profile_volume(prof).hex() == reference_volume(prof).hex()
+
+
+def test_a_cylinder_volume_is_its_reference():
+    # every warp constant, one and two of them
+    grid = np.linspace(0.0, 3.0, 128)
+    for prof in (WarpProfile(grid=grid, values=np.full(128, 0.5),
+                             fiber_dim=2),
+                 DoublyWarpProfile(grid=grid, values_a=np.full(128, 1.25),
+                                   values_b=np.full(128, 0.5), dim_a=1,
+                                   dim_b=2)):
+        assert profile_volume(prof).hex() == reference_volume(prof).hex()
 
 
 def test_one_quadrature_pass_per_tunnel_volume(passes):

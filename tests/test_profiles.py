@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 import neckforge.pipelines as pipelines
 from neckforge import profiles
+from neckforge.curvature import (scalar_curvature_doubly_warped,
+                                 scalar_curvature_warped)
 from neckforge.errors import (
     DegenerateGrid,
     NonPositiveWarp,
@@ -13,7 +16,8 @@ from neckforge.errors import (
     SchemaViolation,
 )
 from neckforge.measure import _halved
-from neckforge.numerics import PiecewiseCubic, gauss_legendre_rule
+from neckforge.numerics import (PiecewiseCubic, cubic_rows,
+                                gauss_legendre_rule, knot_intervals)
 from neckforge.pipelines import surgery_certificate, tunnel_certificate
 from neckforge.profiles import (
     DoublyWarpProfile,
@@ -449,6 +453,32 @@ def test_builder_coefficients_are_scipys(n, warp):
                      CubicSpline(grid, values).c)
 
 
+@pytest.mark.parametrize("name", ["body_remnant", "homotopy_0"])
+def test_builder_coefficients_are_scipys_for_a_remnant_and_a_collar_leg(
+        name):
+    # the 2048-node remnant of a surgery, closed at its start, and the
+    # first collar leg of its neck: built pieces, each with a constant warp
+    surgery = surgery_certificate(1, 3, 0.1).assemblies["surgery"]
+    prof = surgery.piece(name).profile
+    assert name != "body_remnant" or prof.grid.size == 2048
+    for (warp, _, _), values in zip(prof.warp_splines, warp_samples(prof)):
+        assert same_bits(warp.c, CubicSpline(prof.grid, values).c)
+        if not np.all(values == values[0]):
+            assert same_bits(profiles.CubicSpline(prof.grid, values).c,
+                             CubicSpline(prof.grid, values).c)
+
+
+def test_builder_raises_on_a_singular_band_as_solve_banded_does():
+    # knots all equal: every diagonal is zero, so dgtsv reports info > 0
+    x = np.zeros(8)
+    with np.errstate(all="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            profiles.CubicSpline(x, np.arange(8.0))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solve_banded((1, 1), np.zeros((3, 8)), np.ones(8),
+                         check_finite=False)
+
+
 def warp_samples(profile) -> tuple:
     if isinstance(profile, WarpProfile):
         return (profile.values,)
@@ -461,6 +491,8 @@ BUILDS = {
     "cor-t": lambda: pipelines.attach_product_ingredient(1, 2),
     "cor-v": lambda: pipelines.sphere_chain_certificate(
         1.5 * 2 * np.pi**2, 3),
+    "main-b-budget": lambda: pipelines.verify_volume_budget(
+        pipelines.hemisphere_standin(3), 0.05, dim=3),
 }
 
 
@@ -474,3 +506,63 @@ def test_every_piece_warp_has_scipys_coefficients(build):
             for (warp, _, _), values in zip(prof.warp_splines,
                                             warp_samples(prof)):
                 assert same_bits(warp.c, CubicSpline(prof.grid, values).c)
+
+
+# -- constant warps are one value ----------------------------------------------
+
+def reference_curvature(prof, s, idx):
+    """R with every warp, constant ones included, read by cubic_rows at
+    every point, as _curvature_at read them before constant warps became
+    one value."""
+    jets = [cubic_rows(sp.c, sp.x, s, idx, nu) for sp in prof._splines
+            for nu in (0, 1, 2)]
+    formula = (scalar_curvature_warped if len(jets) == 3
+               else scalar_curvature_doubly_warped)
+    return formula(*jets, *prof.component_dims)
+
+
+def distinct_profiles(result) -> list:
+    found = {}
+    for assembly in result.assemblies.values():
+        for piece in assembly.pieces:
+            found[id(piece.profile)] = piece.profile
+    return list(found.values())
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+def test_constant_warps_leave_every_curvature_bit(build):
+    profs = distinct_profiles(build())
+    assert any(v is not None for prof in profs for v in prof._constants)
+    for prof in profs:
+        s, R = prof.curvature_samples()
+        points, idx = profiles._curvature_sample_points(prof.grid,
+                                                        *prof.closed_ends)
+        assert same_bits(s, points)
+        assert same_bits(R, reference_curvature(prof, points, idx))
+
+
+CYLINDERS = {
+    "one warp": lambda grid: WarpProfile(
+        grid=grid, values=np.full(grid.size, 0.5), fiber_dim=2),
+    "two warps": lambda grid: DoublyWarpProfile(
+        grid=grid, values_a=np.full(grid.size, 1.25),
+        values_b=np.full(grid.size, 0.5), dim_a=2, dim_b=2),
+}
+
+
+@pytest.mark.parametrize("make", CYLINDERS.values(), ids=CYLINDERS.keys())
+def test_a_cylinder_keeps_the_sample_shape(make):
+    # every warp constant: R is still one value per sample point
+    prof = make(np.linspace(0.0, 3.0, 128))
+    s, R = prof.curvature_samples()
+    assert R.shape == s.shape == (255,)
+    points, idx = profiles._curvature_sample_points(prof.grid, False, False)
+    assert same_bits(R, reference_curvature(prof, points, idx))
+    grid2d = np.linspace(-0.5, 3.5, 12).reshape(3, 4)
+    R2 = prof.scalar_curvature(grid2d)
+    assert R2.shape == (3, 4)
+    flat = grid2d.ravel()
+    assert same_bits(R2.ravel(), reference_curvature(
+        prof, flat, knot_intervals(prof.grid, flat)))
+    # 2 / 0.25 = 8 per sphere of radius 1/2; 2 / 1.5625 = 1.28 for 1.25
+    assert np.allclose(R, 8.0 if len(prof.warps) == 1 else 9.28, rtol=1e-15)

@@ -1,19 +1,21 @@
-"""Headline constructions and their machine-checkable certificates.
+"""Six constructions and their machine-checkable certificates.
 
-Each pipeline assembles profile pieces into one glued chain, measures
-curvature, volume and diameter with the library's certified routines,
-and emits a certificate whose claims a reader can recheck from the
-stored numbers alone.  Trusted inputs, meaning ingredient metrics whose
-geometry is not profile-backed, are marked external-trusted in the
-provenance instead of being silently assumed.
+Each construction is a spec plus its own claims.  A spec lists round
+bodies and tunnels in chain order with the ingredients its end bodies
+stand for; _glue builds it into one assembly and measures the standard
+quantities (the tunnel and surgery certificates measure their assembly
+as built), and _claims states the standard claims in one order: the
+scalar floor, the diameter or length target when there is one,
+interfaces_glued, and volume_additivity when bodies are present.  Each
+builder then adds its own parameters, quantities and claims.
 
-Ingredient slots follow one convention.  A round ingredient carries its
-exact ambient model and its remnant enters the assembly as a real
-profile piece; anything else is summarized by its certified floor and
-volume, the tunnel attaches to a round local stand-in of matching
+Ingredient slots follow one convention (_end).  A round ingredient
+carries its exact ambient model and its remnant enters the assembly as a
+real profile piece; anything else is summarized by its certified floor
+and volume, the tunnel attaches to a round local stand-in of matching
 curvature, and the certificate records attachment_model =
-"round-standin" so the substitution is visible.  Every pipeline builds
-its hemisphere slot through one hemisphere end, _hemisphere_end.
+"round-standin" so the substitution is visible.  Trusted inputs are
+marked external-trusted in the provenance, never silently assumed.
 """
 
 from __future__ import annotations
@@ -214,31 +216,35 @@ def hemisphere_standin(dim: int, headroom: float = STANDIN_HEADROOM,
         name=f"hemisphere_standin_{n}d", dim=n,
         certified_floor=curv, volume=volume, trust=trust, model=model,
         boundary_totally_geodesic=True,
-        detail={"kind": "round", "half": True,
-                "do_not_glue": "boundary annulus"})
+        detail={"kind": "round", "half": True})
 
 
 # ------------------------------------------------------------- chain parts
 
 @dataclass(frozen=True)
 class _Body:
-    """A round body of a glued chain: an arc of the sphere of radius rho.
+    """A round body of a glued chain: an arc of the sphere of radius rho,
+    whole the volume of that sphere (half of it for a hemisphere).
 
     An end body also names its far end: ("pole", pole scalar) closes it
     at the pole opposite its glue site, ("boundary", jet) stops it at the
-    equator on a hemisphere's boundary jet.
+    equator on a hemisphere's boundary jet.  A body may stand for an
+    ingredient; one not placed summarizes it (see _end).
     """
 
     name: str
     rho: float
+    whole: float
     far: tuple = (None, None)
+    ingredient: IngredientMetric | None = None
+    placed: bool = True
 
 
-def _compose(name: str, spec, provenance: dict, fiber_dim: int,
-             mouth: float):
-    """Glue round bodies and tunnels, listed in chain order, into one chain.
+def _glue(name: str, spec, provenance: dict, n: int, mouth: float):
+    """Build a spec into one chain; returns it with its standard quantities
+    and each body's closed-form volume, by name.
 
-    spec mixes _Body entries with (prefix, tunnel) pairs; a tunnel's
+    A spec lists round bodies and tunnels in chain order: it mixes _Body entries with (prefix, tunnel) pairs; a tunnel's
     placements are named prefix_<name> unless prefix is None.  The
     tunnels of one chain share one tube radius, so each tunnel mouth lies
     at the distance mouth from its glue site.  A body is the arc at
@@ -249,9 +255,18 @@ def _compose(name: str, spec, provenance: dict, fiber_dim: int,
     so glued interfaces close with gap exactly zero.  A tunnel places its
     own records; a body equal to an earlier one, byte for byte and in its
     pole scalars, is placed as that body's record under its own name.
+
+    A body's closed form is whole less one ball of radius mouth per
+    tunnel beside it.  Every ingredient's floor bounds global_min_scalar,
+    and volume_total adds to the placed pieces, per ingredient, its
+    volume less what its body accounts for: whole if placed, else the
+    closed form.  volume_accounting_gap sums quadrature less closed form
+    over the placed bodies.
     """
     entries = []
-    bodies = {}
+    records = {}
+    balls = {}
+    closed = {}
     for i, item in enumerate(spec):
         if not isinstance(item, _Body):
             prefix, tunnel = item
@@ -261,6 +276,12 @@ def _compose(name: str, spec, provenance: dict, fiber_dim: int,
             continue
         left = spec[i - 1][1] if i > 0 else None
         right = spec[i + 1][1] if i + 1 < len(spec) else None
+        if item.rho not in balls:
+            balls[item.rho] = round_ball_volume(n, item.rho, mouth)
+        mouths = (left is not None) + (right is not None)
+        closed[item.name] = item.whole - mouths * balls[item.rho]
+        if not item.placed:
+            continue
         kind, end = item.far
         rho = item.rho
         far = math.pi * rho if kind == "pole" else 0.5 * math.pi * rho
@@ -281,7 +302,7 @@ def _compose(name: str, spec, provenance: dict, fiber_dim: int,
             values[-1] = 0.0
         profile = WarpProfile(
             grid=np.linspace(0.0, abs(u_stop - u_start), PROFILE_NODES),
-            values=values, fiber_dim=fiber_dim,
+            values=values, fiber_dim=n - 1,
             closed_start=closed_start, closed_end=closed_end,
             jet_start=(boundary if left is None
                        else left.boundary_jets(-1, "end")[0]),
@@ -289,61 +310,88 @@ def _compose(name: str, spec, provenance: dict, fiber_dim: int,
                      else right.boundary_jets(0, "start")[0]))
         poles = (end,) if kind == "pole" else ()
         key = (profile.content_key(), poles)
-        if key not in bodies:
-            bodies[key] = _sampled_piece(profile, pole_scalars=poles)
-        entries.append((item.name, "remnant", bodies[key], False))
-    return _chain(name, entries, provenance)
+        if key not in records:
+            records[key] = _sampled_piece(profile, pole_scalars=poles)
+        entries.append((item.name, "remnant", records[key], False))
+    assembly = _chain(name, entries, provenance)
+    bodies = [b for b in spec
+              if isinstance(b, _Body) and b.ingredient is not None]
+    quantities = _measure(assembly, [b.ingredient.certified_floor
+                                     for b in bodies])
+    for b in bodies:
+        quantities["volume_total"] += (b.ingredient.volume - b.whole
+                                       if b.placed else closed[b.name])
+    quantities["volume_accounting_gap"] = abs(sum(
+        assembly.pieces[p.piece].volume - closed[p.name]
+        for p in assembly.placements if p.name in closed))
+    return assembly, quantities, closed
 
 
-def _require_floor(what: str, ingredient: IngredientMetric,
-                   target: float) -> None:
-    if not ingredient.certified_floor > target:
-        raise IngredientFloorTooLow(
-            f"{what} floor {ingredient.certified_floor:.9g} must exceed "
-            f"{target:.9g} strictly; equality leaves no bending budget")
+def _measure(assembly, floors=(), diameter: bool = True) -> dict:
+    """The standard quantities of an assembly as built: global_min_scalar
+    over its records and floors, max_interface_gap, volume_total and,
+    unless diameter is False, the diameter bounds."""
+    quantities = {
+        "global_min_scalar": min([assembly.min_scalar, *floors]),
+        "max_interface_gap": assembly.max_interface_gap,
+        "volume_total": assembly.total_volume,
+    }
+    if diameter:
+        (quantities["diameter_lower"],
+         quantities["diameter_upper"]) = assembly.diameter_bounds()
+    return quantities
 
 
-def _attachment_model(
-        ingredient: IngredientMetric) -> tuple[AmbientModel, str]:
-    """Ambient model the tunnel mouth lives in, plus how it was chosen.
+def _claims(quantities: dict, floor: str, name: str = "scalar_floor") -> list:
+    """The standard claims in their one order: global_min_scalar above the
+    quantity floor, the diameter or length target if quantities hold one,
+    interfaces_glued, and volume_additivity if they hold its gap."""
+    claims = [(name, "global_min_scalar", ">", floor)]
+    claims += [(f"{kind}_reached", "diameter_lower", ">=", f"{kind}_target")
+               for kind in ("diameter", "length")
+               if f"{kind}_target" in quantities]
+    claims.append(("interfaces_glued", "max_interface_gap", "<=",
+                   DEFAULT_INTERFACE_TOL))
+    if "volume_accounting_gap" in quantities:
+        claims.append(("volume_additivity", "volume_accounting_gap", "<=",
+                       1e-6))
+    return claims
 
-    Round ingredients attach in their own exact model.  Anything else is
-    represented near the gluing ball by the round sphere of matching
-    scalar curvature; only the declared floor and volume of the original
-    are used beyond that neighborhood.
+
+def _end(ingredient: IngredientMetric, slot: str, n: int):
+    """The ingredient in slot "ingredient" or "hemisphere" of a chain of
+    dimension n, floor above n(n-1): the model its tunnel mouth lives in,
+    how that was chosen, and its end body.
+
+    A round ingredient attaches in its own exact model and its remnant,
+    from the far pole, is placed.  Anything else attaches in the round
+    sphere of its floor's curvature ("round-standin") and is summarized:
+    its body, whole its declared volume, is not placed.  A hemisphere
+    body is placed whatever its ingredient, stops on the totally geodesic
+    boundary jet (rho, 0, -1/rho), and has whole omega_n rho^n / 2.
     """
-    if ingredient.model is not None:
-        tag = "round-standin" if ingredient.detail.get("half") else "exact-round"
-        return ingredient.model, tag
-    n = ingredient.dim
-    model = AmbientModel(0, n, 1.0, ingredient.certified_floor / (n * (n - 1)))
-    return model, "round-standin"
-
-
-def _hemisphere_end(hemisphere: IngredientMetric, n: int, target: float):
-    """A hemisphere of dimension n with floor above target, as a chain end.
-
-    Returns its attachment model and tag, its remnant body, which stops
-    on the totally geodesic boundary jet (rho, 0, -1/rho), and the round
-    hemisphere volume omega_n rho^n / 2, with rho = slice_curv ** -0.5.
-    """
-    if hemisphere.dim != n:
+    if ingredient.dim != n:
         raise ParameterOutOfRange(
-            f"hemisphere dimension {hemisphere.dim} != chain dimension {n}")
-    _require_floor("hemisphere", hemisphere, target)
-    model, tag = _attachment_model(hemisphere)
+            f"{slot} dimension {ingredient.dim} != chain dimension {n}")
+    if not ingredient.certified_floor > n * (n - 1):
+        raise IngredientFloorTooLow(
+            f"{slot} floor {ingredient.certified_floor:.9g} must exceed "
+            f"{float(n * (n - 1)):.9g} strictly; equality leaves no bending "
+            "budget")
+    model = ingredient.model
+    if model is None:
+        model = AmbientModel(0, n, 1.0,
+                             ingredient.certified_floor / (n * (n - 1)))
+    exact = ingredient.model is not None and not ingredient.detail.get("half")
     rho = model.slice_curv ** -0.5
-    body = _Body("hemisphere_remnant", rho,
-                 ("boundary", (rho, 0.0, -1.0 / rho)))
-    return model, tag, body, 0.5 * unit_sphere_volume(n) * rho ** n
-
-
-def _boundary_deviation(profile: WarpProfile, jet) -> float:
-    # spline-sampled jet at the open end against the declared one
-    s = float(profile.grid[-1])
-    return max(abs(float(profile.value(s)) - jet[0]),
-               abs(float(profile.derivative(s)) - jet[1]),
-               abs(float(profile.derivative(s, 2)) - jet[2]))
+    if slot == "hemisphere":
+        body = _Body(f"{slot}_remnant", rho,
+                     0.5 * unit_sphere_volume(n) * rho ** n,
+                     ("boundary", (rho, 0.0, -1.0 / rho)), ingredient)
+    else:
+        body = _Body(f"{slot}_remnant", rho, ingredient.volume,
+                     ("pole", model.scalar_curvature), ingredient, exact)
+    return model, "exact-round" if exact else "round-standin", body
 
 
 # ---------------------------------------------------------------- results
@@ -421,40 +469,29 @@ def _finalize(kind: str, parameters: dict, quantities: dict, claims,
 
 # ---------------------------------------------------------------- gluings
 
-def _attachment(name: str, ingredient: IngredientMetric,
+def _attachment(kind: str, ingredient: IngredientMetric,
                 hemisphere: IngredientMetric | None, diameter_target: float,
-                sharpness: float, tube_radius: float, grid_density: float):
-    """Parameters, quantities, claims, provenance and assemblies of one
-    hemisphere attachment, before finalizing; see attach_hemisphere."""
+                sharpness: float, tube_radius: float, grid_density: float,
+                files: tuple, tolerance: float, parameters=(), quantities=(),
+                claims=(), provenance=()) -> PipelineResult:
+    """One hemisphere attachment, see attach_hemisphere; the last four
+    arguments are the caller's own entries, added to the attachment's."""
     n = ingredient.dim
     target = float(n * (n - 1))
     if hemisphere is None:
         hemisphere = hemisphere_standin(n)
     if not diameter_target >= 0.0:
         raise ParameterOutOfRange("diameter target must be nonnegative")
-    _require_floor("ingredient", ingredient, target)
-    model_b, attach_b, hemi_body, hemi_model_volume = _hemisphere_end(
-        hemisphere, n, target)
-    model_a, attach_a = _attachment_model(ingredient)
+    model_a, attach_a, ingredient_body = _end(ingredient, "ingredient", n)
+    model_b, attach_b, hemi_body = _end(hemisphere, "hemisphere", n)
     floor = max(target, min(model_a.scalar_curvature,
                             model_b.scalar_curvature) - 1.0 / sharpness)
     tunnel = build_tunnel_between(
         model_a, model_b, tube_radius, tube_radius, floor,
         length=diameter_target, grid_density=grid_density)
     mouth = START_RADIUS_FACTOR * tube_radius
-    rho_a = model_a.slice_curv ** -0.5
-    ball_a = round_ball_volume(n, rho_a, mouth)
-    ball_b = round_ball_volume(n, hemi_body.rho, mouth)
-    boundary_jet = hemi_body.far[1]
-
-    spec = [(None, tunnel), hemi_body]
-    exact_a = attach_a == "exact-round"
-    if exact_a:
-        # the unglued rest of the round ingredient, pole to seam
-        spec.insert(0, _Body("ingredient_remnant", rho_a,
-                             ("pole", model_a.scalar_curvature)))
     provenance = {
-        "pipeline": name,
+        "pipeline": kind,
         "ingredient": ingredient.summary(),
         "hemisphere": hemisphere.summary(),
         "attachment_model_a": attach_a,
@@ -463,50 +500,34 @@ def _attachment(name: str, ingredient: IngredientMetric,
         "boundary_policy": "glued at an interior pole only; the totally "
                            "geodesic boundary annulus is never modified",
         "tunnel": tunnel.provenance,
+        **dict(provenance),
     }
-    assembly = _compose(name, spec, provenance, n - 1, mouth)
-    hemi_arc = assembly.placed[-1].profile
-
-    # dual route over the profile-backed pieces only: quadrature on one
-    # side, closed-form sphere arithmetic on the other
-    route_closed = tunnel.total_volume + (hemi_model_volume - ball_b)
-    if exact_a:
-        route_closed += ingredient.volume - ball_a
-    volume_total = assembly.total_volume
-    if not exact_a:
-        volume_total += ingredient.volume - ball_a
-    volume_total += hemisphere.volume - hemi_model_volume
-    diameter_lower, diameter_upper = assembly.diameter_bounds()
-    global_min = min(assembly.min_scalar, ingredient.certified_floor,
-                     hemisphere.certified_floor)
-
+    chain, standard, _ = _glue(kind, [ingredient_body, (None, tunnel),
+                                      hemi_body], provenance, n, mouth)
+    hemi_arc = chain.placed[-1].profile
+    boundary_jet = hemi_body.far[1]
+    s = float(hemi_arc.grid[-1])  # the open end, sampled from its spline
     quantities = {
         "curvature_target": target,
         "ingredient_floor": ingredient.certified_floor,
         "hemisphere_floor": hemisphere.certified_floor,
         "tunnel_floor": floor,
-        "global_min_scalar": global_min,
         "diameter_target": float(diameter_target),
-        "diameter_lower": diameter_lower,
-        "diameter_upper": diameter_upper,
-        "volume_total": volume_total,
-        "volume_accounting_gap": abs(assembly.total_volume - route_closed),
-        "max_interface_gap": assembly.max_interface_gap,
+        **standard,
         "boundary_jet_gap": max(
             abs(a - b) for a, b in
             zip(hemi_arc.boundary_jets("end")[0], boundary_jet)),
-        "boundary_profile_deviation": _boundary_deviation(hemi_arc,
-                                                          boundary_jet),
+        "boundary_profile_deviation": max(
+            abs(float(hemi_arc.derivative(s, k)) - boundary_jet[k])
+            for k in range(3)),
+        **dict(quantities),
     }
-    claims = [
+    claims = _claims(quantities, "curvature_target") + [
         ("ingredient_floor_strict", "ingredient_floor", ">", "curvature_target"),
         ("hemisphere_floor_strict", "hemisphere_floor", ">", "curvature_target"),
-        ("scalar_floor", "global_min_scalar", ">", "curvature_target"),
-        ("diameter_reached", "diameter_lower", ">=", "diameter_target"),
-        ("interfaces_glued", "max_interface_gap", "<=", DEFAULT_INTERFACE_TOL),
         ("boundary_unchanged", "boundary_jet_gap", "<=", 1e-8),
         ("boundary_profile_consistent", "boundary_profile_deviation", "<=", 1e-4),
-        ("volume_additivity", "volume_accounting_gap", "<=", 1e-6),
+        *claims,
     ]
     parameters = {
         "dim": n,
@@ -516,8 +537,10 @@ def _attachment(name: str, ingredient: IngredientMetric,
         "sharpness": float(sharpness),
         "tube_radius": float(tube_radius),
         "grid_density": float(grid_density),
+        **dict(parameters),
     }
-    return parameters, quantities, claims, provenance, {"chain": assembly}
+    return _finalize(kind, parameters, quantities, claims, provenance,
+                     {"chain": chain}, files, tolerance)
 
 
 def attach_hemisphere(ingredient: IngredientMetric,
@@ -541,11 +564,9 @@ def attach_hemisphere(ingredient: IngredientMetric,
     certificate checks the built profile actually ends on it.
     """
     files = _files(certificate_path, profiles_dir)
-    return _finalize("hemisphere_attachment",
-                     *_attachment("hemisphere_attachment", ingredient,
-                                  hemisphere, diameter_target, sharpness,
-                                  tube_radius, grid_density),
-                     files, tolerance)
+    return _attachment("hemisphere_attachment", ingredient, hemisphere,
+                       diameter_target, sharpness, tube_radius, grid_density,
+                       files, tolerance)
 
 
 def attach_product_ingredient(base_dim: int, slice_dim: int, *,
@@ -584,18 +605,16 @@ def attach_product_ingredient(base_dim: int, slice_dim: int, *,
     note = ("certified object is the round product of the two sphere "
             "factors; a connected-sum reading of the same factors is a "
             "different space and is not certified here")
-    parameters, quantities, claims, provenance, assemblies = _attachment(
+    return _attachment(
         "product_attachment", ingredient, hemisphere, diameter_target,
-        sharpness, tube_radius, grid_density)
-    parameters.update(factor_dims=[p, q], rescalings=swept)
-    quantities.update(product_floor_recomputed=ingredient.recomputed_floor(),
-                      factor_radius=ingredient.detail["factor_radius"])
-    claims.append(("product_floor_strict", "product_floor_recomputed",
-                   ">", "curvature_target"))
-    provenance.update(construction_note=note,
-                      factor_radius_swept=bool(swept))
-    return _finalize("product_attachment", parameters, quantities, claims,
-                     provenance, assemblies, files, tolerance)
+        sharpness, tube_radius, grid_density, files, tolerance,
+        parameters={"factor_dims": [p, q], "rescalings": swept},
+        quantities={"product_floor_recomputed": ingredient.recomputed_floor(),
+                    "factor_radius": ingredient.detail["factor_radius"]},
+        claims=[("product_floor_strict", "product_floor_recomputed", ">",
+                 "curvature_target")],
+        provenance={"construction_note": note,
+                    "factor_radius_swept": bool(swept)})
 
 
 def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
@@ -626,8 +645,7 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
     m = 2 * (int(volume_target / omega) + 1)
     if hemisphere is None:
         hemisphere = hemisphere_standin(n)
-    model_b, attach_b, hemi_body, hemi_model_volume = _hemisphere_end(
-        hemisphere, n, target)
+    model_b, attach_b, hemi_body = _end(hemisphere, "hemisphere", n)
 
     unit = round_sphere(n, 1.0)
     link = build_tunnel(unit, tube_radius, length=0.0, sharpness=sharpness,
@@ -635,11 +653,10 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
     # side a is the link's unit side: same tube, floor and waist radius
     attach = _tunnel_between(unit, model_b, tube_radius, tube_radius,
                              target - 1.0 / sharpness, 0.0, grid_density, link)
-    mouth = START_RADIUS_FACTOR * tube_radius
-
-    spec = [_Body("sphere_01", 1.0, ("pole", target))]
+    spec = [_Body("sphere_01", 1.0, omega, ("pole", target))]
     for i in range(1, m):
-        spec += [(f"link{i:02d}", link), _Body(f"sphere_{i + 1:02d}", 1.0)]
+        spec += [(f"link{i:02d}", link), _Body(f"sphere_{i + 1:02d}", 1.0,
+                                                 omega)]
     spec += [("attach", attach), hemi_body]
     provenance = {
         "pipeline": "sphere_chain",
@@ -650,42 +667,20 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
         "link_note": "links place one built tunnel's records, differing "
                      "only by name; the attach tunnel's side a is its side",
     }
-    assembly = _compose("sphere_chain", spec, provenance, n - 1, mouth)
-
-    cap = round_ball_volume(n, 1.0, mouth)
-    cap_b = round_ball_volume(n, hemi_body.rho, mouth)
-    # caps of radius mouth removed: one from each end sphere, two from each
-    # of the m-2 middles, so 2(m-1) in total, plus one more from the last
-    # sphere and cap_b from the hemisphere for the attachment tunnel
-    route_closed = (m * omega - 2.0 * (m - 1) * cap - cap - cap_b
-                    + (m - 1) * link.total_volume + attach.total_volume
-                    + hemi_model_volume)
-    diameter_lower, diameter_upper = assembly.diameter_bounds()
-    floor_composed = target - m / sharpness
-    global_min = min(assembly.min_scalar, hemisphere.certified_floor)
-    volume_total = (assembly.total_volume
-                    + hemisphere.volume - hemi_model_volume)
-
+    chain, standard, _ = _glue("sphere_chain", spec, provenance, n,
+                               START_RADIUS_FACTOR * tube_radius)
     quantities = {
         "curvature_target": target,
         "volume_target": float(volume_target),
         "unit_sphere_volume": omega,
         "sphere_count": m,
         "hemisphere_floor": hemisphere.certified_floor,
-        "floor_composed": floor_composed,
-        "global_min_scalar": global_min,
-        "volume_total": volume_total,
-        "volume_accounting_gap": abs(assembly.total_volume - route_closed),
-        "diameter_lower": diameter_lower,
-        "diameter_upper": diameter_upper,
-        "max_interface_gap": assembly.max_interface_gap,
+        "floor_composed": target - m / sharpness,
+        **standard,
     }
-    claims = [
+    claims = _claims(quantities, "floor_composed", "scalar_floor_composed") + [
         ("volume_target_met", "volume_total", ">=", "volume_target"),
-        ("scalar_floor_composed", "global_min_scalar", ">", "floor_composed"),
         ("hemisphere_floor_strict", "hemisphere_floor", ">", "curvature_target"),
-        ("interfaces_glued", "max_interface_gap", "<=", DEFAULT_INTERFACE_TOL),
-        ("volume_additivity", "volume_accounting_gap", "<=", 1e-6),
     ]
     parameters = {
         "dim": n,
@@ -696,7 +691,7 @@ def sphere_chain_certificate(volume_target: float, dim: int = 3, *,
         "grid_density": float(grid_density),
     }
     return _finalize("sphere_chain", parameters, quantities, claims,
-                     provenance, {"chain": assembly}, files, tolerance)
+                     provenance, {"chain": chain}, files, tolerance)
 
 
 def verify_volume_budget(hemisphere: IngredientMetric | None,
@@ -736,8 +731,7 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
             "sphere cannot keep its curvature above the target")
     if not diameter_target >= 0.0:
         raise ParameterOutOfRange("diameter target must be nonnegative")
-    model_a, attach_a, hemi_body, hemi_model_volume = _hemisphere_end(
-        hemisphere, n, target)
+    model_a, attach_a, hemi_body = _end(hemisphere, "hemisphere", n)
     delta = 0.8 * eps if ball_radius is None else float(ball_radius)
     if not 0.0 < delta < eps:
         raise ParameterOutOfRange(
@@ -753,11 +747,8 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
         model_a, eta_model, tube, tube, floor, length=diameter_target,
         grid_density=grid_density)
     mouth = START_RADIUS_FACTOR * tube
-    ball_a = round_ball_volume(n, hemi_body.rho, mouth)
-    cap_eta = round_ball_volume(n, eta, mouth)
-
     spec = [hemi_body, (None, tunnel),
-            _Body("small_sphere_remnant", eta,
+            _Body("small_sphere_remnant", eta, omega * eta ** n,
                   ("pole", eta_model.scalar_curvature))]
     provenance = {
         "pipeline": "volume_budget",
@@ -768,17 +759,20 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
         "small_sphere_radius": eta,
         "tunnel": tunnel.provenance,
     }
-    assembly = _compose("volume_budget", spec, provenance, n - 1, mouth)
-    hemi_piece, eta_piece = assembly.placed[0], assembly.placed[-1]
+    chain, standard, closed = _glue("volume_budget", spec, provenance, n,
+                                    mouth)
+    hemi_piece, eta_piece = chain.placed[0], chain.placed[-1]
 
     pack = omega * eps ** n
     vol_reference = 0.5 * omega
+    ball_a = round_ball_volume(n, hemi_body.rho, mouth)
     vol_remnant = hemisphere.volume - ball_a
     vol_tunnel = tunnel.total_volume
-    vol_eta = omega * eta ** n - cap_eta
+    vol_eta = closed["small_sphere_remnant"]
+    # the budget's own total: its remnants in closed form, the hemisphere
+    # at its declared volume, each checked against quadrature in link 4
     volume_total = vol_remnant + vol_tunnel + vol_eta
-    hemi_model_closed = hemi_model_volume - ball_a
-    additivity_gap = (abs(hemi_piece.volume - hemi_model_closed)
+    additivity_gap = (abs(hemi_piece.volume - closed[hemi_body.name])
                       + abs(eta_piece.volume - vol_eta))
     # a-priori, eps-free: lateral tube area times stretched length, plus
     # the small-sphere block at the largest admitted scale
@@ -786,10 +780,8 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
                        * (diameter_target + 1.0)
                        + (10.0 ** n + 2.0) * omega * 0.08)
     bound_final = vol_reference + budget_constant * eps ** (n - 1)
-    diameter_lower, diameter_upper = assembly.diameter_bounds()
-    global_min = min(assembly.min_scalar, hemisphere.certified_floor)
-
     quantities = {
+        **standard,
         "curvature_target": target,
         "excess_scale": eps,
         "ball_radius": delta,
@@ -811,13 +803,10 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
         "achieved_excess_constant": (volume_total - vol_reference)
                                     / eps ** (n - 1),
         "additivity_gap": additivity_gap,
-        "global_min_scalar": global_min,
         "diameter_target": float(diameter_target),
-        "diameter_lower": diameter_lower,
-        "diameter_upper": diameter_upper,
-        "max_interface_gap": assembly.max_interface_gap,
     }
-    claims = [
+    del quantities["volume_accounting_gap"]  # link 4 checks each body
+    claims = _claims(quantities, "curvature_target") + [
         ("hypothesis_volume", "hypothesis_gap", "<", "hypothesis_allowance"),
         ("hypothesis_floor", "ingredient_floor", ">", "curvature_target"),
         ("link1_reference_vs_removal", "vol_reference", "<=", "bound_removal"),
@@ -825,9 +814,6 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
         ("link3_tunnel_vs_total", "bound_tunnel", "<=", "volume_total"),
         ("link4_additivity", "additivity_gap", "<=", 1e-6),
         ("link5_total_vs_budget", "volume_total", "<=", "bound_final"),
-        ("scalar_floor", "global_min_scalar", ">", "curvature_target"),
-        ("diameter_reached", "diameter_lower", ">=", "diameter_target"),
-        ("interfaces_glued", "max_interface_gap", "<=", DEFAULT_INTERFACE_TOL),
     ]
     parameters = {
         "dim": n,
@@ -838,7 +824,7 @@ def verify_volume_budget(hemisphere: IngredientMetric | None,
         "grid_density": float(grid_density),
     }
     return _finalize("volume_budget", parameters, quantities, claims,
-                     provenance, {"chain": assembly}, files, tolerance)
+                     provenance, {"chain": chain}, files, tolerance)
 
 
 # ----------------------------------------------------- plain certificates
@@ -867,24 +853,14 @@ def tunnel_certificate(dim: int = 3, curvature: float = 6.0,
     model = AmbientModel(0, n, 1.0, curvature / (n * (n - 1)))
     tunnel = build_tunnel(model, tube_radius, length=length,
                           sharpness=sharpness, grid_density=grid_density)
-    diameter_lower, diameter_upper = tunnel.diameter_bounds()
     norm = tube_radius ** n + length * tube_radius ** (n - 1)
     quantities = {
         "curvature": float(curvature),
         "floor": tunnel.provenance["floor"],
-        "global_min_scalar": tunnel.min_scalar,
         "length_target": float(length),
-        "diameter_lower": diameter_lower,
-        "diameter_upper": diameter_upper,
-        "volume_total": tunnel.total_volume,
+        **_measure(tunnel),
         "achieved_volume_constant": tunnel.total_volume / norm,
-        "max_interface_gap": tunnel.max_interface_gap,
     }
-    claims = [
-        ("scalar_floor", "global_min_scalar", ">", "floor"),
-        ("length_reached", "diameter_lower", ">=", "length_target"),
-        ("interfaces_glued", "max_interface_gap", "<=", DEFAULT_INTERFACE_TOL),
-    ]
     parameters = {
         "dim": n,
         "curvature": float(curvature),
@@ -894,7 +870,8 @@ def tunnel_certificate(dim: int = 3, curvature: float = 6.0,
         "grid_density": float(grid_density),
     }
     provenance = {"pipeline": "tunnel", "tunnel": tunnel.provenance}
-    return _finalize("tunnel", parameters, quantities, claims, provenance,
+    return _finalize("tunnel", parameters, quantities,
+                     _claims(quantities, "floor"), provenance,
                      {"tunnel": tunnel}, files, tolerance)
 
 
@@ -922,18 +899,14 @@ def surgery_certificate(base_dim: int, slice_dim: int, tube_radius: float, *,
     quantities = {
         "ambient_curvature": kappa,
         "floor": surgery.provenance["floor"],
-        "global_min_scalar": surgery.min_scalar,
+        **_measure(surgery, diameter=False),
         "volume_reference": reference,
-        "volume_total": surgery.total_volume,
         "volume_lower_band": (1.0 - delta) * reference,
         "volume_upper_band": (1.0 + delta) * reference,
-        "max_interface_gap": surgery.max_interface_gap,
     }
-    claims = [
-        ("scalar_floor", "global_min_scalar", ">", "floor"),
+    claims = _claims(quantities, "floor") + [
         ("volume_above_band", "volume_total", ">=", "volume_lower_band"),
         ("volume_below_band", "volume_total", "<=", "volume_upper_band"),
-        ("interfaces_glued", "max_interface_gap", "<=", DEFAULT_INTERFACE_TOL),
     ]
     parameters = {
         "base_dim": int(base_dim),

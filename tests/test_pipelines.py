@@ -12,6 +12,7 @@ import pytest
 from neckforge import assembly
 from neckforge.assembly import (DEFAULT_INTERFACE_TOL, _jet_gap,
                                 build_tunnel_between)
+from neckforge.bending import START_RADIUS_FACTOR
 from neckforge.certificate import (certificate_bytes, recheck_certificate,
                                    write_certificate)
 from neckforge.errors import (FloorCheckFailed, IngredientFloorTooLow,
@@ -19,8 +20,8 @@ from neckforge.errors import (FloorCheckFailed, IngredientFloorTooLow,
                               SchemaViolation)
 from neckforge.measure import profile_volume
 from neckforge.models import round_sphere, unit_sphere_volume
-from neckforge.pipelines import (attach_hemisphere, attach_product_ingredient,
-                                 hemisphere_standin, product_ingredient,
+from neckforge.pipelines import (IngredientMetric, attach_hemisphere,
+                                 attach_product_ingredient, hemisphere_standin, product_ingredient,
                                  round_ball_volume, round_sphere_ingredient,
                                  sphere_chain_certificate, surgery_certificate,
                                  tunnel_certificate, verify_volume_budget)
@@ -55,7 +56,7 @@ def test_hemisphere_standin_clears_target_and_flags_boundary():
     hemi = hemisphere_standin(3)
     assert hemi.certified_floor > 6.0
     assert hemi.boundary_totally_geodesic
-    assert hemi.detail["do_not_glue"] == "boundary annulus"
+    assert hemi.detail == {"kind": "round", "half": True}
     declared = hemisphere_standin(3, declared_volume=0.5 * unit_sphere_volume(3))
     assert declared.trust == "external-trusted"
     assert declared.volume == pytest.approx(unit_sphere_volume(3) / 2)
@@ -324,6 +325,85 @@ def test_surgery_certificate_bands():
         res.quantity("ambient_curvature") - 0.05
 
 
+# ------------------------------------------------- standard quantities
+
+def loose_hemisphere(n=3):
+    """A hemisphere that declares a floor below its model's curvature, so
+    that its floor, not any record, is the construction's minimum."""
+    return IngredientMetric(
+        name="loose_hemisphere", dim=n, certified_floor=1.0002 * n * (n - 1),
+        volume=0.5 * unit_sphere_volume(n), trust="external-trusted",
+        model=hemisphere_standin(n, headroom=0.1).model,
+        boundary_totally_geodesic=True, detail={"kind": "round", "half": True})
+
+
+def hemisphere_body(hemisphere):
+    # (radius, closed-form volume of the whole model piece, mouths)
+    rho = hemisphere.model.slice_curv ** -0.5
+    return {"hemisphere_remnant": (rho, 0.5 * unit_sphere_volume(3) * rho ** 3,
+                                   1)}
+
+
+def attachment_case():
+    ingredient, hemisphere = round_sphere_ingredient(3, 0.5), loose_hemisphere()
+    res = attach_hemisphere(ingredient, hemisphere, diameter_target=2.0)
+    bodies = {"ingredient_remnant": (0.5, unit_sphere_volume(3) * 0.125, 1),
+              **hemisphere_body(hemisphere)}
+    return res, [ingredient, hemisphere], bodies, 0.1
+
+
+def chain_case():
+    hemisphere = loose_hemisphere()
+    res = sphere_chain_certificate(30.0, 3, hemisphere=hemisphere)
+    bodies = {f"sphere_{i:02d}": (1.0, unit_sphere_volume(3), 1 if i == 1 else 2)
+              for i in range(1, 5)}
+    return res, [hemisphere], {**bodies, **hemisphere_body(hemisphere)}, 0.1
+
+
+STANDARD_CASES = {
+    "attachment": attachment_case,
+    "product": lambda: (
+        attach_product_ingredient(1, 2, hemisphere=loose_hemisphere()),
+        [product_ingredient(1, 2), loose_hemisphere()], {}, None),
+    "chain": chain_case,
+    "budget": lambda: (verify_volume_budget(loose_hemisphere(), 0.05),
+                       [loose_hemisphere()], {}, None),
+    "tunnel": lambda: (tunnel_certificate(3), [], {}, None),
+    "surgery": lambda: (surgery_certificate(1, 3, 0.05), [], {}, None),
+}
+
+
+@pytest.mark.parametrize("case", STANDARD_CASES.values(),
+                         ids=STANDARD_CASES.keys())
+def test_standard_quantities_follow_from_the_assembly_and_its_ingredients(
+        case):
+    # recomputed from the records, the placements and the inputs: a build
+    # that drops an ingredient floor or a body from its totals fails here
+    res, ingredients, bodies, tube_radius = case()
+    [chain] = res.assemblies.values()
+
+    def rounded(x):
+        return float(format(x, ".12e"))
+
+    floors = [r.min_scalar for r in chain.pieces]
+    floors += [i.certified_floor for i in ingredients]
+    assert res.quantity("global_min_scalar") == rounded(min(floors))
+    assert res.quantity("max_interface_gap") == rounded(
+        max(i.mismatch for i in chain.interfaces))
+    if "diameter_lower" in res.certificate["quantities"]:  # not a surgery's
+        assert res.quantity("diameter_lower") == rounded(
+            sum(p.profile.length for p in chain.placed))
+    if not bodies:
+        return
+    # quadrature against each body's sphere volume less its mouth balls
+    mouth = START_RADIUS_FACTOR * tube_radius
+    route = sum(chain.piece(name).volume
+                - (whole - mouths * round_ball_volume(3, rho, mouth))
+                for name, (rho, whole, mouths) in bodies.items())
+    assert abs(res.quantity("volume_accounting_gap") - abs(route)) <= \
+        1e-12 * res.quantity("volume_total")
+
+
 def spline_jets(chain, position, end):
     """The jets at one end of the piece at a chain position, evaluated
     from its profile's splines in the placement's direction instead of
@@ -585,9 +665,9 @@ GOLDEN_CERTIFICATE_DIGESTS = [
                                 length=0.0),
      "cb086f14a183bd877707dc656eb086162e59f06a8469f887ba83e4e0613d59af"),
     (lambda: surgery_certificate(1, 3, 0.05),
-     "4e3975f1b7a2252fb564df1eb36b854503dcfa570d3ea1f750e1de29e590aff3"),
+     "aeead5bac687afff32f054b338de6db7f989b42dcb553449e6083adb3f9091d2"),
     (lambda: surgery_certificate(2, 4, 0.05),
-     "0e821d3d72e74d836b5e2188c2c608d4c1864ba8b8269dc929a00910efdd44ab"),
+     "fedc0e33460fe6269f6bbe216248a7d8d4b87e282236304865b8ab8b0a5d1a4f"),
 ]
 
 
@@ -619,26 +699,26 @@ GOLDEN_ARTIFACT_DIGESTS = [
         id="tunnel"),
     pytest.param(
         lambda **files: surgery_certificate(1, 3, 0.05, **files),
-        "65ec6a0d4068ef231b9c64fd32cbb5f85e1a018a1a6ed3d5549a545b91fdaeb4",
+        "b364dd9d8d389930b5cda5556ee581b5b40e8cde79e47a7c823c5e55cfa200d4",
         id="surgery"),
     # four spheres: three links written from one repeated profile chain
     pytest.param(
         lambda **files: sphere_chain_certificate(
             1.5 * unit_sphere_volume(3), 3, **files),
-        "c96f11ad1a9264f0e02ed89c496c4699a304c03910b815a99be35719aeaac3ae",
+        "f6978c0558421602742a7787495ac12ab7e9c335cf80631c6d0fc63d763d0ae2",
         id="chain"),
     # round ingredient remnant from its far pole, hemisphere up to its
     # boundary, with a waist cylinder
     pytest.param(
         lambda **files: attach_hemisphere(round_sphere_ingredient(3, 0.5),
                                           diameter_target=10.0, **files),
-        "540f19da2dafe9867695781e69915190adf00b75bda0cccc983545e636710be7",
+        "cc80a67d8522c2d53addccca808fb806170ac89c308ec34a49045752425a5e2b",
         id="hemisphere"),
     # stand-in attachment: no ingredient remnant, product entries added
     pytest.param(
         lambda **files: attach_product_ingredient(1, 2, factor_radius=10.0,
                                                   **files),
-        "1b56096c1f150abab59b540d3e6c16592e696a03da5ef98e114ed5ac2fef1fd6",
+        "feacd5c4eabc09a8860bd8ec4bf6ab72f5ff3916b8094c136e7e971421922eba",
         id="product"),
     # hemisphere from its boundary down to the tunnel, small sphere out
     # to its far pole
@@ -646,7 +726,7 @@ GOLDEN_ARTIFACT_DIGESTS = [
         lambda **files: verify_volume_budget(
             hemisphere_standin(3, declared_volume=0.5 * unit_sphere_volume(3)),
             0.05, **files),
-        "a254825dae6cf5496b4a51a1f8d81584ac2950435b723799dc152fe903749cb1",
+        "2defb217998d030fab88e612fa3104eea343ee13d6fdeff0db9c0bc7e001bcc3",
         id="budget"),
 ]
 

@@ -4,10 +4,13 @@ Volume integrates the product of warp powers against the unit volumes of
 the sphere factors with GL_POINTS-point Gauss-Legendre panels on the
 spline knots, reading each warp's cubic on the knot interval that every
 abscissa is known to lie in (the profile's warp_rows), with the floats of
-the spline's own evaluation. A constant warp (all samples equal) is a
-factor: its one value, raised to its dimension once, multiplies the
-other warp's rows, the floats that full rows of equal values gave. The
-pass is exact when 3 * sum(component_dims) < 2 * GL_POINTS and every
+the spline's own evaluation. A warp's power |v|^d is the product of d
+factors |v|, taken left to right, not numpy's power loop, whose last
+bit for d >= 3 depends on the SIMD code it dispatches to. A constant
+warp (all samples equal) is a factor: its one value, raised to its
+dimension once, multiplies the other warp's rows, the floats that full
+rows of equal values gave. The pass is exact when
+3 * sum(component_dims) < 2 * GL_POINTS and every
 warp's cubic is >= 0 on every knot interval, checked through its four
 Bernstein coefficients with a rounding margin (a declared closed end may
 touch zero; the profile's cubic_bounds). Such a
@@ -24,6 +27,8 @@ Both are statements about the represented chain: its spline warps.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -78,7 +83,7 @@ def _volume_integrand(profile):
         X = s.reshape(intervals, -1)
         out = factor
         for v, d in zip(profile.warp_rows(X), dims):
-            out = out * np.abs(v) ** d
+            out = out * reduce(np.multiply, [np.abs(v)] * d)
         return np.broadcast_to(out, X.shape)
 
     return integrand

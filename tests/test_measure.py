@@ -1,5 +1,7 @@
 """Volume and diameter measurement against closed forms."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -139,8 +141,8 @@ def reference_volume(profile) -> float:
     def integrand(s):
         out = factor
         for sp, d in zip(profile._splines, dims):
-            out = out * np.abs(cubic_rows(
-                sp.c, sp.x, s.reshape(intervals, -1))) ** d
+            out = out * reduce(np.multiply, [np.abs(cubic_rows(
+                sp.c, sp.x, s.reshape(intervals, -1)))] * d)
         return out
 
     if 3 * sum(dims) < 2 * GL_POINTS and all(
@@ -222,7 +224,7 @@ def searched_volume(prof):
     def integrand(s):
         out = factor
         for v, d in zip(prof.component_values(s), dims):
-            out = out * np.abs(v) ** d
+            out = out * reduce(np.multiply, [np.abs(v)] * d)
         return out
 
     return adaptive_panel_integral(integrand, prof.grid)

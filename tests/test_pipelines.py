@@ -701,6 +701,12 @@ GOLDEN_ARTIFACT_DIGESTS = [
         lambda **files: surgery_certificate(1, 3, 0.05, **files),
         "b364dd9d8d389930b5cda5556ee581b5b40e8cde79e47a7c823c5e55cfa200d4",
         id="surgery"),
+    # warps of sphere dimension 2 and 3: the piece volumes raise a warp to
+    # the power 3, which must not depend on numpy's SIMD dispatch
+    pytest.param(
+        lambda **files: surgery_certificate(2, 4, 0.05, **files),
+        "01c6afa0c060755fc0a1e0696cec504797a695a96eb35b837df3bc73be87fc57",
+        id="surgery-2-4"),
     # four spheres: three links written from one repeated profile chain
     pytest.param(
         lambda **files: sphere_chain_certificate(

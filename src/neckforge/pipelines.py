@@ -244,11 +244,12 @@ def _glue(name: str, spec, provenance: dict, n: int, mouth: float):
     """Build a spec into one chain; returns it with its standard quantities
     and each body's closed-form volume, by name.
 
-    A spec lists round bodies and tunnels in chain order: it mixes _Body entries with (prefix, tunnel) pairs; a tunnel's
-    placements are named prefix_<name> unless prefix is None.  The
-    tunnels of one chain share one tube radius, so each tunnel mouth lies
-    at the distance mouth from its glue site.  A body is the arc at
-    distance u from a pole of its sphere: from mouth to pi*rho - mouth, or
+    A spec lists round bodies and tunnels in chain order, _Body entries
+    and (prefix, tunnel) pairs; a tunnel's placements are named
+    prefix_<name> unless prefix is None.  The tunnels of one chain share
+    one tube radius, so each tunnel mouth lies at the distance mouth from
+    its glue site.  A body is the arc at distance u from a pole of its
+    sphere: from mouth to pi*rho - mouth, or
     out to its far end (pi*rho at a pole, pi*rho/2 at a boundary) when no
     tunnel follows; a first body runs from its far end down to mouth.
     Seam jets are copied verbatim from the neighbouring tunnel pieces,

@@ -21,8 +21,9 @@ from neckforge.errors import (FloorCheckFailed, IngredientFloorTooLow,
 from neckforge.measure import profile_volume
 from neckforge.models import round_sphere, unit_sphere_volume
 from neckforge.pipelines import (IngredientMetric, attach_hemisphere,
-                                 attach_product_ingredient, hemisphere_standin, product_ingredient,
-                                 round_ball_volume, round_sphere_ingredient,
+                                 attach_product_ingredient, hemisphere_standin,
+                                 product_ingredient, round_ball_volume,
+                                 round_sphere_ingredient,
                                  sphere_chain_certificate, surgery_certificate,
                                  tunnel_certificate, verify_volume_budget)
 from neckforge.profiles import WarpProfile, load_profile_csv, save_profile_csv

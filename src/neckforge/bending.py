@@ -506,13 +506,15 @@ def design_bending_curve(params: CurveDesignParams) -> BendingCurve:
         RR.append(r)
 
     def rk4(s: float, th: float, r: float, ds: float, kfun, a1: float):
-        # a1 = kfun(s, th, r): the curvature committed at the node s
-        def f(ss, tt, rr):
-            return kfun(ss, tt, rr), -math.cos(tt)
+        # a1 = kfun(s, th, r): the curvature committed at the node s; each
+        # later stage is (kfun, -cos) at its own (s, theta, r), written out
         b1 = -math.cos(th)
-        a2, b2 = f(s + 0.5 * ds, th + 0.5 * ds * a1, r + 0.5 * ds * b1)
-        a3, b3 = f(s + 0.5 * ds, th + 0.5 * ds * a2, r + 0.5 * ds * b2)
-        a4, b4 = f(s + ds, th + ds * a3, r + ds * b3)
+        t2 = th + 0.5 * ds * a1
+        a2, b2 = kfun(s + 0.5 * ds, t2, r + 0.5 * ds * b1), -math.cos(t2)
+        t3 = th + 0.5 * ds * a2
+        a3, b3 = kfun(s + 0.5 * ds, t3, r + 0.5 * ds * b2), -math.cos(t3)
+        t4 = th + ds * a3
+        a4, b4 = kfun(s + ds, t4, r + ds * b3), -math.cos(t4)
         return (th + ds * (a1 + 2 * a2 + 2 * a3 + a4) / 6.0,
                 r + ds * (b1 + 2 * b2 + 2 * b3 + b4) / 6.0)
 

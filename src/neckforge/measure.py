@@ -1,23 +1,24 @@
 """Volume and diameter measurement for profile pieces.
 
 Volume integrates the product of warp powers against the unit volumes of
-the sphere factors with GL_POINTS-point Gauss-Legendre panels on the
-spline knots, reading each warp's cubic on the knot interval that every
-abscissa is known to lie in (the profile's warp_rows), with the floats of
-the spline's own evaluation. A warp's power |v|^d is the product of d
+the sphere factors with Gauss-Legendre panels on the spline knots,
+reading each warp's cubic on the knot interval that every abscissa is
+known to lie in (the profile's warp_rows), with the floats of the
+spline's own evaluation. A warp's power |v|^d is the product of d
 factors |v|, taken left to right, not numpy's power loop, whose last
 bit for d >= 3 depends on the SIMD code it dispatches to. A constant
 warp (all samples equal) is a factor: its one value, raised to its
 dimension once, multiplies the other warp's rows, the floats that full
-rows of equal values gave. The pass is exact when
-3 * sum(component_dims) < 2 * GL_POINTS and every
-warp's cubic is >= 0 on every knot interval, checked through its four
-Bernstein coefficients with a rounding margin (a declared closed end may
-touch zero; the profile's cubic_bounds). Such a
-piece takes one pass on the halved panels, the float the halving check
-returns after its first refinement. Any other piece falls back to the
-halving check to rel_tol 1e-10, so volumes of anything less tame fail
-loudly instead of silently drifting.
+rows of equal values gave. When every warp's cubic is >= 0 on every knot
+interval, checked through its four Bernstein coefficients with a
+rounding margin (a declared closed end may touch zero; the profile's
+cubic_bounds), the integrand is a polynomial of degree 3D on each knot
+interval, D the sum of the sphere dimensions of the non-constant warps.
+Such a piece takes one pass on the knot panels with floor(3D/2) + 1
+nodes, exact for that degree: 4, 5 or 7 for a neck piece of link
+dimension 2, 3 or 4, and 1 for a cylinder. Any other piece falls back to
+the halving check of GL_POINTS-point panels to rel_tol 1e-10, so volumes
+of anything less tame fail loudly instead of silently drifting.
 
 Diameter: the summed axial length is a rigorous lower bound (arclength is
 1-Lipschitz). The upper bound is length + pi * the largest fiber bound,
@@ -34,19 +35,13 @@ import numpy as np
 
 from .errors import QuadratureNonConvergence
 from .models import unit_sphere_volume
-from .numerics import GL_POINTS, gauss_legendre_panels
+from .numerics import gauss_legendre_panels
 
 __all__ = [
     "adaptive_panel_integral",
     "profile_volume",
     "diameter_bounds",
 ]
-
-
-def _halved(bp: np.ndarray) -> np.ndarray:
-    """The breakpoints with every panel split at its midpoint."""
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    return np.sort(np.concatenate([bp, mids]))
 
 
 def adaptive_panel_integral(f, breakpoints, rel_tol: float = 1e-10,
@@ -59,7 +54,7 @@ def adaptive_panel_integral(f, breakpoints, rel_tol: float = 1e-10,
     bp = np.asarray(breakpoints, dtype=float)
     prev = gauss_legendre_panels(f, bp)
     for _ in range(max_depth):
-        bp = _halved(bp)
+        bp = np.sort(np.concatenate([bp, 0.5 * (bp[:-1] + bp[1:])]))
         cur = gauss_legendre_panels(f, bp)
         scale = max(abs(cur), abs(prev), 1e-300)
         if abs(cur - prev) <= rel_tol * scale:
@@ -91,10 +86,12 @@ def _volume_integrand(profile):
 
 def profile_volume(profile) -> float:
     """Riemannian volume of one profile piece."""
-    if 3 * sum(profile.component_dims) < 2 * GL_POINTS and all(
-            nonnegative for nonnegative, _ in profile.cubic_bounds):
-        return gauss_legendre_panels(_volume_integrand(profile),
-                                     _halved(profile.grid))
+    if all(nonnegative for nonnegative, _ in profile.cubic_bounds):
+        # degree 3 * D on each knot interval: exact with 3 * D // 2 + 1 nodes
+        D = sum(d for d, v in zip(profile.component_dims, profile._constants)
+                if v is None)
+        return gauss_legendre_panels(_volume_integrand(profile), profile.grid,
+                                     3 * D // 2 + 1)
     return adaptive_panel_integral(_volume_integrand(profile), profile.grid)
 
 

@@ -33,8 +33,9 @@ __all__ = [
     "cubic_bounds",
 ]
 
-# nodes per Gauss-Legendre panel, everywhere in the package: exact for
-# polynomials of degree < 2 * GL_POINTS on each panel
+# default nodes per Gauss-Legendre panel (the bending curve's quadratures
+# and measure's halving check): exact for polynomials of degree
+# < 2 * GL_POINTS on each panel
 GL_POINTS = 12
 
 
@@ -65,35 +66,35 @@ def smoothstep7(x):
 
 
 @lru_cache(maxsize=None)
-def gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the GL_POINTS-point Gauss-Legendre rule on [-1, 1].
+def gauss_legendre_rule(n: int = GL_POINTS) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
-    Computed once and shared, so the arrays are read-only.
+    Computed once per n and shared, so the arrays are read-only.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(GL_POINTS)
+    nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
 
 
-def gauss_legendre_panels(f, breakpoints) -> float:
+def gauss_legendre_panels(f, breakpoints, n: int = GL_POINTS) -> float:
     """Integrate f over [breakpoints[0], breakpoints[-1]] panel by panel.
 
     Each consecutive pair of breakpoints becomes one Gauss-Legendre panel
-    with GL_POINTS nodes. f must accept a 1d array of abscissae. Exact for
-    polynomials of degree < 2 * GL_POINTS on each panel, which makes
-    integrals of spline data with panel edges at the knots reproducible to
-    roundoff.
+    with n nodes. f must accept a 1d array of abscissae, the n nodes of
+    each panel in panel order. Exact for polynomials of degree < 2 * n on
+    each panel, which makes integrals of spline data with panel edges at
+    the knots reproducible to roundoff.
     """
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 2:
         raise DegenerateGrid("need at least two breakpoints to integrate")
-    nodes, weights = gauss_legendre_rule()
+    nodes, weights = gauss_legendre_rule(n)
     lo = bp[:-1]
     hi = bp[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    # (n_panels, GL_POINTS) abscissae, flattened for a single f call
+    # (n_panels, n) abscissae, flattened for a single f call
     xs = mid[:, None] + half[:, None] * nodes[None, :]
     vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
     return float(np.sum(half[:, None] * weights[None, :] * vals))

@@ -1,5 +1,6 @@
 """Volume and diameter measurement against closed forms."""
 
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -15,8 +16,8 @@ from neckforge.measure import (
     profile_volume,
 )
 from neckforge.models import unit_sphere_volume
-from neckforge.numerics import (GL_POINTS, bernstein, cubic_rows,
-                                gauss_legendre_panels)
+from neckforge.numerics import (bernstein, cubic_rows, gauss_legendre_panels,
+                                gauss_legendre_rule)
 from neckforge.pipelines import (
     attach_hemisphere,
     attach_product_ingredient,
@@ -28,6 +29,7 @@ from neckforge.pipelines import (
     verify_volume_budget,
 )
 from neckforge.profiles import DoublyWarpProfile, WarpProfile
+from test_pipelines import GOLDEN_ARTIFACT_DIGESTS, GOLDEN_CERTIFICATE_DIGESTS
 
 
 def test_hemisphere_volume():
@@ -116,6 +118,34 @@ def _distinct_profiles(result):
     return list(profiles.values())
 
 
+def knot_pass(integrand, grid, n) -> float:
+    """One n-node Gauss-Legendre pass on the knot panels, written from
+    np.polynomial.legendre.leggauss(n): integrand takes the (intervals, n)
+    abscissae, and the panel sum is numerics.gauss_legendre_panels'."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (grid[1:] - grid[:-1])
+    mid = 0.5 * (grid[1:] + grid[:-1])
+    X = mid[:, None] + half[:, None] * nodes[None, :]
+    vals = np.broadcast_to(integrand(X), X.shape)
+    return float(np.sum(half[:, None] * weights[None, :] * vals))
+
+
+def exact_nodes(profile) -> int:
+    """floor(3 D / 2) + 1 for D the summed sphere dimensions of the warps
+    whose samples are not all equal: exact for degree 3 D."""
+    D = sum(dim for values, dim, _, _ in profile.warps
+            if not np.all(values == values[0]))
+    return 3 * D // 2 + 1
+
+
+def halved_pass(profile) -> float:
+    """The volume the exact path returned before it was sized to the
+    degree: one GL_POINTS-point pass on the knot panels halved."""
+    grid = profile.grid
+    halved = np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
+    return gauss_legendre_panels(_volume_integrand(profile), halved)
+
+
 @pytest.mark.parametrize("build", [
     lambda: tunnel_certificate(3, sharpness=1e4),
     lambda: surgery_certificate(1, 3, 0.1),
@@ -123,32 +153,34 @@ def _distinct_profiles(result):
     lambda: sphere_chain_certificate(1.5 * 2 * np.pi**2, 3),
 ], ids=["tunnel", "surgery", "cor-t", "cor-v"])
 def test_exact_path_equals_the_halving_loop(build):
+    # bit for bit the degree-sized pass, and the halving loop's float
+    # (its first refinement) to roundoff
     for prof in _distinct_profiles(build()):
-        assert profile_volume(prof) == adaptive_panel_integral(
-            _volume_integrand(prof), prof.grid)
+        vol = profile_volume(prof)
+        assert vol.hex() == reference_volume(prof).hex()
+        halving = adaptive_panel_integral(_volume_integrand(prof), prof.grid)
+        assert halving == halved_pass(prof)
+        assert abs(vol - halving) <= 2e-15 * halving
 
 
 def reference_volume(profile) -> float:
-    """profile_volume with every warp, constant ones included, read by
-    cubic_rows at every abscissa of the halved panels (or of each halving),
+    """profile_volume of a piece that takes the exact path, with every
+    warp, constant ones included, read by cubic_rows at every abscissa,
     as the integrand read them before constant warps became factors."""
+    assert all(nonnegative for nonnegative, _ in profile.cubic_bounds)
     dims = profile.component_dims
     factor = 1.0
     for d in dims:
         factor *= unit_sphere_volume(d)
-    intervals = profile.grid.size - 1
 
-    def integrand(s):
+    def integrand(X):
         out = factor
         for sp, d in zip(profile._splines, dims):
-            out = out * reduce(np.multiply, [np.abs(cubic_rows(
-                sp.c, sp.x, s.reshape(intervals, -1)))] * d)
+            out = out * reduce(np.multiply,
+                               [np.abs(cubic_rows(sp.c, sp.x, X))] * d)
         return out
 
-    if 3 * sum(dims) < 2 * GL_POINTS and all(
-            nonnegative for nonnegative, _ in profile.cubic_bounds):
-        return gauss_legendre_panels(integrand, measure._halved(profile.grid))
-    return adaptive_panel_integral(integrand, profile.grid)
+    return knot_pass(integrand, profile.grid, exact_nodes(profile))
 
 
 VOLUME_BUILDS = {
@@ -171,14 +203,101 @@ def test_constant_warps_leave_every_volume_bit(build):
 
 
 def test_a_cylinder_volume_is_its_reference():
-    # every warp constant, one and two of them
+    # every warp constant, one and two of them: one node per knot interval
     grid = np.linspace(0.0, 3.0, 128)
     for prof in (WarpProfile(grid=grid, values=np.full(128, 0.5),
                              fiber_dim=2),
                  DoublyWarpProfile(grid=grid, values_a=np.full(128, 1.25),
                                    values_b=np.full(128, 0.5), dim_a=1,
                                    dim_b=2)):
+        assert exact_nodes(prof) == 1
         assert profile_volume(prof).hex() == reference_volume(prof).hex()
+
+
+@pytest.fixture
+def points(monkeypatch):
+    """The abscissae per knot interval of each pass that measure runs."""
+    per_interval = []
+
+    def counting(f, breakpoints, *args):
+        def counted(xs):
+            per_interval.append(xs.size / (np.size(breakpoints) - 1))
+            return f(xs)
+        return gauss_legendre_panels(counted, breakpoints, *args)
+
+    monkeypatch.setattr(measure, "gauss_legendre_panels", counting)
+    return per_interval
+
+
+def test_a_piece_evaluates_its_degree_s_nodes(points):
+    # a tunnel of link dimension 2: its bent pieces are cubics squared,
+    # degree 6, 4 nodes; its waist is a cylinder, degree 0, 1 node
+    assembly = tunnel_certificate(3, sharpness=100.0).assemblies["tunnel"]
+    neck = assembly.piece("a05_bent_neck").profile
+    waist = next(p.profile for p in assembly.pieces
+                 if p.profile._constants[0] is not None)
+    assert neck.component_dims == waist.component_dims == (2,)
+    points.clear()
+    assert profile_volume(neck) == reference_volume(neck)
+    assert profile_volume(waist) == reference_volume(waist)
+    assert points == [4.0, 1.0]
+
+
+def exact_interval_volume(profile, i) -> Fraction:
+    """The integral over knot interval i of the product of the float
+    cubics' powers and the float sphere factor, in exact arithmetic."""
+    factor = 1.0
+    for d in profile.component_dims:
+        factor *= unit_sphere_volume(d)
+    poly = [Fraction(factor)]
+    for sp, d in zip(profile._splines, profile.component_dims):
+        cubic = [Fraction(a) for a in sp.c[::-1, i].tolist()]
+        for _ in range(d):
+            poly = [sum(poly[j] * cubic[k - j]
+                        for j in range(max(0, k - 3), min(k, len(poly) - 1) + 1))
+                    for k in range(len(poly) + 3)]
+    h = Fraction(float(profile.grid[i + 1])) - Fraction(float(profile.grid[i]))
+    return sum(a * h ** (k + 1) / (k + 1) for k, a in enumerate(poly))
+
+
+GOLDEN = [build for build, _ in GOLDEN_CERTIFICATE_DIGESTS] + [
+    param.values[0] for param in GOLDEN_ARTIFACT_DIGESTS]
+
+
+@pytest.mark.parametrize("build", GOLDEN, ids=[
+    f"certificate-{i}" for i in range(len(GOLDEN_CERTIFICATE_DIGESTS))] + [
+    param.id for param in GOLDEN_ARTIFACT_DIGESTS])
+def test_the_exact_pass_is_exact_on_golden_pieces(build):
+    # the degree-sized pass over five sampled knot intervals of each piece
+    # against the float cubics' powers integrated in rationals, and each
+    # piece's volume against the halved pass the exact path took before.
+    # One interval alone can miss by more: at a closed end the warp
+    # cancels to zero, and the rounding of each abscissa, an ulp of the
+    # knot, moves it by up to 4e-14 of that interval's volume.
+    for prof in _distinct_profiles(build()):
+        nodes, weights = gauss_legendre_rule(exact_nodes(prof))
+        grid = prof.grid
+        half = 0.5 * (grid[1:] - grid[:-1])
+        X = 0.5 * (grid[1:] + grid[:-1])[:, None] + half[:, None] * nodes
+        vals = np.broadcast_to(_volume_integrand(prof)(X.ravel()), X.shape)
+        got = exact = Fraction(0)
+        for i in np.linspace(0, grid.size - 2, 5).astype(int):
+            got += Fraction(float(np.sum(half[i] * weights * vals[i])))
+            exact += exact_interval_volume(prof, i)
+        assert abs(got - exact) <= Fraction(1e-14) * exact
+        vol = profile_volume(prof)
+        assert abs(vol - halved_pass(prof)) <= 2e-15 * vol
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+def test_the_exact_pass_is_exact_on_coarse_knots(dim):
+    # eight knots of a bump, every interval integrated in rationals
+    grid = np.linspace(0.0, 2.0, 8)
+    prof = WarpProfile(grid=grid, values=1.0 + 0.5 * np.sin(2.0 * grid),
+                       fiber_dim=dim)
+    exact = sum(exact_interval_volume(prof, i) for i in range(grid.size - 1))
+    assert exact_nodes(prof) == 3 * dim // 2 + 1
+    assert abs(Fraction(profile_volume(prof)) - exact) <= Fraction(1e-14) * exact
 
 
 def test_one_quadrature_pass_per_tunnel_volume(passes):
@@ -213,8 +332,8 @@ def test_closed_ends_take_the_exact_path(passes):
     assert passes[0] == 1
 
 
-def searched_volume(prof):
-    """The halving loop over each warp's values found by an interval
+def searched_integrand(prof):
+    """The volume density from each warp's values found by an interval
     search (component_values) instead of on known knot intervals."""
     dims = prof.component_dims
     factor = 1.0
@@ -227,27 +346,35 @@ def searched_volume(prof):
             out = out * reduce(np.multiply, [np.abs(v)] * d)
         return out
 
-    return adaptive_panel_integral(integrand, prof.grid)
+    return integrand
 
 
-def test_high_fiber_dimension_takes_the_halving_loop(passes):
-    # 3 * 8 = 24 exceeds the degree 12-point panels integrate exactly
+def searched_volume(prof):
+    """The halving loop over the searched floats."""
+    return adaptive_panel_integral(searched_integrand(prof), prof.grid)
+
+
+def test_high_fiber_dimension_takes_one_exact_pass(points):
+    # 3 * 8 = 24 exceeds the degree 12-point panels integrate exactly;
+    # 13 nodes per knot interval reach it
     grid = np.linspace(0.0, 1.0, 64)
     prof = WarpProfile(grid=grid, values=0.5 + 0.1 * grid, fiber_dim=8)
     vol = profile_volume(prof)
-    assert passes[0] >= 2
-    assert vol == searched_volume(prof)
+    assert points == [13.0]
+    assert vol == knot_pass(searched_integrand(prof), grid, 13)
+    assert vol.hex() == reference_volume(prof).hex()
 
 
-def test_doubly_warped_halving_loop_reads_the_searched_floats(passes):
-    # 3 * (1 + 8) = 27: the halving loop, with a constant first warp
+def test_doubly_warped_exact_pass_reads_the_searched_floats(points):
+    # 3 * 8 = 24 with a constant first warp: 13 nodes per knot interval
     grid = np.linspace(0.0, 1.0, 64)
     prof = DoublyWarpProfile(grid=grid, values_a=np.full(64, 0.7),
                              values_b=0.5 + 0.1 * np.sin(3.0 * grid),
                              dim_a=1, dim_b=8)
     vol = profile_volume(prof)
-    assert passes[0] >= 2
-    assert vol == searched_volume(prof)
+    assert points == [13.0]
+    assert vol == knot_pass(searched_integrand(prof), grid, 13)
+    assert vol.hex() == reference_volume(prof).hex()
 
 
 def test_negative_spline_dip_takes_the_halving_loop(passes):

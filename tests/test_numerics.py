@@ -4,6 +4,8 @@ scipy is imported here only, as the reference the package's own
 piecewise cubic must reproduce bit for bit.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline, PPoly
@@ -12,7 +14,6 @@ from neckforge import bending
 from neckforge.bending import CurveDesignParams, design_bending_curve
 from neckforge.curvature import (scalar_curvature_doubly_warped,
                                  scalar_curvature_warped)
-from neckforge.measure import _halved
 from neckforge.models import product_of_rounds, round_sphere, unit_sphere_volume
 from neckforge.numerics import (GL_POINTS, PiecewiseCubic, cubic_rows,
                                 gauss_legendre_rule, hermite_cubic,
@@ -63,17 +64,23 @@ SPLINES = {
 NUS = (0, 1, 2, 3, 4)
 
 
-def probe_rows(x):
-    """(rows, knot interval of each row or None for row r in interval r):
-    the abscissae of the halved Gauss-Legendre panels, the nodes, the
-    interval midpoints and the last node alone."""
-    m = x.size - 1
-    bp = _halved(x)
+def panel_abscissae(bp, n):
+    """The abscissae of n-point Gauss-Legendre panels on breakpoints bp."""
     half = 0.5 * np.diff(bp)
     mid = 0.5 * (bp[:-1] + bp[1:])
-    panels = mid[:, None] + half[:, None] * gauss_legendre_rule()[0]
+    return mid[:, None] + half[:, None] * gauss_legendre_rule(n)[0]
+
+
+def probe_rows(x):
+    """(rows, knot interval of each row or None for row r in interval r):
+    the abscissae of the volume's 7-point knot panels and of the halving
+    check's halved GL_POINTS-point panels, the nodes, the interval
+    midpoints and the last node alone."""
+    m = x.size - 1
+    halved = np.sort(np.concatenate([x, 0.5 * (x[:-1] + x[1:])]))
     return [
-        (panels.reshape(m, 2 * GL_POINTS), None),
+        (panel_abscissae(x, 7), None),
+        (panel_abscissae(halved, GL_POINTS).reshape(m, 2 * GL_POINTS), None),
         (x[:, None], np.minimum(np.arange(x.size), m - 1)),
         ((x[:-1] + 0.5 * np.diff(x))[:, None], None),
         (x[-1:, None], np.array([m - 1])),
@@ -134,6 +141,36 @@ def test_hermite_coefficients_are_scipys(seed):
     x, y, dydx = random_hermite(seed)
     assert same_bits(hermite_cubic(x, y, dydx).c,
                      CubicHermiteSpline(x, y, dydx).c)
+
+
+# sha256 of the node and weight bytes of gauss_legendre_rule(n) for
+# n = 1 ... 13, the node counts of every volume pass (sphere dimensions up
+# to 8) and of the GL_POINTS panels. leggauss takes its nodes from LAPACK's
+# eigvalsh, so CI runs this with numpy's SIMD dispatch and OpenBLAS's core
+# forced down as well.
+GL_RULE_DIGESTS = [
+    "0827fd05442d5279a37c60207e21a0e11585427eebdf4b2a0a35ded23a7cd9ed",
+    "5a6acf9e0b0b6dc44a60ab078a8be45dbe41c0d303877f4441880b7a434e0408",
+    "5b978b3bcd82f1f879400b8ef955d143817846659fb5dc57d923d021c329e459",
+    "b5db89e0d568743f578eac67fc3a3bbbe1f5ab16f5c9cb8bcd9d10ea4fa7a9a1",
+    "b60a9146d12600533517ae35a5b2aa266a66721f48a0e4a6418e883fabff5163",
+    "6f3d461e6365c7da423283fdbc685d5bdd9b50049f463eafffb65d6e09478e6b",
+    "6c81dee7e7cc9b430d8e1d18c2fa0b6171d8152213e3d27fe6d669e38ea94c2d",
+    "855f29801bcd4145e700951133fc4ac89e120035760172d58bcb3cef500f85ff",
+    "0af1d3950db99ed747af0d2b89cdf46ed3a6bd7db50c129e81ec0d93ded2adae",
+    "6b44376d24031d9af2560628c2f916ec6ee579bd835d87a0b21c529e5cd542a1",
+    "65dd43137ab04c4b3b608fd8553da0f60136ed73ae41cb45c7935317249a6cbc",
+    "51b4fe77438a7eaaea5e868c0ff7e4ed4c8ae974e4832345b782dad03c8e102d",
+    "0b5b22de46b4402651843cc81ebaab33c58d985ef1f8ac3225456e39bf75e19d",
+]
+
+
+def test_gauss_legendre_rules_are_byte_identical():
+    for n, digest in enumerate(GL_RULE_DIGESTS, start=1):
+        nodes, weights = gauss_legendre_rule(n)
+        assert nodes.size == weights.size == n
+        assert hashlib.sha256(
+            nodes.tobytes() + weights.tobytes()).hexdigest() == digest
 
 
 def test_knot_intervals_are_ppolys_search():
@@ -246,9 +283,9 @@ def test_every_golden_piece_reads_ppolys_floats(build):
                     assert same_bits(cubic_rows(spline.c, spline.x, s, idx, nu),
                                      reference(s, nu))
                     jets.append(reference(s, nu))
-                X, _ = probe_rows(spline.x)[0]
-                assert same_bits(cubic_rows(spline.c, spline.x, X),
-                                 reference(X))
+                for X, _ in probe_rows(spline.x)[:2]:
+                    assert same_bits(cubic_rows(spline.c, spline.x, X),
+                                     reference(X))
             formula = (scalar_curvature_warped if len(jets) == 3
                        else scalar_curvature_doubly_warped)
             assert same_bits(R, formula(*jets, *prof.component_dims))

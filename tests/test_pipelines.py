@@ -696,36 +696,36 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
 GOLDEN_ARTIFACT_DIGESTS = [
     pytest.param(
         lambda **files: tunnel_certificate(3, sharpness=100.0, **files),
-        "a7a643fc01ea773d59084432aba4a5eea716f1931fb43775e26295eb8358fd29",
+        "7d2e3263c2a299738e3df2060cb107d6867b2d0fc10d412fcbdc114a90b45145",
         id="tunnel"),
     pytest.param(
         lambda **files: surgery_certificate(1, 3, 0.05, **files),
-        "b364dd9d8d389930b5cda5556ee581b5b40e8cde79e47a7c823c5e55cfa200d4",
+        "bb6753106655d473a27d42e9d97d06ae743a1ddb1888a7ae80646c0b73a8ad8a",
         id="surgery"),
     # warps of sphere dimension 2 and 3: the piece volumes raise a warp to
     # the power 3, which must not depend on numpy's SIMD dispatch
     pytest.param(
         lambda **files: surgery_certificate(2, 4, 0.05, **files),
-        "01c6afa0c060755fc0a1e0696cec504797a695a96eb35b837df3bc73be87fc57",
+        "a02802b1234d80ea96dfbf236dc2cde0e5d53378980558aabbba9a1bc85733cc",
         id="surgery-2-4"),
     # four spheres: three links written from one repeated profile chain
     pytest.param(
         lambda **files: sphere_chain_certificate(
             1.5 * unit_sphere_volume(3), 3, **files),
-        "f6978c0558421602742a7787495ac12ab7e9c335cf80631c6d0fc63d763d0ae2",
+        "6dd2868eae0c1508a545973539e0c76673fc6fc6abcfef089830cd67fe3cd160",
         id="chain"),
     # round ingredient remnant from its far pole, hemisphere up to its
     # boundary, with a waist cylinder
     pytest.param(
         lambda **files: attach_hemisphere(round_sphere_ingredient(3, 0.5),
                                           diameter_target=10.0, **files),
-        "cc80a67d8522c2d53addccca808fb806170ac89c308ec34a49045752425a5e2b",
+        "8b9a8fba050f85917e430a5d42710541a2264bc420bfd68f654d3d4a7dcb5912",
         id="hemisphere"),
     # stand-in attachment: no ingredient remnant, product entries added
     pytest.param(
         lambda **files: attach_product_ingredient(1, 2, factor_radius=10.0,
                                                   **files),
-        "feacd5c4eabc09a8860bd8ec4bf6ab72f5ff3916b8094c136e7e971421922eba",
+        "9d60da135ec27ea52ef1da22465934809d9e9392fcbe69251b9d7d5e4c904913",
         id="product"),
     # hemisphere from its boundary down to the tunnel, small sphere out
     # to its far pole
@@ -733,7 +733,7 @@ GOLDEN_ARTIFACT_DIGESTS = [
         lambda **files: verify_volume_budget(
             hemisphere_standin(3, declared_volume=0.5 * unit_sphere_volume(3)),
             0.05, **files),
-        "2defb217998d030fab88e612fa3104eea343ee13d6fdeff0db9c0bc7e001bcc3",
+        "ddab01a2f006ad5981ba06bf93f772f9d29905961b4dc015b5dbcd3d88eb9d24",
         id="budget"),
 ]
 

@@ -15,8 +15,7 @@ from neckforge.errors import (
     ParameterOutOfRange,
     SchemaViolation,
 )
-from neckforge.measure import _halved
-from neckforge.numerics import (PiecewiseCubic, cubic_rows,
+from neckforge.numerics import (GL_POINTS, PiecewiseCubic, cubic_rows,
                                 gauss_legendre_rule, knot_intervals)
 from neckforge.pipelines import surgery_certificate, tunnel_certificate
 from neckforge.profiles import (
@@ -264,15 +263,19 @@ def constant_profile(kind, n, c):
 
 def probe_points(grid):
     """Nodes, midpoints, the abscissae of the volume quadrature on the
-    halved panels, 0-d and scalar inputs, and points outside the grid."""
+    knot panels and of the halving check on the halved panels, 0-d and
+    scalar inputs, and points outside the grid."""
     h = grid[1] - grid[0]
-    bp = _halved(grid)
-    half = 0.5 * np.diff(bp)
-    mid = 0.5 * (bp[:-1] + bp[1:])
-    abscissae = (mid[:, None] + half[:, None] * gauss_legendre_rule()[0]).ravel()
+    halved = np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
+    abscissae = []
+    for bp, n in ((grid, 7), (halved, GL_POINTS)):
+        half = 0.5 * np.diff(bp)
+        mid = 0.5 * (bp[:-1] + bp[1:])
+        abscissae.append(
+            (mid[:, None] + half[:, None] * gauss_legendre_rule(n)[0]).ravel())
     outside = np.array([grid[0] - 1.0, grid[0] - h / 3, grid[-1] + h / 3,
                         grid[-1] + 10.0])
-    return [grid, grid[:-1] + 0.5 * h, abscissae, outside,
+    return [grid, grid[:-1] + 0.5 * h, *abscissae, outside,
             np.array(grid[5]), float(grid[5]), 1.3]
 
 

@@ -7,9 +7,10 @@ Run from the root of a source checkout; neckforge is imported from its
 ``src/``. ``record`` builds the corpus in temporary directories and writes
 one JSON record. The corpus is fixed: the golden builds that
 tests/test_pipelines.py pins (four in memory, seven with their files),
-the README's command line run in order in one directory, and the first
-32 neck-sweep inputs of two benchmark seeds (perfbench/workloads.py, read
-only). For every certificate, in memory or written, the record holds its
+the README's command line run in order in one directory, the first 14
+artifact-roundtrip inputs of one benchmark seed, each written and
+rechecked in its own directory, and the first 32 neck-sweep inputs of two
+seeds (perfbench/workloads.py, read only). For every certificate, in memory or written, the record holds its
 sha256 and every field, quantities and claims included; for every
 written file its sha256 and role, and every field of a JSON file; for
 every CLI command its exit code and the lines it printed.

@@ -39,6 +39,8 @@ README_COMMANDS = [
 ]
 NECK_SWEEP_SEEDS = (1, 2)
 NECK_SWEEP_INPUTS = 32  # perfbench's cert_digest prefix for neck-sweep
+ROUNDTRIP_SEED = 1
+ROUNDTRIP_INPUTS = 14  # and for artifact-roundtrip
 MEMORY = "<memory>"  # the file name of a certificate that was not written
 
 
@@ -179,6 +181,21 @@ def record(nf, workloads) -> dict:
         finally:
             os.chdir(here)
         runs["readme/tree"] = {"files": tree(Path(tmp))}
+    stream = workloads.inputs("artifact-roundtrip", ROUNDTRIP_SEED)
+    for i in range(ROUNDTRIP_INPUTS):
+        _, cell = next(stream)
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                run = f"artifact-roundtrip/{ROUNDTRIP_SEED}/{i:02d}"
+                code, output = cli(nf, cell["argv"] + [
+                    "--out", "cert.json", "--profiles-dir", "profiles"])
+                runs[run] = {"input": cell, "exit": code, "output": output}
+                code, output = cli(nf, ["recheck", "cert.json"])
+                runs[f"{run} recheck"] = {"exit": code, "output": output}
+            finally:
+                os.chdir(here)
+            runs[run]["files"] = tree(Path(tmp))
     for seed in NECK_SWEEP_SEEDS:
         stream = workloads.inputs("neck-sweep", seed)
         for i in range(NECK_SWEEP_INPUTS):

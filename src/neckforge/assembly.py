@@ -32,6 +32,7 @@ finds an admissible leg when one exists at all.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -49,7 +50,7 @@ from .errors import (CodimensionTooSmall, InfeasibleBudget, InterfaceMismatch,
 from .measure import diameter_bounds, profile_volume
 from .models import AmbientModel, unit_sphere_volume
 from .numerics import smoothstep5
-from .profiles import make_profile, save_profile_csv
+from .profiles import make_profile
 
 __all__ = [
     "AssemblyPiece",
@@ -334,7 +335,7 @@ class Assembly:
 
     def save_files(self, out_dir, certificate_ref: str | None = None) -> Path:
         """Write the piece store, each profile once as pieces/<sha256 of the
-        file>.csv, and the assembly.json manifest (format version 3) of
+        file>.piece, and the assembly.json manifest (format version 3) of
         pieces, placements and interfaces; returns its path. A reader gets
         the piece at a position as load_profile_csv of its pieces entry's
         file, then .reverse() if the placement is reversed. Every file is
@@ -347,18 +348,19 @@ class Assembly:
         store = out / STORE_DIR
         _below(store, out.resolve(), "piece store")
         store.mkdir(parents=True, exist_ok=True)
-        fingerprints = {}  # content key of a stored profile -> fingerprint
+        fingerprints = {}  # bytes of a stored profile -> fingerprint
         entries = []
         for record in self.pieces:
             profile = record.profile
-            key = profile.content_key()
-            if key not in fingerprints:
+            data = profile.canonical_bytes()
+            if data not in fingerprints:
+                fingerprints[data] = hashlib.sha256(data).hexdigest()
                 with _incoming(store) as incoming:
-                    fingerprints[key] = save_profile_csv(profile, incoming)
-                    os.replace(incoming, store / f"{fingerprints[key]}.csv")
-            fingerprint = fingerprints[key]
+                    Path(incoming).write_bytes(data)
+                    os.replace(incoming, store / f"{fingerprints[data]}.piece")
+            fingerprint = fingerprints[data]
             entries.append({
-                "file": f"{STORE_DIR}/{fingerprint}.csv",
+                "file": f"{STORE_DIR}/{fingerprint}.piece",
                 "fingerprint": fingerprint,
                 "kind": profile.kind,
                 "dims": list(profile.component_dims),

@@ -310,7 +310,7 @@ def _glue(name: str, spec, provenance: dict, n: int, mouth: float):
             jet_end=(boundary if right is None
                      else right.boundary_jets(0, "start")[0]))
         poles = (end,) if kind == "pole" else ()
-        key = (profile.content_key(), poles)
+        key = (profile.canonical_bytes(), poles)
         if key not in records:
             records[key] = _sampled_piece(profile, pole_scalars=poles)
         entries.append((item.name, "remnant", records[key], False))

@@ -5,7 +5,7 @@ the arclength coordinate plus its warps, one per round sphere factor of
 the fiber. A tunnel piece has one warp (metric ds^2 + v^2 g_{S^m}), a
 surgery piece two (ds^2 + va^2 g_{S^p} + vb^2 g_{S^f}). One body,
 _Profile, derives everything from a profile's list of warps: validation,
-splines, curvature, jets, bounds and the file rendering. Two public
+splines, curvature, jets, bounds and the file bytes. Two public
 classes front it, WarpProfile for one warp and DoublyWarpProfile for two,
 and make_profile picks between them by warp count. Both names stay
 because each writes its own header format (kind=warped, kind=doubly_warped)
@@ -15,7 +15,14 @@ Values are interpolated with not-a-knot cubic splines; all curvature and
 volume evaluation downstream goes through the spline, so a profile file
 stores only what defines the piece (header, grid and warp values;
 derivatives are the spline's) and a reloaded profile reproduces its
-numbers exactly. The splines are built here (CubicSpline) with scipy's
+numbers exactly.
+
+A piece file (format version 3) is an ASCII header of "# key=value"
+lines (version, kind, dimensions, closed ends, boundary jets, column
+names, row count), ended by the line "# data=float64-le". The columns
+follow it one after another, s first, then each warp, as little-endian
+IEEE binary64: exactly 8 * rows * columns bytes, the floats themselves,
+so writing, hashing and reloading a piece format no number. The splines are built here (CubicSpline) with scipy's
 arithmetic, bit for bit, but without its validation passes, which the
 profile's own grid and warp checks make redundant; samples must therefore
 be finite. The three diagonals of its slope system go straight to LAPACK's
@@ -63,7 +70,9 @@ from .numerics import (PiecewiseCubic, cubic_bounds, cubic_rows,
 __all__ = ["WarpProfile", "DoublyWarpProfile", "make_profile",
            "load_profile_csv", "save_profile_csv"]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+# the last header line of a piece file; the binary64 columns follow it
+DATA_LINE = b"# data=float64-le\n"
 
 # fraction of an interval trimmed next to a pole when sampling curvature
 _POLE_TRIM = 1e-9
@@ -188,18 +197,6 @@ def _warp_spline(grid: np.ndarray, values: np.ndarray) -> PiecewiseCubic:
 
 def _format_jet(jet) -> str:
     return ",".join("%.17g" % x for x in jet)
-
-
-def _render(header: list[str], columns) -> bytes:
-    """Header lines, then one %.17g row per grid node, as file bytes.
-
-    All rows go through a single % format over Python floats, which print
-    exactly as the numpy scalars they come from.
-    """
-    table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1])
-    body = "\n".join([row] * table.shape[0]) % tuple(table.ravel().tolist())
-    return ("\n".join(header) + "\n" + body + "\n").encode()
 
 
 class _Profile:
@@ -338,17 +335,14 @@ class _Profile:
             closed_start=closing(ends), closed_end=closing(starts),
             jets_start=flip(self._jets[1]), jets_end=flip(self._jets[0]))
 
-    def content_key(self) -> tuple:
-        """What canonical_bytes() renders, unrendered and cheap to build:
-        two profiles have equal keys exactly when they have equal bytes,
-        since %.17g tells every two floats apart."""
-        return (self.kind, *self._header(), self.grid.tobytes(),
-                *(values.tobytes() for values, _, _, _ in self.warps))
-
     def canonical_bytes(self) -> bytes:
-        header = [f"# neckforge-profile-version={FORMAT_VERSION}",
-                  f"# kind={self.kind}", *self._header()]
-        return _render(header, (self.grid, *(v for v, _, _, _ in self.warps)))
+        """The piece file: header, then the grid and each warp as
+        little-endian binary64 columns."""
+        header = "\n".join([f"# neckforge-profile-version={FORMAT_VERSION}",
+                            f"# kind={self.kind}", *self._header(),
+                            f"# rows={self.grid.size}", ""])
+        columns = np.stack([self.grid, *(v for v, _, _, _ in self.warps)])
+        return header.encode() + DATA_LINE + columns.astype("<f8").tobytes()
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
@@ -488,10 +482,12 @@ def make_profile(grid, values, dims, *, closed_start=None, closed_end=None,
 
 
 def save_profile_csv(profile, path) -> str:
-    """Write a profile to CSV, returning its content fingerprint.
+    """Write a profile's piece file, returning its content fingerprint.
 
     The file holds exactly profile.canonical_bytes(), so the returned
-    digest equals profile.fingerprint() and `sha256sum` of the file.
+    digest equals profile.fingerprint() and `sha256sum` of the file. The
+    name is the text format's; the benchmark tracer and its round trip
+    call this function and load_profile_csv by these names.
     """
     data = profile.canonical_bytes()
     with open(path, "wb") as fh:
@@ -515,45 +511,45 @@ def _parse_jet_field(text: str):
     return tuple(float(x) for x in text.split(","))
 
 
-def _parse_table(rows: list[str]) -> np.ndarray:
-    """The data rows as a (rows, columns) float array, parsed in one pass."""
-    if not rows:
-        raise SchemaViolation("profile CSV has no data rows")
-    commas = rows[0].count(",")
-    # per row, not as a field total: a short row next to a long one
-    # would still add up to rows x columns
-    if any(row.count(",") != commas for row in rows):
-        raise SchemaViolation("ragged data row: rows differ in field count")
-    fields = ",".join(rows).split(",")
-    try:
-        data = np.fromiter(map(float, fields), float, len(fields))
-    except ValueError as exc:
-        raise SchemaViolation(f"non-numeric data row: {exc}") from None
-    return data.reshape(len(rows), commas + 1)
-
-
 def load_profile_csv(path):
-    """Read a profile CSV written by save_profile_csv.
+    """Read a piece file written by save_profile_csv (format version 3
+    only; the name is the text format's, kept for its callers).
 
-    Raises SchemaViolation for missing or inconsistent metadata.
+    Raises SchemaViolation for a header that is not ASCII "#" lines
+    ended by the data line, a missing or other version, a payload that
+    is not 8 * rows * columns bytes, or missing or inconsistent
+    metadata. The profile classes check the grid, warps and jets.
     """
     with open(path, "rb") as fh:
-        text = fh.read().decode()
-    lines = text.splitlines()
-    header = [ln for ln in lines if ln.startswith("#")]
-    rows = [ln for ln in lines if ln and not ln.startswith("#")]
+        head, data_line, payload = fh.read().partition(b"\n" + DATA_LINE)
+    if not data_line:
+        raise SchemaViolation("piece file has no data line")
+    try:
+        header = head.decode("ascii").split("\n")
+    except UnicodeDecodeError:
+        raise SchemaViolation("piece file header is not ASCII") from None
+    if not all(line.startswith("#") for line in header):
+        raise SchemaViolation("piece file header has a line without '#'")
     meta = _parse_header(header)
     if meta.get("neckforge-profile-version") != str(FORMAT_VERSION):
         raise SchemaViolation("missing or unsupported profile version header")
     kind = meta.get("kind")
-    data = _parse_table(rows)
+    columns = meta.get("columns", "").split(",")
+    try:
+        rows = int(meta.get("rows", ""))
+    except ValueError:
+        raise SchemaViolation("piece file needs a row count") from None
+    if rows < 0 or len(payload) != 8 * rows * len(columns):
+        raise SchemaViolation(f"payload of {len(payload)} bytes is not "
+                              f"{rows} rows of {len(columns)} binary64 columns")
+    data = np.frombuffer(payload, "<f8").reshape(len(columns), rows)
 
     if kind == "warped":
-        if meta.get("columns") != "s,phi" or data.shape[1] != 2:
+        if columns != ["s", "phi"]:
             raise SchemaViolation("warped profile needs columns s,phi")
         try:
             return WarpProfile(
-                grid=data[:, 0], values=data[:, 1],
+                grid=data[0], values=data[1],
                 fiber_dim=int(meta.get("fiber_dim", "0")),
                 closed_start=meta.get("closed_start") == "1",
                 closed_end=meta.get("closed_end") == "1",
@@ -563,14 +559,14 @@ def load_profile_csv(path):
             raise SchemaViolation(f"bad warped profile metadata: {exc}") from None
 
     if kind == "doubly_warped":
-        if meta.get("columns") != "s,a,b" or data.shape[1] != 3:
+        if columns != ["s", "a", "b"]:
             raise SchemaViolation("doubly warped profile needs columns s,a,b")
         parse_closed = lambda t: None if t == "none" else int(t)
         parse_jets = lambda t: (None if t == "spline" else
                                 tuple(_parse_jet_field(j) for j in t.split(";")))
         try:
             return DoublyWarpProfile(
-                grid=data[:, 0], values_a=data[:, 1], values_b=data[:, 2],
+                grid=data[0], values_a=data[1], values_b=data[2],
                 dim_a=int(meta.get("dim_a", "0")), dim_b=int(meta.get("dim_b", "0")),
                 closed_start=parse_closed(meta.get("closed_start", "none")),
                 closed_end=parse_closed(meta.get("closed_end", "none")),

@@ -382,7 +382,7 @@ def test_assembly_save_files_manifest(tmp_path, tunnel):
     assert doc["totals"]["volume"] == pytest.approx(tunnel.total_volume)
     for entry, record in zip(doc["pieces"], tunnel.pieces, strict=True):
         assert entry["fingerprint"] == record.profile.fingerprint()
-        assert entry["file"] == f"pieces/{entry['fingerprint']}.csv"
+        assert entry["file"] == f"pieces/{entry['fingerprint']}.piece"
         written = (tmp_path / "out" / entry["file"]).read_bytes()
         assert entry["fingerprint"] == hashlib.sha256(written).hexdigest()
         assert entry["min_scalar"] == record.min_scalar

@@ -26,7 +26,8 @@ from neckforge.pipelines import (IngredientMetric, attach_hemisphere,
                                  round_sphere_ingredient,
                                  sphere_chain_certificate, surgery_certificate,
                                  tunnel_certificate, verify_volume_budget)
-from neckforge.profiles import WarpProfile, load_profile_csv, save_profile_csv
+from neckforge.profiles import (DATA_LINE, WarpProfile, load_profile_csv,
+                                save_profile_csv)
 
 
 def claim_status(result, name):
@@ -513,16 +514,15 @@ def test_pipeline_artifact_tamper_detected(tmp_path):
     manifest.write_bytes(original.replace(b"pieces", b"Pieces", 1))
     with pytest.raises(SchemaViolation):
         recheck_certificate(tmp_path / "cert.json")
-    # the manifest intact, one value cell of a piece file it lists edited
+    # the manifest intact, one warp value of a piece file it lists edited
     manifest.write_bytes(original)
     assert recheck_certificate(tmp_path / "cert.json")["status"] == "PASS"
-    piece = sorted((tmp_path / "files" / "pieces").glob("*.csv"))[1]
-    lines = piece.read_text().splitlines()
-    row = [i for i, ln in enumerate(lines) if not ln.startswith("#")][100]
-    cells = lines[row].split(",")
-    cells[1] = "%.17g" % (1.5 * float(cells[1]))
-    lines[row] = ",".join(cells)
-    piece.write_text("\n".join(lines) + "\n")
+    piece = sorted((tmp_path / "files" / "pieces").glob("*.piece"))[1]
+    rows = load_profile_csv(piece).grid.size
+    head, data_line, payload = piece.read_bytes().partition(DATA_LINE)
+    table = np.frombuffer(payload, "<f8").copy()
+    table[rows + 100] *= 1.5
+    piece.write_bytes(head + data_line + table.astype("<f8").tobytes())
     with pytest.raises(SchemaViolation):
         recheck_certificate(tmp_path / "cert.json")
     # an absent piece file is reported, as an absent manifest is
@@ -551,9 +551,9 @@ def test_rebuild_overwrites_a_stale_store_file(tmp_path):
                                        certificate_path=tmp_path / "cert.json",
                                        profiles_dir=tmp_path / "files")
     build()
-    stored = sorted((tmp_path / "files" / "pieces").glob("*.csv"))[0]
+    stored = sorted((tmp_path / "files" / "pieces").glob("*.piece"))[0]
     good = stored.read_bytes()
-    stored.write_bytes(good.replace(b"e-", b"e+", 1))
+    stored.write_bytes(good[:-1] + bytes([good[-1] ^ 1]))
     with pytest.raises(SchemaViolation):
         recheck_certificate(tmp_path / "cert.json")
     build()
@@ -561,7 +561,7 @@ def test_rebuild_overwrites_a_stale_store_file(tmp_path):
     assert recheck_certificate(tmp_path / "cert.json")["status"] == "PASS"
     # the store holds nothing but files named by their own sha256
     for f in (tmp_path / "files" / "pieces").iterdir():
-        assert f.name == hashlib.sha256(f.read_bytes()).hexdigest() + ".csv"
+        assert f.name == hashlib.sha256(f.read_bytes()).hexdigest() + ".piece"
 
 
 def _older_manifest(root):
@@ -690,42 +690,42 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
 
 
 # sha256 over the sorted (relative path, file sha256) pairs of every file a
-# build writes: certificate, manifest and each piece CSV of the store. The
+# build writes: certificate, manifest and each piece file of the store. The
 # certificate digests above see no artifact bytes, because in-memory
 # certificates list no artifacts. Same versions as above.
 GOLDEN_ARTIFACT_DIGESTS = [
     pytest.param(
         lambda **files: tunnel_certificate(3, sharpness=100.0, **files),
-        "7d2e3263c2a299738e3df2060cb107d6867b2d0fc10d412fcbdc114a90b45145",
+        "72f566f00438b0672f2046ca1ac4d28c5a0e4981fc2a8f666a2253396b34dd32",
         id="tunnel"),
     pytest.param(
         lambda **files: surgery_certificate(1, 3, 0.05, **files),
-        "bb6753106655d473a27d42e9d97d06ae743a1ddb1888a7ae80646c0b73a8ad8a",
+        "ddbc853a6476778d71313bd073060c60e44ab87ae424abd0330f613b17cea234",
         id="surgery"),
     # warps of sphere dimension 2 and 3: the piece volumes raise a warp to
     # the power 3, which must not depend on numpy's SIMD dispatch
     pytest.param(
         lambda **files: surgery_certificate(2, 4, 0.05, **files),
-        "a02802b1234d80ea96dfbf236dc2cde0e5d53378980558aabbba9a1bc85733cc",
+        "4ef4d127bfe59a3fb0b4936cdff2e842c9d0fd508855e684dceae5d0b8473d46",
         id="surgery-2-4"),
     # four spheres: three links written from one repeated profile chain
     pytest.param(
         lambda **files: sphere_chain_certificate(
             1.5 * unit_sphere_volume(3), 3, **files),
-        "6dd2868eae0c1508a545973539e0c76673fc6fc6abcfef089830cd67fe3cd160",
+        "6eec6f70ae15e2d79923c946c84cdbb16dd3c8294b4b9efc26de0637e3522979",
         id="chain"),
     # round ingredient remnant from its far pole, hemisphere up to its
     # boundary, with a waist cylinder
     pytest.param(
         lambda **files: attach_hemisphere(round_sphere_ingredient(3, 0.5),
                                           diameter_target=10.0, **files),
-        "8b9a8fba050f85917e430a5d42710541a2264bc420bfd68f654d3d4a7dcb5912",
+        "cc70bd75409cc808aa4302f7cc7330d3802b329228ac4cf5ddca17101372e0fa",
         id="hemisphere"),
     # stand-in attachment: no ingredient remnant, product entries added
     pytest.param(
         lambda **files: attach_product_ingredient(1, 2, factor_radius=10.0,
                                                   **files),
-        "9d60da135ec27ea52ef1da22465934809d9e9392fcbe69251b9d7d5e4c904913",
+        "f3c92690e1243411ef1cc4e50b487018db62afd66dcbbfd6b2076e8f7d9a53fb",
         id="product"),
     # hemisphere from its boundary down to the tunnel, small sphere out
     # to its far pole
@@ -733,7 +733,7 @@ GOLDEN_ARTIFACT_DIGESTS = [
         lambda **files: verify_volume_budget(
             hemisphere_standin(3, declared_volume=0.5 * unit_sphere_volume(3)),
             0.05, **files),
-        "ddab01a2f006ad5981ba06bf93f772f9d29905961b4dc015b5dbcd3d88eb9d24",
+        "3c8e6fc276a80d49ee346a291a17ab229f7f3e45fd00d86979309dccf6e46d58",
         id="budget"),
 ]
 
@@ -752,7 +752,7 @@ def test_written_artifacts_are_byte_identical(tmp_path, build, digest):
     res = build(certificate_path=tmp_path / "cert.json",
                 profiles_dir=tmp_path / "files")
     assert res.status == "PASS"
-    assert len(list((tmp_path / "files").rglob("*.csv"))) > 1
+    assert len(list((tmp_path / "files").rglob("*.piece"))) > 1
     assert tree_digest(tmp_path) == digest
 
 

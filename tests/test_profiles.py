@@ -1,4 +1,7 @@
-"""Profile construction, evaluation, reversal, and CSV round-trips."""
+"""Profile construction, evaluation, reversal, and piece file round-trips."""
+
+import array
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from neckforge.numerics import (GL_POINTS, PiecewiseCubic, cubic_rows,
                                 gauss_legendre_rule, knot_intervals)
 from neckforge.pipelines import surgery_certificate, tunnel_certificate
 from neckforge.profiles import (
+    DATA_LINE,
     DoublyWarpProfile,
     WarpProfile,
     load_profile_csv,
@@ -37,22 +41,47 @@ def clifford_profile(n=1024, **kw):
                              values_b=np.sin(grid), dim_a=1, dim_b=1, **kw)
 
 
-def _split_row(rows):
-    # the second row a field short and the third a field long: the fields,
-    # read in order, are still the table's
-    head, _, tail = rows[1].rpartition(",")
-    return rows[:1] + [head, tail + "," + rows[2]] + rows[3:]
+def split_piece(raw: bytes) -> tuple[list[str], bytes]:
+    """The header lines of a piece file before its data line, and its
+    payload."""
+    head, data_line, payload = raw.partition(b"\n" + DATA_LINE)
+    assert data_line
+    return head.decode("ascii").split("\n"), payload
 
 
-# (header lines, data rows) -> the lines of a broken profile CSV
+def join_piece(head: list[str], payload: bytes) -> bytes:
+    return "\n".join(head).encode() + b"\n" + DATA_LINE + payload
+
+
+def set_header(head: list[str], key: str, value: str) -> list[str]:
+    edited = [f"# {key}={value}" if ln.startswith(f"# {key}=") else ln
+              for ln in head]
+    assert edited != head
+    return edited
+
+
+# (header lines, payload) of a 64-row warped piece -> the bytes of a
+# broken file, and what its refusal says
 MALFORMED_TABLES = {
-    "non_numeric": lambda head, rows: head + rows + ["zero,one,two,three"],
-    "ragged": lambda head, rows: head + rows + ["0.5,0.5,0.5"],
-    "hash_tail": lambda head, rows: head + rows[:-1] + [rows[-1] + "#x"],
-    "blank": lambda head, rows: head + rows[:3] + ["   "] + rows[3:],
-    "header_only": lambda head, rows: head,
-    "extra_column": lambda head, rows: head + [r + ",0" for r in rows],
-    "compensating_ragged": lambda head, rows: head + _split_row(rows),
+    "non_numeric": (lambda head, data: join_piece(
+        set_header(head, "rows", "sixty-four"), data), "row count"),
+    "ragged": (lambda head, data: join_piece(head, data[:-1]), "payload"),
+    "hash_tail": (lambda head, data: join_piece(head, data + b"#"),
+                  "payload"),
+    "rows_off_by_one": (lambda head, data: join_piece(
+        set_header(head, "rows", "65"), data), "payload"),
+    "blank": (lambda head, data: join_piece(head[:3] + [""] + head[3:], data),
+              "without '#'"),
+    "no_data_line": (lambda head, data: "\n".join(head + [""]).encode()
+                     + data, "no data line"),
+    "header_only": (lambda head, data: join_piece(head, b""), "payload"),
+    "non_ascii_header": (lambda head, data: join_piece(head, data).replace(
+        b"# kind=", b"# note=\xe9\n# kind="), "not ASCII"),
+    "extra_column": (lambda head, data: join_piece(
+        set_header(head, "columns", "s,phi,x"), data), "payload"),
+    # the payload adds up to the header's rows x columns, in another shape
+    "compensating_ragged": (lambda head, data: join_piece(set_header(
+        set_header(head, "rows", "128"), "columns", "s"), data), "columns"),
 }
 
 # (profile, header key, bad value): boundary jet headers that do not
@@ -69,13 +98,10 @@ MALFORMED_JET_HEADERS = {
 @pytest.mark.parametrize("make, key, value", MALFORMED_JET_HEADERS.values(),
                          ids=MALFORMED_JET_HEADERS.keys())
 def test_malformed_jet_header_rejected(tmp_path, make, key, value):
-    path = tmp_path / "prof.csv"
+    path = tmp_path / "prof.piece"
     save_profile_csv(make(n=64), path)
-    lines = path.read_text().splitlines()
-    mangled = [f"# {key}={value}" if ln.startswith(f"# {key}=") else ln
-               for ln in lines]
-    assert mangled != lines
-    path.write_text("\n".join(mangled) + "\n")
+    head, payload = split_piece(path.read_bytes())
+    path.write_bytes(join_piece(set_header(head, key, value), payload))
     with pytest.raises(SchemaViolation):
         load_profile_csv(path)
 
@@ -131,7 +157,7 @@ class TestWarpProfile:
 
     def test_csv_round_trip_exact(self, tmp_path):
         prof = sin_profile(n=256, jet_start=(0.1, 0.2, 0.3))
-        path = tmp_path / "prof.csv"
+        path = tmp_path / "prof.piece"
         save_profile_csv(prof, path)
         back = load_profile_csv(path)
         assert isinstance(back, WarpProfile)
@@ -144,24 +170,23 @@ class TestWarpProfile:
 
     def test_missing_version_rejected(self, tmp_path):
         prof = sin_profile(n=64)
-        path = tmp_path / "prof.csv"
+        path = tmp_path / "prof.piece"
         save_profile_csv(prof, path)
-        body = path.read_text().replace("# neckforge-profile-version=2\n", "")
-        path.write_text(body)
-        with pytest.raises(SchemaViolation):
+        raw = path.read_bytes()
+        body = raw.replace(b"# neckforge-profile-version=3\n", b"")
+        assert body != raw
+        path.write_bytes(body)
+        with pytest.raises(SchemaViolation, match="version"):
             load_profile_csv(path)
 
-    @pytest.mark.parametrize("mangle", MALFORMED_TABLES.values(),
+    @pytest.mark.parametrize("mangle, refusal", MALFORMED_TABLES.values(),
                              ids=MALFORMED_TABLES.keys())
-    def test_malformed_table_rejected(self, tmp_path, mangle):
+    def test_malformed_table_rejected(self, tmp_path, mangle, refusal):
         prof = sin_profile(n=64)
-        path = tmp_path / "prof.csv"
+        path = tmp_path / "prof.piece"
         save_profile_csv(prof, path)
-        lines = path.read_text().splitlines()
-        head = [ln for ln in lines if ln.startswith("#")]
-        rows = [ln for ln in lines if not ln.startswith("#")]
-        path.write_text("\n".join(mangle(head, rows)) + "\n")
-        with pytest.raises(SchemaViolation):
+        path.write_bytes(mangle(*split_piece(path.read_bytes())))
+        with pytest.raises(SchemaViolation, match=refusal):
             load_profile_csv(path)
 
     def test_validation_errors(self):
@@ -224,7 +249,7 @@ class TestDoublyWarpProfile:
 
     def test_csv_round_trip(self, tmp_path):
         prof = clifford_profile(n=128, jets_start=((1, 0, 0), (0.5, 1, 0)))
-        path = tmp_path / "double.csv"
+        path = tmp_path / "double.piece"
         save_profile_csv(prof, path)
         back = load_profile_csv(path)
         assert isinstance(back, DoublyWarpProfile)
@@ -235,11 +260,13 @@ class TestDoublyWarpProfile:
 
     def test_unknown_kind_rejected(self, tmp_path):
         prof = clifford_profile(n=128)
-        path = tmp_path / "double.csv"
+        path = tmp_path / "double.piece"
         save_profile_csv(prof, path)
-        body = path.read_text().replace("# kind=doubly_warped", "# kind=mystery")
-        path.write_text(body)
-        with pytest.raises(SchemaViolation):
+        raw = path.read_bytes()
+        body = raw.replace(b"# kind=doubly_warped", b"# kind=mystery")
+        assert body != raw
+        path.write_bytes(body)
+        with pytest.raises(SchemaViolation, match="kind"):
             load_profile_csv(path)
 
 
@@ -359,14 +386,20 @@ def test_non_finite_grid_rejected(bad, at):
         WarpProfile(grid=grid, values=np.ones(32), fiber_dim=2)
 
 
+def stored_table(raw: bytes) -> np.ndarray:
+    """A piece file's payload as a writable (columns, rows) array."""
+    head, payload = split_piece(raw)
+    rows = int(next(ln for ln in head if ln.startswith("# rows="))[7:])
+    return np.frombuffer(payload, "<f8").reshape(-1, rows).copy()
+
+
 def _mangle_cell(path, column, value, row=20):
-    """Rewrite one data cell of a profile CSV."""
-    lines = path.read_text().splitlines()
-    data = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
-    cols = lines[data[row]].split(",")
-    cols[column] = value
-    lines[data[row]] = ",".join(cols)
-    path.write_text("\n".join(lines) + "\n")
+    """Rewrite one stored value of a piece file."""
+    raw = path.read_bytes()
+    table = stored_table(raw)
+    table[column, row] = value
+    path.write_bytes(join_piece(split_piece(raw)[0],
+                                table.astype("<f8").tobytes()))
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -375,9 +408,9 @@ def _mangle_cell(path, column, value, row=20):
                                           (clifford_profile, 2)],
                          ids=["phi", "a", "b"])
 def test_non_finite_value_cell_is_a_typed_error(tmp_path, make, column, bad):
-    path = tmp_path / "prof.csv"
+    path = tmp_path / "prof.piece"
     save_profile_csv(make(n=64), path)
-    _mangle_cell(path, column, bad)
+    _mangle_cell(path, column, float(bad))
     with pytest.raises(NonPositiveWarp):
         load_profile_csv(path)
 
@@ -385,42 +418,83 @@ def test_non_finite_value_cell_is_a_typed_error(tmp_path, make, column, bad):
 @pytest.mark.parametrize("make", [sin_profile, clifford_profile],
                          ids=["warped", "doubly_warped"])
 def test_every_stored_cell_matters(tmp_path, make):
-    # a file holds only what defines its piece: a cell moved by one ulp,
+    # a file holds only what defines its piece: a value moved by one ulp,
     # end rows included, is refused or reloads as a different piece
-    path = tmp_path / "prof.csv"
+    path = tmp_path / "prof.piece"
     original = save_profile_csv(make(n=64), path)
-    text = path.read_text()
-    rows = [ln.split(",") for ln in text.splitlines() if not ln.startswith("#")]
-    for column in range(len(rows[0])):
+    raw = path.read_bytes()
+    table = stored_table(raw)
+    for column in range(table.shape[0]):
         for row in (0, 1, -2, -1):
-            bumped = np.nextafter(float(rows[row][column]), np.inf)
-            _mangle_cell(path, column, "%.17g" % bumped, row)
+            _mangle_cell(path, column, np.nextafter(table[column, row], np.inf),
+                         row)
             try:
                 assert load_profile_csv(path).fingerprint() != original, \
                     (column, row)
             except SchemaViolation:
                 pass
-            path.write_text(text)
+            path.write_bytes(raw)
+
+
+def text_piece(prof, version: int, columns: list) -> str:
+    """A piece file of an earlier, text format: today's header up to its
+    column names, then one %.17g row per grid node."""
+    head = split_piece(prof.canonical_bytes())[0][:-1]
+    head[0] = f"# neckforge-profile-version={version}"
+    head[-1] = "# columns=" + ",".join(name for name, _ in columns)
+    table = np.column_stack([values for _, values in columns])
+    rows = [",".join("%.17g" % x for x in row) for row in table]
+    return "\n".join(head + rows) + "\n"
 
 
 def test_version_1_file_rejected(tmp_path):
-    # the earlier format: today's header, and the spline's first and second
-    # derivatives stored beside the warps
+    # the earlier format: the spline's first and second derivatives stored
+    # beside the warps
     prof = clifford_profile(n=64)
     path = tmp_path / "prof.csv"
-    save_profile_csv(prof, path)
-    head = [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
-    head[0] = "# neckforge-profile-version=1"
-    head[-1] = "# columns=s,a,b,da,db,d2a,d2b"
     sa = CubicSpline(prof.grid, prof.values_a)
     sb = CubicSpline(prof.grid, prof.values_b)
-    table = np.column_stack([prof.grid, prof.values_a, prof.values_b,
-                             sa(prof.grid, 1), sb(prof.grid, 1),
-                             sa(prof.grid, 2), sb(prof.grid, 2)])
-    rows = [",".join("%.17g" % x for x in row) for row in table]
-    path.write_text("\n".join(head + rows) + "\n")
+    path.write_text(text_piece(prof, 1, [
+        ("s", prof.grid), ("a", prof.values_a), ("b", prof.values_b),
+        ("da", sa(prof.grid, 1)), ("db", sb(prof.grid, 1)),
+        ("d2a", sa(prof.grid, 2)), ("d2b", sb(prof.grid, 2))]))
     with pytest.raises(SchemaViolation):
         load_profile_csv(path)
+
+
+@pytest.mark.parametrize("make", [sin_profile, clifford_profile],
+                         ids=["warped", "doubly_warped"])
+def test_version_2_text_file_rejected(tmp_path, make):
+    # the text format before this one: the same values as %.17g rows
+    prof = make(n=64)
+    path = tmp_path / "prof.csv"
+    names = ["s", "phi"] if prof.kind == "warped" else ["s", "a", "b"]
+    path.write_text(text_piece(prof, 2, list(zip(
+        names, (prof.grid, *(v for v, _, _, _ in prof.warps))))))
+    with pytest.raises(SchemaViolation, match="no data line"):
+        load_profile_csv(path)
+
+
+@pytest.mark.parametrize("make", [sin_profile, clifford_profile],
+                         ids=["warped", "doubly_warped"])
+def test_piece_file_reads_with_the_standard_library(tmp_path, make):
+    # the README's reader: the header's row count, then each column as
+    # little-endian binary64, read by array("d")
+    prof = make(n=64)
+    path = tmp_path / "prof.piece"
+    save_profile_csv(prof, path)
+    head, _, payload = path.read_bytes().partition(b"# data=float64-le\n")
+    meta = dict(line[2:].split("=", 1)
+                for line in head.decode("ascii").splitlines())
+    rows = int(meta["rows"])
+    values = array.array("d", payload)
+    if sys.byteorder == "big":
+        values.byteswap()
+    columns = [values[i * rows:(i + 1) * rows]
+               for i in range(len(meta["columns"].split(",")))]
+    assert len(payload) == 8 * rows * len(columns)
+    assert [list(c) for c in columns] == [
+        prof.grid.tolist(), *(v.tolist() for v, _, _, _ in prof.warps)]
 
 
 # -- the not-a-knot builder ----------------------------------------------------

@@ -15,14 +15,15 @@ Values are interpolated with not-a-knot cubic splines; all curvature and
 volume evaluation downstream goes through the spline, so a profile file
 stores only what defines the piece (header, grid and warp values;
 derivatives are the spline's) and a reloaded profile reproduces its
-numbers exactly.
+numbers exactly. A piece file (format version 3) is an ASCII header of
+"# key=value" lines (version, kind, dimensions, closed ends, boundary
+jets, column names, row count), ended by the line "# data=float64-le".
+The columns follow it one after another, s first, then each warp, as
+little-endian IEEE binary64: exactly 8 * rows * columns bytes, the
+floats themselves, so writing, hashing and reloading a piece format and
+parse no sample value; only the header's few numbers are text.
 
-A piece file (format version 3) is an ASCII header of "# key=value"
-lines (version, kind, dimensions, closed ends, boundary jets, column
-names, row count), ended by the line "# data=float64-le". The columns
-follow it one after another, s first, then each warp, as little-endian
-IEEE binary64: exactly 8 * rows * columns bytes, the floats themselves,
-so writing, hashing and reloading a piece format no number. The splines are built here (CubicSpline) with scipy's
+The splines are built here (CubicSpline) with scipy's
 arithmetic, bit for bit, but without its validation passes, which the
 profile's own grid and warp checks make redundant; samples must therefore
 be finite. The three diagonals of its slope system go straight to LAPACK's
@@ -539,7 +540,7 @@ def load_profile_csv(path):
         rows = int(meta.get("rows", ""))
     except ValueError:
         raise SchemaViolation("piece file needs a row count") from None
-    if rows < 0 or len(payload) != 8 * rows * len(columns):
+    if len(payload) != 8 * rows * len(columns):
         raise SchemaViolation(f"payload of {len(payload)} bytes is not "
                               f"{rows} rows of {len(columns)} binary64 columns")
     data = np.frombuffer(payload, "<f8").reshape(len(columns), rows)
